@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -18,7 +16,6 @@
 #include "sim/simulator.hh"
 #include "sim/token.hh"
 #include "trace/observer.hh"
-#include "workloads/dnn.hh"
 
 using namespace pipestitch;
 using compiler::ArchVariant;
@@ -204,119 +201,6 @@ BM_ScalarInterp(benchmark::State &state)
 }
 BENCHMARK(BM_ScalarInterp);
 
-/**
- * Wall-clock comparison of the two simulator schedulers on
- * paper-scale workloads (Table 1 sizes). Writes BENCH_sim_sched.json
- * next to the working directory so regressions in the ready-list
- * scheduler's speedup are visible to CI.
- */
-struct SchedTiming
-{
-    double ms = 0;
-    int nodes = 0;
-    int64_t cycles = 0;
-};
-
-SchedTiming
-timeScheduler(const workloads::KernelInstance &k, int unroll,
-              sim::SimConfig::Scheduler sched, int reps)
-{
-    compiler::CompileOptions opts;
-    opts.variant = ArchVariant::Pipestitch;
-    opts.unrollFactor = unroll;
-    auto res = compiler::compileProgram(k.prog, k.liveIns, opts);
-    auto cfg = res.simConfig;
-    cfg.scheduler = sched;
-    cfg.maxCycles = 8000000;
-    SchedTiming t;
-    t.nodes = res.graph.size();
-    for (int rep = 0; rep < reps + 1; rep++) {
-        auto mem = k.memory;
-        mem.resize(static_cast<size_t>(k.prog.memWords));
-        auto t0 = std::chrono::steady_clock::now();
-        auto r = sim::simulate(res.graph, mem, cfg);
-        auto t1 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(r.stats.cycles);
-        t.cycles = r.stats.cycles;
-        double ms = std::chrono::duration<double, std::milli>(
-                        t1 - t0)
-                        .count();
-        // First iteration warms caches; keep the best of the rest.
-        if (rep > 0 && (t.ms == 0 || ms < t.ms))
-            t.ms = ms;
-    }
-    return t;
-}
-
-void
-writeSchedulerReport()
-{
-    setQuiet(true);
-    struct Case
-    {
-        std::string name;
-        workloads::KernelInstance kernel;
-        int unroll;
-    };
-    // Paper-scale means fabric-scale: spatial unrolling ×8 fills
-    // the 16×16 fabric the way Table 1's mapped kernels do. The
-    // DNN's widest layer (784×512 at 97% weight sparsity) is the
-    // largest workload in the paper's evaluation; it goes last and
-    // is reported as `largest_speedup`.
-    std::vector<Case> cases;
-    cases.push_back(
-        {"spmv_u8", workloads::makeSpmv(512, 0.90, 2), 8});
-    cases.push_back(
-        {"dither_u8", workloads::makeDither(128, 128, 3), 8});
-    cases.push_back(
-        {"spmspmd_u8", workloads::makeSpMSpMd(64, 0.89, 4), 8});
-    auto dnn = workloads::buildDnn();
-    cases.push_back({"dnn_layer0_u8",
-                     workloads::makeSpMSpVdFrom(
-                         dnn.weights[0], dnn.input, "dnn_layer0"),
-                     8});
-    const int reps = 2;
-
-    FILE *f = std::fopen("BENCH_sim_sched.json", "w");
-    if (!f) {
-        std::fprintf(stderr,
-                     "cannot write BENCH_sim_sched.json\n");
-        return;
-    }
-    std::fprintf(f, "{\n  \"benchmark\": \"sim_scheduler\",\n"
-                    "  \"kernels\": [\n");
-    double largest = 0;
-    for (size_t i = 0; i < cases.size(); i++) {
-        const Case &c = cases[i];
-        SchedTiming dense = timeScheduler(
-            c.kernel, c.unroll, sim::SimConfig::Scheduler::DenseScan,
-            reps);
-        SchedTiming ready = timeScheduler(
-            c.kernel, c.unroll, sim::SimConfig::Scheduler::ReadyList,
-            reps);
-        double speedup = ready.ms > 0 ? dense.ms / ready.ms : 0;
-        largest = speedup; // last case = largest workload
-        std::fprintf(
-            f,
-            "    {\"kernel\": \"%s\", \"nodes\": %d, "
-            "\"cycles\": %lld, \"dense_ms\": %.3f, "
-            "\"ready_ms\": %.3f, \"speedup\": %.2f}%s\n",
-            c.name.c_str(), dense.nodes,
-            static_cast<long long>(dense.cycles), dense.ms,
-            ready.ms, speedup,
-            i + 1 < cases.size() ? "," : "");
-        std::printf("sim_sched %-14s nodes=%3d dense=%9.3f ms  "
-                    "ready=%9.3f ms  speedup=%.2fx\n",
-                    c.name.c_str(), dense.nodes, dense.ms,
-                    ready.ms, speedup);
-    }
-    std::fprintf(f,
-                 "  ],\n  \"largest_kernel\": \"dnn_layer0_u8\",\n"
-                 "  \"largest_speedup\": %.2f\n}\n",
-                 largest);
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -327,6 +211,5 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    writeSchedulerReport();
     return 0;
 }

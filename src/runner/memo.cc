@@ -212,10 +212,9 @@ MemoCache::runKey(const workloads::KernelInstance &k,
     // SimConfig: only the user-settable fields. The derived ones
     // (buffering, memBypass, memBanks, shareGroups) are functions of
     // the inputs above, and quiet/trace/observer do not affect the
-    // result. parallelJobs/parallelThreads are deliberately
-    // excluded too: the ParallelRegions engine is bit-identical to
-    // the oracle at every job and thread count, so they must not
-    // fragment the cache.
+    // result. The scheduler stays in the key: the engines are
+    // bit-identical, but a caller asking for the DenseScan oracle
+    // must get an oracle run.
     h.i32(static_cast<int32_t>(cfg.sim.scheduler))
         .i32(cfg.sim.bufferDepth)
         .i32(cfg.sim.memLatency)
@@ -247,9 +246,7 @@ MemoCache::preparedKey(const workloads::KernelInstance &k,
         .i64(cfg.boundPruneCycles);
     hashFabric(h, cfg.fabric);
     hashTiling(h, cfg);
-    // Same SimConfig subset as runKey (and the same
-    // parallelJobs/parallelThreads exclusion — job count never
-    // changes the result).
+    // Same SimConfig subset as runKey.
     h.i32(static_cast<int32_t>(cfg.sim.scheduler))
         .i32(cfg.sim.bufferDepth)
         .i32(cfg.sim.memLatency)

@@ -130,27 +130,11 @@ parseRequest(const std::string &line, const RunConfig &base,
             cfg.sim.scheduler = sim::SimConfig::Scheduler::DenseScan;
         } else if (name == "ready") {
             cfg.sim.scheduler = sim::SimConfig::Scheduler::ReadyList;
-        } else if (name == "parallel") {
-            cfg.sim.scheduler =
-                sim::SimConfig::Scheduler::ParallelRegions;
         } else {
             error = "unknown scheduler '" + name +
-                    "' (expected dense, ready, or parallel)";
+                    "' (expected dense or ready)";
             return false;
         }
-    }
-    // Tracing requires the observed single-engine path; the
-    // parallel engine runs unobserved (its contract is bit-identical
-    // *stats*, not an event stream). Reject the combination up
-    // front with a structured error rather than silently falling
-    // back.
-    if (cfg.sim.scheduler ==
-            sim::SimConfig::Scheduler::ParallelRegions &&
-        !out.traceFile.empty()) {
-        error = "\"trace_file\" cannot be combined with "
-                "\"scheduler\": \"parallel\" — tracing needs an "
-                "observed run; use the ready scheduler";
-        return false;
     }
     if (const auto *t = v.find("tiles")) {
         // "TXxTY" overriding the server-default tile arrangement.

@@ -10,8 +10,8 @@
  * term against a run's SimStats plugs in the run's fire counts and
  * yields a certified cycle lower bound: `simulated cycles` can never
  * be smaller than `certifiedCycles` for the same run, for any
- * scheduler (the ParallelRegions engine is bit-identical to the
- * ReadyList oracle, so one evaluation covers both).
+ * scheduler (the fast engine is bit-identical to the DenseScan
+ * oracle, so one evaluation covers both).
  *
  * Soundness is per-term (each term states a resource or dependence
  * limit the timing model provably respects); the report's certified

@@ -1,11 +1,10 @@
 #include "sim/execution.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
 #include "base/logging.hh"
-#include "sim/parallel.hh"
+#include "sim/engine.hh"
 #include "trace/observer.hh"
 
 namespace pipestitch::sim {
@@ -19,9 +18,10 @@ namespace pidx = dfg::port_idx;
 ExecutionState::ExecutionState(std::shared_ptr<const Program> program)
     : progHold(std::move(program)), prog(*progHold),
       graph(prog.graph()), cfg(prog.cfg),
-      sourceMode(prog.sourceMode), readyMode(prog.readyMode)
+      sourceMode(prog.sourceMode)
 {
-    reset();
+    if (cfg.scheduler == SimConfig::Scheduler::ReadyList)
+        engine = std::make_unique<FastEngine>(prog);
 }
 
 ExecutionState::~ExecutionState() = default;
@@ -70,42 +70,8 @@ ExecutionState::reset()
     shareUsed.assign(cfg.shareGroups.size(), false);
     shareLast.assign(cfg.shareGroups.size(), dfg::NoNode);
 
-    // Ready-list state: everything starts live; the first stall
-    // census prunes whatever turns out to be inert.
-    liveSeq = prog.allSeqNodes;
-    liveNoc = prog.allNocNodes;
-    inLive.assign(static_cast<size_t>(n), 1);
-    wokenAt.assign(static_cast<size_t>(n), -1);
-    dormantClass.assign(static_cast<size_t>(n), DormNone);
-    dormantInput = dormantSpace = 0;
-    lastVerdict.assign(static_cast<size_t>(n), Blocked::Idle);
-    verdictSerial.assign(static_cast<size_t>(n), -1);
-    wakeSerial.assign(static_cast<size_t>(n), -1);
-    cycleStartSerial = 0;
-    // Dirty through cycle 1 so the initial trigger wave is seen.
-    groupDirtyUntil.assign(static_cast<size_t>(graph.numLoops), 1);
-    groupPending.assign(static_cast<size_t>(graph.numLoops), 0);
-    curRound.clear();
-    nextRound.clear();
-    inRoundAt.assign(static_cast<size_t>(n), -1);
-    inNextAt.assign(static_cast<size_t>(n), -1);
-    roundSerial = 0;
-    inPeFixpoint = false;
-    nocSweep.clear();
-    nocNextSweep.clear();
-    inNocNextAt.assign(static_cast<size_t>(n), -1);
-    nocSweepSerial = 0;
-    inNocEval = false;
-    drainList.clear();
-    inDrainList.assign(static_cast<size_t>(n), 0);
-    chanSlabBase.assign(prog.channels.size() + 1, 0);
-    for (size_t ch = 0; ch < prog.channels.size(); ch++) {
-        chanSlabBase[ch + 1] =
-            chanSlabBase[ch] + prog.channels[ch].capacity;
-    }
-    chanTok.assign(static_cast<size_t>(chanSlabBase.back()),
-                   Token{});
-    chanReady.assign(static_cast<size_t>(chanSlabBase.back()), 0);
+    chanTok.assign(static_cast<size_t>(prog.chanSlab.back()), Token{});
+    chanReady.assign(static_cast<size_t>(prog.chanSlab.back()), 0);
     chanHead.assign(prog.channels.size(), 0);
     chanCount.assign(prog.channels.size(), 0);
     seqFiredAt.assign(static_cast<size_t>(n), -1);
@@ -133,89 +99,20 @@ ExecutionState::run(MemImage &mem, const RunOptions &opts)
         cfg.maxCycles = opts.maxCycles;
     obs = cfg.observer;
 
-    // ParallelRegions: delegate to the region-partitioned engine.
-    // Observer/trace runs need the oracle's per-fire hooks, so they
-    // pin ReadyList — same policy DenseScan uses (docs/simulator.md).
-    if (cfg.scheduler == SimConfig::Scheduler::ParallelRegions &&
-        !obs && !cfg.trace && parallelSupported(prog)) {
-        if (!parEngine) {
-            parEngine = std::make_unique<ParallelEngine>(
-                progHold, cfg.parallelJobs, cfg.parallelThreads);
-        }
-        return parEngine->run(mem, opts.maxCycles);
-    }
-
-    reset();
-    memsys.emplace(mem, cfg.memBanks, cfg.memLatency);
     if (obs)
         obs->onSimBegin(graph, cfg);
-    SimResult result = runLoop();
-    memsys.reset();
+    SimResult result;
+    if (engine) {
+        result = engine->run(mem, cfg);
+    } else {
+        reset();
+        memsys.emplace(mem, cfg.memBanks, cfg.memLatency);
+        result = runLoop();
+        memsys.reset();
+    }
     if (obs)
         obs->onSimEnd(result);
     return result;
-}
-
-// ---------------------------------------------------------------------
-// Ready-list bookkeeping
-// ---------------------------------------------------------------------
-
-void
-ExecutionState::wake(NodeId id)
-{
-    wokenAt[static_cast<size_t>(id)] = cycle;
-    if (prog.nocNode[static_cast<size_t>(id)]) {
-        if (!inLive[static_cast<size_t>(id)]) {
-            inLive[static_cast<size_t>(id)] = 1;
-            liveNoc.push_back(id);
-        }
-        if (inNocEval &&
-            inNocNextAt[static_cast<size_t>(id)] != nocSweepSerial) {
-            inNocNextAt[static_cast<size_t>(id)] = nocSweepSerial;
-            nocNextSweep.push_back(id);
-        }
-    } else {
-        wakeSerial[static_cast<size_t>(id)] = roundSerial;
-        if (prog.gateLoop[static_cast<size_t>(id)] >= 0) {
-            groupDirtyUntil[static_cast<size_t>(
-                prog.gateLoop[static_cast<size_t>(id)])] = cycle + 1;
-        }
-        if (dormantClass[static_cast<size_t>(id)] != DormNone) {
-            if (dormantClass[static_cast<size_t>(id)] == DormInput)
-                dormantInput--;
-            else
-                dormantSpace--;
-            dormantClass[static_cast<size_t>(id)] = DormNone;
-        }
-        if (!inLive[static_cast<size_t>(id)]) {
-            inLive[static_cast<size_t>(id)] = 1;
-            liveSeq.push_back(id);
-        }
-        if (inPeFixpoint &&
-            inNextAt[static_cast<size_t>(id)] != roundSerial) {
-            inNextAt[static_cast<size_t>(id)] = roundSerial;
-            nextRound.push_back(id);
-        }
-    }
-}
-
-void
-ExecutionState::wakeConsumers(NodeId id, int port)
-{
-    int p = prog.portBase[static_cast<size_t>(id)] + port;
-    for (int i = prog.consBase[static_cast<size_t>(p)];
-         i < prog.consBase[static_cast<size_t>(p) + 1]; i++) {
-        wake(prog.consFlat[static_cast<size_t>(i)]);
-    }
-}
-
-void
-ExecutionState::markDrainable(NodeId id)
-{
-    if (!inDrainList[static_cast<size_t>(id)]) {
-        inDrainList[static_cast<size_t>(id)] = 1;
-        drainList.push_back(id);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -302,20 +199,12 @@ ExecutionState::consumeInput(NodeId id, int in)
         tokensInFlight -= retired;
         stats.nocTraversals++;
         stats.bufferReads++;
-        if (retired > 0) {
-            // The producer regained buffer space, and the retired
-            // head exposes the next entry to every other endpoint.
-            wake(ref.prod);
-            wakeConsumers(ref.prod, ref.prodPort);
-        }
     } else {
         rt[static_cast<size_t>(id)]
             .ins[static_cast<size_t>(in)]
             .pop();
         tokensInFlight--;
         stats.bufferReads++;
-        // The producer port delivering into this fifo has space now.
-        wake(ref.prod);
     }
     stats.portReads[static_cast<size_t>(id)]
                    [static_cast<size_t>(in)]++;
@@ -397,7 +286,7 @@ ExecutionState::deliver(NodeId from, int port, const Token &token)
                 if (pos >= cc.capacity)
                     pos -= cc.capacity;
                 size_t slot =
-                    static_cast<size_t>(chanSlabBase[ci] + pos);
+                    static_cast<size_t>(prog.chanSlab[ci] + pos);
                 chanTok[slot] = t;
                 chanReady[slot] = cycle + cc.latency;
                 chanCount[ci]++;
@@ -417,7 +306,6 @@ ExecutionState::deliver(NodeId from, int port, const Token &token)
         tokensInFlight++;
         stats.bufferWrites++;
         stats.nocTraversals++;
-        wake(c.node);
     }
     active = true;
 }
@@ -435,7 +323,6 @@ ExecutionState::emit(NodeId id, int port, Token token)
             tokensInFlight++;
             stats.bufferWrites++;
             active = true;
-            wakeConsumers(id, port);
         } else {
             // NoC node in destination mode: direct delivery.
             deliver(id, port, token);
@@ -460,7 +347,6 @@ ExecutionState::emit(NodeId id, int port, Token token)
         tokensInFlight++;
         stats.bufferWrites++;
         active = true;
-        markDrainable(id);
     }
 }
 
@@ -497,14 +383,8 @@ ExecutionState::drainOutputBuffers()
     bornStamp = cycle - 1; // these tokens were ready last cycle
     if (sourceMode)
         return; // consumers pull directly from output buffers
-    if (drainList.empty())
-        return;
-    // Ascending id order matches the reference full scan.
-    std::sort(drainList.begin(), drainList.end());
-    size_t keep = 0;
-    for (NodeId id : drainList) {
+    for (NodeId id = 0; id < graph.size(); id++) {
         NodeRt &r = rt[static_cast<size_t>(id)];
-        bool nonempty = false;
         for (int port = 0;
              port < static_cast<int>(r.outs.size()); port++) {
             TokenFifo &f = r.outs[static_cast<size_t>(port)];
@@ -512,17 +392,10 @@ ExecutionState::drainOutputBuffers()
                 Token t = f.pop();
                 tokensInFlight--;
                 stats.bufferReads++;
-                wake(id); // its output buffer has space again
                 deliver(id, port, t);
             }
-            nonempty |= !f.empty();
         }
-        if (nonempty)
-            drainList[keep++] = id;
-        else
-            inDrainList[static_cast<size_t>(id)] = 0;
     }
-    drainList.resize(keep);
 }
 
 void
@@ -540,12 +413,10 @@ ExecutionState::handleMemCompletions()
             continue;
         }
         r.reservedOut--;
-        wake(load.node); // reservation slot freed
         if (sourceMode) {
             r.outs[static_cast<size_t>(pidx::LoadDataOut)].push(data);
             tokensInFlight++;
             stats.bufferWrites++;
-            wakeConsumers(load.node, pidx::LoadDataOut);
         } else {
             TokenFifo &f =
                 r.outs[static_cast<size_t>(pidx::LoadDataOut)];
@@ -557,7 +428,6 @@ ExecutionState::handleMemCompletions()
                 f.push(data);
                 tokensInFlight++;
                 stats.bufferWrites++;
-                markDrainable(load.node);
             }
         }
         active = true;
@@ -574,13 +444,12 @@ ExecutionState::advanceChannels()
         const Program::Channel &cc = prog.channels[ch];
         TokenFifo &f = rt[static_cast<size_t>(cc.dst)]
                            .ins[static_cast<size_t>(cc.dstIn)];
-        bool freed = false;
         while (chanCount[ch] > 0 &&
-               chanReady[static_cast<size_t>(chanSlabBase[ch] +
+               chanReady[static_cast<size_t>(prog.chanSlab[ch] +
                                              chanHead[ch])] <=
                    cycle &&
                !f.full()) {
-            size_t slot = static_cast<size_t>(chanSlabBase[ch] +
+            size_t slot = static_cast<size_t>(prog.chanSlab[ch] +
                                               chanHead[ch]);
             Token t = chanTok[slot];
             int h = chanHead[ch] + 1;
@@ -589,16 +458,10 @@ ExecutionState::advanceChannels()
             t.born = bornStamp;
             f.push(t); // still one in-flight token: channel -> fifo
             stats.bufferWrites++;
-            wake(cc.dst);
-            freed = true;
             active = true;
         }
-        if (freed) {
-            // Channel space opened up; the producer may fire again.
-            wake(cc.src);
-        }
         if (chanCount[ch] > 0 &&
-            chanReady[static_cast<size_t>(chanSlabBase[ch] +
+            chanReady[static_cast<size_t>(prog.chanSlab[ch] +
                                           chanHead[ch])] > cycle) {
             // Tokens still crossing the boundary keep the fabric
             // busy — this is latency, not deadlock.
@@ -616,16 +479,6 @@ ExecutionState::decideDispatchGroups()
     for (int l = 0; l < graph.numLoops; l++) {
         const auto &group =
             prog.dispatchGroups[static_cast<size_t>(l)];
-        if (readyMode && !cfg.greedyDispatch && !group.empty() &&
-            cycle > groupDirtyUntil[static_cast<size_t>(l)]) {
-            // No gate event since the last evaluation, so the
-            // cached choice and pending flag are exactly what a
-            // fresh scan would produce. The choice keeps its value
-            // from the last dirty round.
-            if (groupPending[static_cast<size_t>(l)])
-                anyEval = true;
-            continue;
-        }
         groupChoice[static_cast<size_t>(l)] = GroupChoice::None;
         if (group.empty())
             continue;
@@ -656,7 +509,6 @@ ExecutionState::decideDispatchGroups()
         }
         if (anyPending)
             anyEval = true;
-        groupPending[static_cast<size_t>(l)] = anyPending;
         if (contAll && contNotFull) {
             groupChoice[static_cast<size_t>(l)] = GroupChoice::Cont;
         } else if (spawnAll && spawnTwoSlots) {
@@ -862,10 +714,6 @@ ExecutionState::canFire(NodeId id)
 void
 ExecutionState::commitFire(NodeId id)
 {
-    // A dormant node's blocked verdict is frozen until a wake event
-    // clears it, so it can never have been selected to fire.
-    ps_assert(dormantClass[static_cast<size_t>(id)] == DormNone,
-              "dormant node %d fired without a wake", id);
     const Node &node = graph.at(id);
     NodeRt &r = rt[static_cast<size_t>(id)];
 
@@ -985,10 +833,6 @@ ExecutionState::commitFire(NodeId id)
         break;
       }
       case NodeKind::Dispatch: {
-        // Firing consumes the gate's tokens and fills its output:
-        // the group must be re-evaluated until the dust settles.
-        groupDirtyUntil[static_cast<size_t>(node.loopId)] =
-            cycle + 1;
         GroupChoice choice =
             groupChoice[static_cast<size_t>(node.loopId)];
         if (cfg.greedyDispatch) {
@@ -1096,7 +940,7 @@ ExecutionState::commitFire(NodeId id)
 }
 
 void
-ExecutionState::evalNocNodes(bool pruneLive)
+ExecutionState::evalNocNodes()
 {
     // CF ops in routers are combinational: they observe tokens that
     // became visible this cycle and forward them within the cycle,
@@ -1105,225 +949,68 @@ ExecutionState::evalNocNodes(bool pruneLive)
     // routine runs both before the PE pass — modeling values that
     // settled through the NoC at the end of the previous cycle —
     // and after it, for same-cycle forwarding of fresh PE outputs).
-    if (!readyMode) {
-        for (;;) {
-            bool any = false;
-            for (NodeId id : prog.nocTopo) {
-                if (nocFiredAt[static_cast<size_t>(id)] == cycle)
-                    continue;
-                if (canFire(id) == Blocked::No) {
-                    nocFiredAt[static_cast<size_t>(id)] = cycle;
-                    commitFire(id);
-                    any = true;
-                }
-            }
-            // Sweep to a fixpoint: a router op whose consumer freed
-            // its latch later in the same settle can still fire this
-            // cycle.
-            if (!any)
-                break;
-        }
-        return;
-    }
-
-    if (liveNoc.empty())
-        return;
-    auto topoLess = [this](NodeId a, NodeId b) {
-        return prog.topoIndex[static_cast<size_t>(a)] <
-               prog.topoIndex[static_cast<size_t>(b)];
-    };
-    // Firing within a sweep is confluent (ordered dataflow: no two
-    // ops contend for the same token or the same buffer slot), so
-    // sweeping only woken candidates — in topological order —
-    // reaches the same fixpoint as full sweeps.
-    inNocEval = true;
-    nocSweep.assign(liveNoc.begin(), liveNoc.end());
-    std::sort(nocSweep.begin(), nocSweep.end(), topoLess);
-    while (!nocSweep.empty()) {
-        nocSweepSerial++;
-        for (NodeId id : nocSweep) {
+    for (;;) {
+        bool any = false;
+        for (NodeId id : prog.nocTopo) {
             if (nocFiredAt[static_cast<size_t>(id)] == cycle)
                 continue;
             if (canFire(id) == Blocked::No) {
                 nocFiredAt[static_cast<size_t>(id)] = cycle;
                 commitFire(id);
+                any = true;
             }
         }
-        nocSweep.swap(nocNextSweep);
-        nocNextSweep.clear();
-        std::sort(nocSweep.begin(), nocSweep.end(), topoLess);
-    }
-    inNocEval = false;
-
-    if (pruneLive) {
-        // End of the cycle's last settle: router ops that neither
-        // fired nor were woken this cycle stay blocked until some
-        // wake event re-adds them.
-        size_t keep = 0;
-        for (NodeId id : liveNoc) {
-            if (nocFiredAt[static_cast<size_t>(id)] == cycle ||
-                wokenAt[static_cast<size_t>(id)] == cycle) {
-                liveNoc[keep++] = id;
-            } else {
-                inLive[static_cast<size_t>(id)] = 0;
-            }
-        }
-        liveNoc.resize(keep);
+        // Sweep to a fixpoint: a router op whose consumer freed its
+        // latch later in the same settle can still fire this cycle.
+        if (!any)
+            break;
     }
 }
 
 void
 ExecutionState::stallCensus()
 {
-    // Census for the PEs that never fired this cycle. The ready-list
-    // scheduler doubles this as the live-set prune: a node stays
-    // active while it fired, was woken this cycle (its tokens may
-    // still be aging past the born stamp), is bank-blocked, or is
-    // fire-ready but share-blocked. Input/space-stalled nodes that
-    // nothing touched are frozen — they move to the dormant
-    // aggregates and are billed per cycle without re-evaluation.
-    if (!readyMode || cfg.trace || obs) {
-        // Reference scan (also the trace/observer fallback, so
-        // observed runs attribute every stall per node, and both
-        // schedulers emit identical stall events). Rebuilds the
-        // live state from scratch to keep an observed ReadyList run
-        // consistent.
-        liveSeq.clear();
-        std::fill(inLive.begin(), inLive.end(), 0);
-        std::fill(dormantClass.begin(), dormantClass.end(),
-                  static_cast<uint8_t>(DormNone));
-        dormantInput = dormantSpace = 0;
-        for (NodeId id : liveNoc)
-            inLive[static_cast<size_t>(id)] = 1;
-        for (NodeId id : prog.allSeqNodes) {
-            bool retain;
-            if (seqFiredAt[static_cast<size_t>(id)] == cycle) {
-                retain = true; // may fire again next cycle
-            } else {
-                Blocked why = canFire(id);
-                bool counted = false;
-                if (why == Blocked::Input) {
-                    const NodeRt &r = rt[static_cast<size_t>(id)];
-                    bool pending = false;
-                    for (const auto &f : r.ins)
-                        pending |= !f.empty();
-                    if (pending) {
-                        stats.stallNoInput++;
-                        counted = true;
-                        if (obs) {
-                            obs->onStall(
-                                cycle, id,
-                                trace::StallReason::NoInput);
-                        }
-                    }
-                } else if (why == Blocked::Space) {
-                    stats.stallNoSpace++;
-                    counted = true;
-                    if (obs) {
-                        obs->onStall(cycle, id,
-                                     trace::StallReason::NoSpace);
-                    }
-                } else if (why == Blocked::Bank) {
-                    stats.bankConflictStalls++;
-                    counted = true;
-                    if (obs) {
-                        obs->onStall(
-                            cycle, id,
-                            trace::StallReason::BankConflict);
-                    }
+    // Census for the PEs that never fired this cycle: a node counts
+    // as stalled when it has tokens waiting for a missing operand,
+    // lacks output space, or lost a bank arbitration.
+    for (NodeId id : prog.allSeqNodes) {
+        if (seqFiredAt[static_cast<size_t>(id)] == cycle)
+            continue;
+        Blocked why = canFire(id);
+        if (why == Blocked::Input) {
+            const NodeRt &r = rt[static_cast<size_t>(id)];
+            bool pending = false;
+            for (const auto &f : r.ins)
+                pending |= !f.empty();
+            if (pending) {
+                stats.stallNoInput++;
+                if (obs) {
+                    obs->onStall(cycle, id,
+                                 trace::StallReason::NoInput);
                 }
-                if (cfg.trace && why != Blocked::Idle &&
-                    why != Blocked::No) {
-                    std::fprintf(
-                        stderr, "[%6lld] stall n%-3d %-9s %s (%s)\n",
-                        static_cast<long long>(cycle), id,
-                        nodeKindName(graph.at(id).kind),
-                        graph.at(id).name.c_str(),
-                        why == Blocked::Input    ? "input"
-                        : why == Blocked::Space ? "space"
-                                                : "bank");
-                }
-                retain = counted || why == Blocked::No ||
-                         wokenAt[static_cast<size_t>(id)] == cycle;
             }
-            if (retain) {
-                inLive[static_cast<size_t>(id)] = 1;
-                liveSeq.push_back(id);
+        } else if (why == Blocked::Space) {
+            stats.stallNoSpace++;
+            if (obs)
+                obs->onStall(cycle, id, trace::StallReason::NoSpace);
+        } else if (why == Blocked::Bank) {
+            stats.bankConflictStalls++;
+            if (obs) {
+                obs->onStall(cycle, id,
+                             trace::StallReason::BankConflict);
             }
         }
-        return;
-    }
-
-    size_t keep = 0;
-    for (NodeId id : liveSeq) {
-        bool retain;
-        if (seqFiredAt[static_cast<size_t>(id)] == cycle) {
-            retain = true; // may fire again next cycle
-        } else {
-            // Reuse the last round's verdict when no wake arrived
-            // after that evaluation (a non-fired node's verdict can
-            // only change via a wake within the cycle).
-            Blocked why =
-                (verdictSerial[static_cast<size_t>(id)] >
-                     cycleStartSerial &&
-                 verdictSerial[static_cast<size_t>(id)] >
-                     wakeSerial[static_cast<size_t>(id)])
-                    ? lastVerdict[static_cast<size_t>(id)]
-                    : canFire(id);
-            bool woken = wokenAt[static_cast<size_t>(id)] == cycle;
-            // A SyncPlane dispatch gate's verdict flips when its
-            // group decides — no wake event — so it never dorms.
-            bool pinned =
-                !cfg.greedyDispatch &&
-                graph.at(id).kind == NodeKind::Dispatch;
-            if (why == Blocked::Input) {
-                const NodeRt &r = rt[static_cast<size_t>(id)];
-                bool pending = false;
-                for (const auto &f : r.ins)
-                    pending |= !f.empty();
-                if (pending) {
-                    if (woken || pinned) {
-                        stats.stallNoInput++;
-                        retain = true;
-                    } else {
-                        dormantClass[static_cast<size_t>(id)] =
-                            DormInput;
-                        dormantInput++;
-                        retain = false;
-                    }
-                } else {
-                    retain = woken || pinned;
-                }
-            } else if (why == Blocked::Space) {
-                if (woken) {
-                    stats.stallNoSpace++;
-                    retain = true;
-                } else {
-                    dormantClass[static_cast<size_t>(id)] =
-                        DormSpace;
-                    dormantSpace++;
-                    retain = false;
-                }
-            } else if (why == Blocked::Bank) {
-                // Bank verdicts change with other nodes' claims;
-                // stay active so next cycle's round 1 re-arbitrates.
-                stats.bankConflictStalls++;
-                retain = true;
-            } else if (why == Blocked::No) {
-                retain = true; // fire-ready but share-blocked
-            } else {
-                retain = woken; // Idle
-            }
-        }
-        if (retain) {
-            liveSeq[keep++] = id;
-        } else {
-            inLive[static_cast<size_t>(id)] = 0;
+        if (cfg.trace && why != Blocked::Idle && why != Blocked::No) {
+            std::fprintf(stderr,
+                         "[%6lld] stall n%-3d %-9s %s (%s)\n",
+                         static_cast<long long>(cycle), id,
+                         nodeKindName(graph.at(id).kind),
+                         graph.at(id).name.c_str(),
+                         why == Blocked::Input   ? "input"
+                         : why == Blocked::Space ? "space"
+                                                 : "bank");
         }
     }
-    liveSeq.resize(keep);
-    stats.stallNoInput += dormantInput;
-    stats.stallNoSpace += dormantSpace;
 }
 
 bool
@@ -1410,7 +1097,7 @@ ExecutionState::runLoop()
         // Router CF settles over tokens left from the previous
         // cycle before the PEs sample their inputs.
         bornStamp = cycle - 1;
-        evalNocNodes(false);
+        evalNocNodes();
 
         // Sequential (PE) firing: iterate to a fixpoint within the
         // cycle. A PE only consumes tokens born in earlier cycles,
@@ -1419,55 +1106,12 @@ ExecutionState::runLoop()
         // cycle — the combinational acknowledge path. Each PE fires
         // at most once per cycle.
         bornStamp = cycle;
-        inPeFixpoint = true;
-        cycleStartSerial = roundSerial;
-        if (readyMode) {
-            curRound.assign(liveSeq.begin(), liveSeq.end());
-        }
         for (;;) {
             decideDispatchGroups();
-            roundSerial++;
-            if (readyMode) {
-                for (NodeId id : curRound)
-                    inRoundAt[static_cast<size_t>(id)] =
-                        roundSerial;
-                auto addCand = [&](NodeId id) {
-                    if (inRoundAt[static_cast<size_t>(id)] !=
-                        roundSerial) {
-                        inRoundAt[static_cast<size_t>(id)] =
-                            roundSerial;
-                        curRound.push_back(id);
-                    }
-                };
-                // A SyncPlane decision fires every gate of the
-                // group, woken or not; share-group residency and
-                // fairness are evaluated (and billed) every round.
-                if (!cfg.greedyDispatch) {
-                    for (int l = 0; l < graph.numLoops; l++) {
-                        if (groupChoice[static_cast<size_t>(l)] ==
-                            GroupChoice::None)
-                            continue;
-                        for (NodeId d :
-                             prog.dispatchGroups[static_cast<size_t>(
-                                 l)])
-                            addCand(d);
-                    }
-                }
-                for (const auto &group : cfg.shareGroups) {
-                    for (int m : group)
-                        addCand(m);
-                }
-                // Ascending id order matches the reference scan.
-                std::sort(curRound.begin(), curRound.end());
-            }
-            const std::vector<NodeId> &cands =
-                readyMode ? curRound : prog.allSeqNodes;
             fireList.clear();
-            for (NodeId id : cands) {
-                if (prog.nocNode[static_cast<size_t>(id)] ||
-                    seqFiredAt[static_cast<size_t>(id)] == cycle) {
+            for (NodeId id : prog.allSeqNodes) {
+                if (seqFiredAt[static_cast<size_t>(id)] == cycle)
                     continue;
-                }
                 int sg = prog.shareGroupOf[static_cast<size_t>(id)];
                 if (sg >= 0) {
                     if (shareUsed[static_cast<size_t>(sg)]) {
@@ -1497,34 +1141,28 @@ ExecutionState::runLoop()
                         }
                     }
                 }
-                Blocked why = canFire(id);
-                if (readyMode) {
-                    lastVerdict[static_cast<size_t>(id)] = why;
-                    verdictSerial[static_cast<size_t>(id)] =
-                        roundSerial;
+                if (canFire(id) != Blocked::No)
+                    continue;
+                fireList.push_back(id);
+                seqFiredAt[static_cast<size_t>(id)] = cycle;
+                if (sg >= 0) {
+                    shareUsed[static_cast<size_t>(sg)] = true;
+                    if (shareLast[static_cast<size_t>(sg)] != id) {
+                        stats.muxSwitches++;
+                        shareLast[static_cast<size_t>(sg)] = id;
+                    }
                 }
-                if (why == Blocked::No) {
-                    fireList.push_back(id);
-                    seqFiredAt[static_cast<size_t>(id)] = cycle;
-                    if (sg >= 0) {
-                        shareUsed[static_cast<size_t>(sg)] = true;
-                        if (shareLast[static_cast<size_t>(sg)] !=
-                            id) {
-                            stats.muxSwitches++;
-                            shareLast[static_cast<size_t>(sg)] =
-                                id;
-                        }
-                    }
-                    const Node &node = graph.at(id);
-                    if (node.kind == NodeKind::Load) {
-                        memsys->claimBank(
-                            peekInput(id, pidx::LoadAddr).value +
-                            node.imm);
-                    } else if (node.kind == NodeKind::Store) {
-                        memsys->claimBank(
-                            peekInput(id, pidx::StoreAddr).value +
-                            node.imm);
-                    }
+                // Claim the bank now: the claim must be visible to
+                // later candidates within the same round.
+                const Node &node = graph.at(id);
+                if (node.kind == NodeKind::Load) {
+                    memsys->claimBank(
+                        peekInput(id, pidx::LoadAddr).value +
+                        node.imm);
+                } else if (node.kind == NodeKind::Store) {
+                    memsys->claimBank(
+                        peekInput(id, pidx::StoreAddr).value +
+                        node.imm);
                 }
             }
             if (fireList.empty())
@@ -1541,18 +1179,12 @@ ExecutionState::runLoop()
             }
             if (spawned)
                 nextThreadTag++;
-            if (readyMode) {
-                curRound.swap(nextRound);
-                nextRound.clear();
-            }
         }
-        inPeFixpoint = false;
-        nextRound.clear();
 
         stallCensus();
 
         // Pass 3: combinational CF-in-NoC evaluation.
-        evalNocNodes(true);
+        evalNocNodes();
 
         if (!failure.empty()) {
             result.stats = stats;

@@ -7,10 +7,11 @@
  *
  *  - an ExecutionState holds a shared_ptr to its Program and never
  *    writes through it;
- *  - everything mutable lives here: token FIFOs, gate FSMs, the
- *    scheduler's live sets and caches, the memory system (bound to
- *    the caller's MemImage for the duration of run()), stats, and
- *    the per-run observer/trace settings;
+ *  - everything mutable lives here: the fast engine's per-run slabs
+ *    (sim/engine.hh) or the DenseScan oracle's token FIFOs and gate
+ *    FSMs, the memory system (bound to the caller's MemImage for the
+ *    duration of run()), stats, and the per-run observer/trace
+ *    settings;
  *  - run() may be called repeatedly on one ExecutionState (state is
  *    reset each time), but a single ExecutionState must not be used
  *    from two threads at once. Concurrency = one ExecutionState per
@@ -35,7 +36,7 @@
 
 namespace pipestitch::sim {
 
-class ParallelEngine;
+class FastEngine;
 
 /** Per-run knobs stripped from the Program's SimConfig. */
 struct RunOptions
@@ -60,11 +61,9 @@ class ExecutionState
      * duration of the call. Resets all run state first, so the same
      * ExecutionState can be reused sequentially.
      *
-     * Scheduler::ParallelRegions runs delegate to a cached
-     * sim::ParallelEngine (bit-identical to the ReadyList oracle);
-     * configurations the engine does not model — source buffering,
-     * share groups — and runs with an observer or stderr trace
-     * attached fall back to the oracle, as DenseScan did for PR 2.
+     * Scheduler::ReadyList runs execute on the sim::FastEngine
+     * built with the state; Scheduler::DenseScan runs execute the
+     * plain reference loop below, which the goldens pin.
      */
     SimResult run(MemImage &mem, const RunOptions &opts = {});
 
@@ -104,16 +103,11 @@ class ExecutionState
     void decideDispatchGroups();
     Blocked canFire(dfg::NodeId id);
     void commitFire(dfg::NodeId id);
-    void evalNocNodes(bool pruneLive);
+    void evalNocNodes();
     void stallCensus();
     bool quiescentSlow() const;
     std::string diagnose() const;
     SimResult runLoop();
-
-    // --- ready-list bookkeeping -------------------------------------
-    void wake(dfg::NodeId id);
-    void wakeConsumers(dfg::NodeId id, int port);
-    void markDrainable(dfg::NodeId id);
 
     // --- token plumbing ---------------------------------------------
     bool inputAvail(dfg::NodeId id, int in) const;
@@ -134,7 +128,11 @@ class ExecutionState
     SimConfig cfg; ///< per-run copy: prog.cfg + RunOptions overrides
     trace::SimObserver *obs = nullptr;
     bool sourceMode;
-    bool readyMode;
+
+    /** The Scheduler::ReadyList engine (null under DenseScan). */
+    std::unique_ptr<FastEngine> engine;
+
+    // DenseScan oracle state, materialized by reset() on each run.
     std::optional<MemSystem> memsys; ///< engaged only inside run()
 
     std::vector<NodeRt> rt;
@@ -145,79 +143,17 @@ class ExecutionState
     std::vector<bool> shareUsed;        ///< per group, this cycle
     std::vector<dfg::NodeId> shareLast; ///< per group, last resident
 
-    // Ready-list scheduler state. `liveSeq`/`liveNoc` are the
-    // persistent maybe-ready sets (superset of anything that can
-    // fire or count as stalled); `wokenAt` stamps the last wake so
-    // the stall census can retain freshly-woken nodes whose tokens
-    // are still aging (born-stamp rule).
-    std::vector<dfg::NodeId> liveSeq, liveNoc;
-    std::vector<uint8_t> inLive;
-    std::vector<int64_t> wokenAt;
-
-    // Dormant stall accounting: a PE that stalled on a missing
-    // operand or on backpressure, and that no event has touched
-    // since, is frozen — its census verdict cannot change until a
-    // wake arrives (inputs only change via deliveries/retires, space
-    // only via pops, and its tokens are fully aged because a node
-    // woken this cycle is retained as active). Such nodes leave the
-    // live set entirely and are billed per cycle through two O(1)
-    // aggregates. Bank-blocked and share-blocked nodes stay active:
-    // their verdicts depend on what *other* nodes do each cycle.
-    enum : uint8_t { DormNone = 0, DormInput = 1, DormSpace = 2 };
-    std::vector<uint8_t> dormantClass;
-    int64_t dormantInput = 0, dormantSpace = 0;
-
-    // Verdict cache: the census reuses the last fixpoint-round
-    // evaluation of a node when no wake arrived after it. Sound for
-    // the same reason dormancy is: a non-fired node's verdict can
-    // only change through a wake event, and within one cycle bank
-    // claims / input levels move monotonically toward the census
-    // state (canFire checks Input before Space before Bank).
-    std::vector<Blocked> lastVerdict;
-    std::vector<int64_t> verdictSerial, wakeSerial;
-    int64_t cycleStartSerial = 0;
-
-    // Incremental SyncPlane: a dispatch group whose gates saw no
-    // event (delivery, fire, drain) keeps its cached choice and
-    // pending flag. `groupDirtyUntil` extends one cycle past the
-    // last event so freshly delivered tokens age past the born
-    // stamp before the group freezes.
-    std::vector<int64_t> groupDirtyUntil; ///< per loop id
-    std::vector<uint8_t> groupPending;    ///< cached anyPending
-
-    // PE fixpoint rounds: candidates for the current round and the
-    // wakeups collected (during commits) for the next one.
-    std::vector<dfg::NodeId> curRound, nextRound;
-    std::vector<int64_t> inRoundAt, inNextAt;
-    int64_t roundSerial = 0;
-    bool inPeFixpoint = false;
-
-    // NoC combinational sweeps within one evalNocNodes call.
-    std::vector<dfg::NodeId> nocSweep, nocNextSweep;
-    std::vector<int64_t> inNocNextAt;
-    int64_t nocSweepSerial = 0;
-    bool inNocEval = false;
-
-    // Nodes with possibly non-empty output buffers (dest mode).
-    std::vector<dfg::NodeId> drainList;
-    std::vector<uint8_t> inDrainList;
-
-    // Inter-tile FIFO channels, structure-of-arrays ring slabs (one
-    // `capacity`-slot segment per Program::Channel at chanSlabBase):
-    // tokens mature at `chanReady` and then land in the destination
-    // buffer. Counted in tokensInFlight while in the channel. The
-    // ParallelEngine (sim/parallel.hh) carries the full SoA layout
-    // for NodeRt's hot fields as well; here only the channel rings
-    // are flattened (channel capacities are small and fixed, so the
-    // deque-of-structs was pure allocator churn).
+    // Inter-tile FIFO channels, ring slabs (one `capacity`-slot
+    // segment per Program::Channel at Program::chanSlab): tokens
+    // mature at `chanReady` and then land in the destination buffer.
+    // Counted in tokensInFlight while in the channel.
     std::vector<Token> chanTok;
     std::vector<int64_t> chanReady;
-    std::vector<int> chanSlabBase; ///< [C+1] slab offsets
     std::vector<int> chanHead, chanCount;
 
     // Quiescence counters: exact mirrors of the fabric state the
-    // O(n) scan used to inspect (verified against quiescentSlow()
-    // at termination).
+    // O(n) scan inspects (verified against quiescentSlow() at
+    // termination).
     int64_t tokensInFlight = 0;
     int triggersPending = 0;
     int streamsRunning = 0;
@@ -233,10 +169,6 @@ class ExecutionState
 
     SimStats stats;
     std::string failure;
-
-    /** Cached ParallelRegions engine (built on first use; jobs and
-     *  threads come from the Program's immutable config). */
-    std::unique_ptr<ParallelEngine> parEngine;
 };
 
 } // namespace pipestitch::sim

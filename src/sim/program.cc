@@ -40,10 +40,6 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
     cfg.trace = false;
 
     sourceMode = cfg.buffering == SimConfig::Buffering::Source;
-    // ParallelRegions keeps the full ready-list tables so its
-    // fallback paths (observer/trace/source-mode/share-group runs)
-    // execute as the ReadyList oracle.
-    readyMode = cfg.scheduler != SimConfig::Scheduler::DenseScan;
 
     for (const auto &node : g.nodes) {
         if (node.kind == NodeKind::Dispatch) {
@@ -137,6 +133,10 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
             gateLoop[static_cast<size_t>(id)] = node.loopId;
         }
     }
+    for (int l = 0; l < g.numLoops; l++) {
+        if (!dispatchGroups[static_cast<size_t>(l)].empty())
+            gateLoops.push_back(l);
+    }
 
     shareGroupOf.assign(static_cast<size_t>(n), -1);
     for (size_t gi = 0; gi < cfg.shareGroups.size(); gi++) {
@@ -146,16 +146,76 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
                       "node %d in two share groups", id);
             shareGroupOf[static_cast<size_t>(id)] =
                 static_cast<int>(gi);
+            if (!nocNode[static_cast<size_t>(id)])
+                shareMembers.push_back(id);
         }
     }
+    std::sort(shareMembers.begin(), shareMembers.end());
 
-    // Flatten consumer adjacency into CSR arrays for the wake paths.
-    portBase.assign(static_cast<size_t>(n) + 1, 0);
     for (NodeId id = 0; id < n; id++) {
-        portBase[static_cast<size_t>(id) + 1] =
-            portBase[static_cast<size_t>(id)] +
-            g.at(id).numOutputs();
+        if (!nocNode[static_cast<size_t>(id)])
+            allSeqNodes.push_back(id);
+        if (g.at(id).kind == NodeKind::Trigger)
+            triggersTotal++;
     }
+
+    // Per-node attributes and the flat port numbering.
+    kindOf.resize(static_cast<size_t>(n));
+    opcodeOf.resize(static_cast<size_t>(n));
+    operandsOf.resize(static_cast<size_t>(n));
+    immOf.resize(static_cast<size_t>(n));
+    steerIfTrue.resize(static_cast<size_t>(n));
+    streamStepOf.resize(static_cast<size_t>(n));
+    loopOf.resize(static_cast<size_t>(n));
+    peClassOf.resize(static_cast<size_t>(n));
+    isMemOf.resize(static_cast<size_t>(n));
+    hasOutBufs.resize(static_cast<size_t>(n));
+    insBase.assign(static_cast<size_t>(n) + 1, 0);
+    outsBase.assign(static_cast<size_t>(n) + 1, 0);
+    portBase.assign(static_cast<size_t>(n) + 1, 0);
+    outSlab.assign(1, 0);
+    for (NodeId id = 0; id < n; id++) {
+        const Node &node = g.at(id);
+        const size_t i = static_cast<size_t>(id);
+        const NodePlan &p = plan[i];
+        kindOf[i] = static_cast<uint8_t>(node.kind);
+        opcodeOf[i] = node.op;
+        operandsOf[i] = static_cast<uint8_t>(
+            node.kind == NodeKind::Arith ? sir::numOperands(node.op)
+                                         : 0);
+        immOf[i] = node.imm;
+        steerIfTrue[i] = node.steerIfTrue ? 1 : 0;
+        streamStepOf[i] = node.streamStep;
+        loopOf[i] = node.loopId;
+        peClassOf[i] = static_cast<uint8_t>(node.peClass());
+        isMemOf[i] = node.isMemory() ? 1 : 0;
+        hasOutBufs[i] = p.outsDepth > 0 ? 1 : 0;
+        // Input FIFOs share one depth, so the engine strides their
+        // slab uniformly.
+        ps_assert(node.numInputs() == 0 || p.insDepth == 0 ||
+                      p.insDepth == cfg.bufferDepth,
+                  "non-uniform input depth on node %d", id);
+        insBase[i + 1] = insBase[i] + node.numInputs();
+        portBase[i + 1] = portBase[i] + node.numOutputs();
+        const int outs = p.outsDepth > 0 ? node.numOutputs() : 0;
+        outsBase[i + 1] = outsBase[i] + outs;
+        for (int o = 0; o < outs; o++)
+            outSlab.push_back(outSlab.back() + p.outsDepth);
+    }
+    // Source buffering gives every output port a FIFO, so there the
+    // flat output index and the CSR port index coincide.
+    ps_assert(!sourceMode || outsBase == portBase,
+              "source buffering without a FIFO on every output");
+
+    const size_t P = static_cast<size_t>(insBase.back());
+    portMode.assign(P, PortUnwired);
+    portImm.assign(P, 0);
+    portProd.assign(P, -1);
+    portEdge.assign(P, -1);
+    portSrc.assign(P, -1);
+    portNocOwner.assign(P, 0);
+
+    // Consumer edges, CSR by producer output port.
     consBase.assign(static_cast<size_t>(portBase.back()) + 1, 0);
     for (NodeId id = 0; id < n; id++) {
         for (int port = 0; port < g.at(id).numOutputs(); port++) {
@@ -166,25 +226,41 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
     }
     for (size_t i = 1; i < consBase.size(); i++)
         consBase[i] += consBase[i - 1];
-    consFlat.resize(static_cast<size_t>(consBase.back()));
-    {
-        size_t at = 0;
-        for (NodeId id = 0; id < n; id++) {
-            for (int port = 0; port < g.at(id).numOutputs();
-                 port++) {
-                for (const auto &c : g.consumersOf({id, port}))
-                    consFlat[at++] = c.node;
+    for (NodeId id = 0; id < n; id++) {
+        for (int port = 0; port < g.at(id).numOutputs(); port++) {
+            for (const auto &c : g.consumersOf({id, port})) {
+                edgeNode.push_back(c.node);
+                edgeIp.push_back(
+                    insBase[static_cast<size_t>(c.node)] +
+                    c.inputIndex);
+                edgeShed.push_back(
+                    threadRegionOf[static_cast<size_t>(id)] !=
+                            threadRegionOf[static_cast<size_t>(c.node)]
+                        ? 1
+                        : 0);
             }
         }
     }
-
     for (NodeId id = 0; id < n; id++) {
-        if (nocNode[static_cast<size_t>(id)])
-            allNocNodes.push_back(id);
-        else
-            allSeqNodes.push_back(id);
-        if (g.at(id).kind == NodeKind::Trigger)
-            triggersTotal++;
+        const auto &refs = inputRefs[static_cast<size_t>(id)];
+        for (size_t in = 0; in < refs.size(); in++) {
+            const size_t ip = static_cast<size_t>(
+                insBase[static_cast<size_t>(id)] + static_cast<int>(in));
+            portNocOwner[ip] = nocNode[static_cast<size_t>(id)];
+            if (refs[in].isImm) {
+                portMode[ip] = PortImm;
+                portImm[ip] = refs[in].imm;
+            } else if (refs[in].wired()) {
+                portMode[ip] = PortWired;
+                portProd[ip] = refs[in].prod;
+                portSrc[ip] =
+                    portBase[static_cast<size_t>(refs[in].prod)] +
+                    refs[in].prodPort;
+                portEdge[ip] =
+                    consBase[static_cast<size_t>(portSrc[ip])] +
+                    refs[in].endpoint;
+            }
+        }
     }
 
     // Inter-tile FIFO channels (tiled fabrics). Each entry turns one
@@ -226,6 +302,16 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
         slot = static_cast<int>(channels.size());
         channels.push_back(ch);
         hasChannels = true;
+    }
+    edgeChan.assign(edgeNode.size(), -1);
+    chanSlab.assign(channels.size() + 1, 0);
+    for (size_t ch = 0; ch < channels.size(); ch++) {
+        const Channel &cc = channels[ch];
+        edgeChan[static_cast<size_t>(
+            portEdge[static_cast<size_t>(
+                insBase[static_cast<size_t>(cc.dst)] + cc.dstIn)])] =
+            static_cast<int32_t>(ch);
+        chanSlab[ch + 1] = chanSlab[ch] + cc.capacity;
     }
 }
 

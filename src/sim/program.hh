@@ -4,11 +4,12 @@
  *
  * A Program captures everything about a finalized dataflow graph and
  * a microarchitecture configuration that does not change between
- * runs: resolved input wiring, the CSR consumer adjacency used by
- * the wake paths, the NoC topological order, dispatch-group and
- * share-group membership, thread-region scoping, and the per-node
- * token-buffer layout. Building it is the per-simulation setup the
- * old `simulate()` redid on every call.
+ * runs: resolved input wiring, the NoC topological order,
+ * dispatch-group and share-group membership, thread-region scoping,
+ * the per-node token-buffer layout, and the fast engine's flat
+ * tables (per-node attributes, flat port numbering, the consumer-edge
+ * CSR, channel slabs). Building it once is what lets a run allocate
+ * only its per-run slabs.
  *
  * The contract (see docs/simulator.md):
  *
@@ -78,12 +79,11 @@ class Program
     };
 
     // ----------------------------------------------------------------
-    // Immutable tables. Public for the engine's hot paths; written
+    // Immutable tables. Public for the engines' hot paths; written
     // only by the constructor. Always access through `const Program&`.
     // ----------------------------------------------------------------
     SimConfig cfg;    ///< observer/trace stripped
     bool sourceMode;  ///< buffering == Source
-    bool readyMode;   ///< scheduler != DenseScan (ready-list tables)
 
     std::vector<std::vector<InputRef>> inputRefs; // [node][in]
     std::vector<NodePlan> plan;                   // [node]
@@ -94,22 +94,58 @@ class Program
     std::vector<uint8_t> nocNode;
 
     std::vector<std::vector<dfg::NodeId>> dispatchGroups; // by loopId
-    std::vector<int> gateLoop; ///< dispatch gate -> loopId (-1)
+    std::vector<int> gateLoop;  ///< dispatch gate -> loopId (-1)
+    std::vector<int> gateLoops; ///< loops with dispatch gates, asc
 
     // Time-multiplexing: node -> share group (-1 = exclusive PE).
     std::vector<int> shareGroupOf;
-
-    // Consumer adjacency flattened into CSR arrays: the wake fan-out
-    // of output port p of node n is
-    //   consFlat[consBase[portBase[n]+p] .. consBase[portBase[n]+p+1])
-    std::vector<int> portBase;
-    std::vector<int> consBase;
-    std::vector<dfg::NodeId> consFlat;
+    /** PE members of every share group, ascending: the fast engine
+     *  arbitrates (and bills) them in every fixpoint round. */
+    std::vector<dfg::NodeId> shareMembers;
 
     std::vector<dfg::NodeId> allSeqNodes; ///< PE nodes, ascending id
-    std::vector<dfg::NodeId> allNocNodes; ///< router CF nodes
 
     int triggersTotal = 0;
+
+    // Per-node attributes, structure-of-arrays (fast engine).
+    std::vector<uint8_t> kindOf;        ///< dfg::NodeKind
+    std::vector<sir::Opcode> opcodeOf;  ///< Arith opcode
+    std::vector<uint8_t> operandsOf;    ///< Arith operand count
+    std::vector<Word> immOf;
+    std::vector<uint8_t> steerIfTrue;
+    std::vector<Word> streamStepOf;
+    std::vector<int32_t> loopOf;
+    std::vector<uint8_t> peClassOf;
+    std::vector<uint8_t> isMemOf;
+    std::vector<uint8_t> hasOutBufs; ///< plan.outsDepth > 0
+
+    // Flat port numbering. Input port `in` of node n is
+    // insBase[n]+in; buffered output port p of n is outsBase[n]+p
+    // (nodes without output FIFOs own no slots). Output FIFO o holds
+    // outSlab[o+1]-outSlab[o] tokens starting at outSlab[o].
+    std::vector<int32_t> insBase;  ///< [n+1]
+    std::vector<int32_t> outsBase; ///< [n+1]
+    std::vector<int32_t> outSlab;  ///< [O+1]
+    enum : uint8_t { PortUnwired = 0, PortWired, PortImm };
+    std::vector<uint8_t> portMode;     ///< [P]
+    std::vector<Word> portImm;         ///< [P]
+    std::vector<int32_t> portProd;     ///< [P] producer (wired)
+    std::vector<int32_t> portEdge;     ///< [P] edge feeding it (wired)
+    std::vector<int32_t> portSrc; ///< [P] producer's CSR port (wired)
+    std::vector<uint8_t> portNocOwner; ///< [P] consumer is router CF
+
+    // Consumer edges flattened into CSR arrays: the edges of output
+    // port p of node n are
+    //   [consBase[portBase[n]+p] .. consBase[portBase[n]+p+1])
+    // and each names its consumer, the consumer's flat input port,
+    // its inter-tile channel (-1 = none), and whether a token
+    // crossing it leaves a threaded region (its debug tag is shed).
+    std::vector<int> portBase;
+    std::vector<int> consBase;
+    std::vector<dfg::NodeId> edgeNode;
+    std::vector<int32_t> edgeIp;
+    std::vector<int32_t> edgeChan;
+    std::vector<uint8_t> edgeShed;
 
     /**
      * Inter-tile FIFO channel on one consumer edge (from
@@ -130,6 +166,7 @@ class Program
 
     std::vector<Channel> channels;
     std::vector<std::vector<int>> chanIdOf; ///< [node][in] (-1 = none)
+    std::vector<int32_t> chanSlab; ///< [C+1] ring slab offsets
     bool hasChannels = false;
 
   private:

@@ -55,52 +55,26 @@ struct SimConfig
     enum class Scheduler {
         /**
          * Re-evaluate every node in every fixpoint round — the
-         * original O(nodes × rounds) reference scheduler. Kept for
-         * golden-stats verification and as the bench baseline.
+         * plain O(nodes × rounds) reference oracle
+         * (sim/execution.cc). Kept for golden-stats verification and
+         * as the bench baseline.
          */
         DenseScan,
         /**
-         * Event-driven ready list: only nodes woken by token
-         * delivery, buffer-space frees, memory completions, or
-         * dispatch-group decisions are re-evaluated. Cycle-exact
-         * with DenseScan (enforced by tests/test_golden_stats.cc).
+         * The fast engine (sim/engine.hh): structure-of-arrays token
+         * state and one worklist bitmap, so only nodes woken by
+         * token delivery, buffer-space frees, memory completions or
+         * dispatch-group decisions are re-evaluated, and stalled
+         * nodes no event touched are billed without re-evaluation.
+         * Runs every configuration, observed runs included, and is
+         * cycle-exact with DenseScan (enforced by
+         * tests/test_golden_stats.cc and
+         * tests/test_fuzz_equivalence.cc).
          */
         ReadyList,
-        /**
-         * Region-partitioned engine over structure-of-arrays token
-         * state (sim/parallel.hh): the fabric is split into
-         * `parallelJobs` spatial regions (mapper-style BFS min-cut,
-         * or tile/channel boundaries for tiled programs); region
-         * select/census phases run per region — on ThreadPool
-         * workers when more than one hardware thread is available —
-         * and commit/drain/memory/NoC phases stay coordinated so
-         * results are bit-identical to ReadyList at every job count
-         * (enforced by tests/test_sim_par.cc). Runs that attach an
-         * observer or trace, use source buffering, or time-multiplex
-         * PEs fall back to the ReadyList oracle.
-         */
-        ParallelRegions,
     };
 
     Scheduler scheduler = Scheduler::ReadyList;
-
-    /**
-     * ParallelRegions: number of spatial regions the fabric is
-     * partitioned into. Results are bit-identical for any value
-     * (like RunConfig::mapperJobs, this never enters memo keys);
-     * it only shifts how select/census work is divided. <= 0 means
-     * one region.
-     */
-    int parallelJobs = 4;
-
-    /**
-     * ParallelRegions: worker threads executing the per-region
-     * phases. 0 (default) = min(parallelJobs, hardware threads),
-     * so a single-core host runs the regions inline with zero
-     * synchronization; > 1 forces real ThreadPool workers (used by
-     * the TSan determinism tests); 1 forces the inline path.
-     */
-    int parallelThreads = 0;
 
     /** Token-buffer depth (the paper uses 4; Fig. 20 sweeps 4/8/16). */
     int bufferDepth = 4;
@@ -136,8 +110,8 @@ struct SimConfig
      * Observability hooks (see trace/observer.hh); not owned, must
      * outlive the simulation. Null (the default) costs nothing on
      * the hot paths beyond a pointer test. While an observer is
-     * attached the ready-list scheduler falls back to the reference
-     * stall census so that both schedulers report identical event
+     * attached the fast engine runs a full per-node stall census,
+     * as DenseScan does, so both schedulers report identical event
      * streams.
      */
     trace::SimObserver *observer = nullptr;

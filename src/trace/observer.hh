@@ -11,10 +11,10 @@
  *  - with no observer attached the simulator pays exactly one
  *    pointer test per would-be callback (verified to be within
  *    noise by bench/micro_benchmarks BM_SimulateObserver);
- *  - the dense-scan and ready-list schedulers emit *identical*
- *    event streams (the simulator falls back to the reference stall
+ *  - the DenseScan oracle and the fast engine emit *identical*
+ *    event streams (the fast engine runs a full per-node stall
  *    census while observed, and fires are committed in the same
- *    per-round ascending-id order by both schedulers; enforced by
+ *    per-round ascending-id order by both; enforced by
  *    tests/test_trace.cc).
  *
  * Concrete sinks live next to this header: ChromeTraceSink (trace

@@ -3,7 +3,10 @@
  * Property-based compiler/simulator fuzzing: randomly generated
  * structured programs must produce identical memory images on the
  * scalar interpreter and on every architecture variant, across
- * buffer depths and threading policies. Every compiled graph also
+ * buffer depths and threading policies. Every simulation runs on
+ * both engines — the fast engine must be sim::statsEqual to the
+ * DenseScan oracle under destination buffering, source buffering,
+ * share groups and inter-tile channels. Every compiled graph also
  * runs through the static analyzer: a fuzz-generated program the
  * analyzer rejects (or that deadlocks after certification) is a
  * bug in either the compiler or the analyzer.
@@ -291,6 +294,32 @@ expectBoundHolds(const dfg::Graph &graph, const sim::SimConfig &cfg,
         << ev.certifiedCycles;
 }
 
+/**
+ * Simulate @p cfg on the DenseScan oracle and on the fast engine,
+ * require the two runs to be bit-identical, and leave the fast
+ * engine's memory image in @p mem.
+ */
+sim::SimResult
+simulateBoth(const dfg::Graph &graph, sim::SimConfig cfg,
+             scalar::MemImage &mem, uint64_t seed,
+             const std::string &tag)
+{
+    scalar::MemImage denseMem = mem;
+    cfg.scheduler = sim::SimConfig::Scheduler::DenseScan;
+    sim::SimResult dense = sim::simulate(graph, denseMem, cfg);
+    cfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
+    sim::SimResult fast = sim::simulate(graph, mem, cfg);
+    EXPECT_TRUE(sim::statsEqual(dense.stats, fast.stats))
+        << "seed " << seed << " " << tag
+        << ": fast engine stats diverge from DenseScan";
+    EXPECT_EQ(dense.deadlocked, fast.deadlocked)
+        << "seed " << seed << " " << tag;
+    EXPECT_EQ(dense.diagnostic, fast.diagnostic)
+        << "seed " << seed << " " << tag;
+    EXPECT_EQ(denseMem, mem) << "seed " << seed << " " << tag;
+    return fast;
+}
+
 } // namespace
 
 TEST_P(Fuzz, AllVariantsMatchGolden)
@@ -328,35 +357,25 @@ TEST_P(Fuzz, AllVariantsMatchGolden)
                 compiler::compileProgram(prog, liveIns, opts);
             for (int depth : {2, 4}) {
                 expectCertified(res.graph, seed, depth);
-                // Both schedulers: results are bit-identical by the
-                // engine contract, and the throughput bound must
-                // hold under each.
-                for (auto sched :
-                     {sim::SimConfig::Scheduler::ReadyList,
-                      sim::SimConfig::Scheduler::ParallelRegions}) {
-                    auto cfg = res.simConfig;
-                    cfg.bufferDepth = depth;
-                    cfg.maxCycles = 3'000'000;
-                    cfg.scheduler = sched;
-                    cfg.parallelJobs = 2;
-                    scalar::MemImage mem = init;
-                    auto sim = sim::simulate(res.graph, mem, cfg);
-                    std::string tag =
-                        std::string(compiler::archVariantName(v)) +
-                        " depth " + std::to_string(depth) +
-                        (sched == sim::SimConfig::Scheduler::
-                                      ParallelRegions
-                             ? " parallel"
-                             : " readylist");
-                    ASSERT_FALSE(sim.deadlocked)
-                        << "seed " << seed << " " << tag << "\n"
-                        << sim.diagnostic << "\n"
-                        << sir::print(prog);
-                    ASSERT_EQ(golden, mem)
-                        << "seed " << seed << " " << tag << "\n"
-                        << sir::print(prog);
-                    expectBoundHolds(res.graph, cfg, sim, seed, tag);
-                }
+                // RipTide and PipeSB buffer at the source, the
+                // others at the destination; both engines must agree
+                // under each, and the throughput bound must hold.
+                auto cfg = res.simConfig;
+                cfg.bufferDepth = depth;
+                cfg.maxCycles = 3'000'000;
+                std::string tag =
+                    std::string(compiler::archVariantName(v)) +
+                    " depth " + std::to_string(depth);
+                scalar::MemImage mem = init;
+                auto sim = simulateBoth(res.graph, cfg, mem, seed, tag);
+                ASSERT_FALSE(sim.deadlocked)
+                    << "seed " << seed << " " << tag << "\n"
+                    << sim.diagnostic << "\n"
+                    << sir::print(prog);
+                ASSERT_EQ(golden, mem)
+                    << "seed " << seed << " " << tag << "\n"
+                    << sir::print(prog);
+                expectBoundHolds(res.graph, cfg, sim, seed, tag);
             }
         }
     }
@@ -394,16 +413,73 @@ TEST_P(Fuzz, TimeMultiplexingPreservesSemantics)
     if (!groups || groups->empty())
         return; // nothing to fold for this program
 
+    for (auto buffering : {sim::SimConfig::Buffering::Destination,
+                           sim::SimConfig::Buffering::Source}) {
+        auto cfg = res.simConfig;
+        cfg.buffering = buffering;
+        cfg.maxCycles = 3'000'000;
+        for (const auto &group : *groups)
+            cfg.shareGroups.emplace_back(group.begin(), group.end());
+        std::string tag =
+            buffering == sim::SimConfig::Buffering::Source
+                ? "timemux source"
+                : "timemux";
+        scalar::MemImage mem = init;
+        auto sim = simulateBoth(res.graph, cfg, mem, seed, tag);
+        ASSERT_FALSE(sim.deadlocked)
+            << "seed " << seed << " " << tag << "\n"
+            << sim.diagnostic;
+        ASSERT_EQ(golden, mem) << "seed " << seed << " " << tag;
+        expectBoundHolds(res.graph, cfg, sim, seed, tag);
+    }
+}
+
+TEST_P(Fuzz, TiledChannelsMatchDenseScan)
+{
+    // Turn a random subset of consumer edges into inter-tile FIFO
+    // channels (as a tiled fabric does at tile boundaries): latency
+    // must never change results, and both engines must agree.
+    setQuiet(true);
+    uint64_t seed = static_cast<uint64_t>(GetParam());
+    ProgramGen gen(seed * 29 + 11);
+    auto prog = gen.generate();
+    ASSERT_TRUE(sir::verify(prog).empty());
+
+    Rng dataRng(seed * 977 + 13);
+    scalar::MemImage init(static_cast<size_t>(prog.memWords), 0);
+    for (size_t i = 0; i < 16; i++)
+        init[i] = static_cast<sir::Word>(dataRng.nextRange(-50, 50));
+    std::vector<sir::Word> liveIns = {12};
+    scalar::MemImage golden = init;
+    scalar::interpret(prog, golden, liveIns);
+
+    compiler::CompileOptions opts;
+    opts.variant = ArchVariant::Pipestitch;
+    auto res = compiler::compileProgram(prog, liveIns, opts);
+    expectCertified(res.graph, seed);
+
     auto cfg = res.simConfig;
     cfg.maxCycles = 3'000'000;
-    for (const auto &group : *groups)
-        cfg.shareGroups.emplace_back(group.begin(), group.end());
+    Rng edgeRng(seed * 613 + 5);
+    for (dfg::NodeId id = 0; id < res.graph.size(); id++) {
+        const auto &node = res.graph.at(id);
+        for (int in = 0; in < node.numInputs(); in++) {
+            if (node.inputs[static_cast<size_t>(in)].isWire() &&
+                edgeRng.nextBool(0.3)) {
+                cfg.edgeLatencies.push_back(
+                    {id, in,
+                     static_cast<int>(edgeRng.nextRange(1, 3))});
+            }
+        }
+    }
+    ASSERT_FALSE(cfg.edgeLatencies.empty());
     scalar::MemImage mem = init;
-    auto sim = sim::simulate(res.graph, mem, cfg);
+    auto sim = simulateBoth(res.graph, cfg, mem, seed, "channels");
     ASSERT_FALSE(sim.deadlocked)
         << "seed " << seed << "\n" << sim.diagnostic;
     ASSERT_EQ(golden, mem) << "seed " << seed;
-    expectBoundHolds(res.graph, cfg, sim, seed, "timemux");
+    EXPECT_GT(sim.stats.interTileTokens, 0);
+    expectBoundHolds(res.graph, cfg, sim, seed, "channels");
 }
 
 TEST_P(Fuzz, SpatialUnrollMatchesGolden)

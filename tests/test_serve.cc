@@ -261,49 +261,58 @@ TEST(Serve, TraceFileRequestWritesChromeTrace)
     fs::remove_all(dir);
 }
 
-TEST(Serve, ParallelSchedulerMatchesReadyAndRejectsTracing)
+TEST(Serve, SchedulerFieldSelectsDenseOrReady)
 {
     ServeServer server(withJobs(1));
 
-    // scheduler:"parallel" must run and agree bit-for-bit with a
-    // ready-scheduler run of the same kernel (cycles + mem hash).
-    std::string par = scaleRequest("p", 3);
-    par.insert(par.size() - 1, ",\"scheduler\":\"parallel\"");
-    JsonValue vp =
-        parseResponse(ServeServer::render(server.submit(par)));
-    EXPECT_EQ(field(vp, "status"), "ok") << field(vp, "error");
+    // scheduler:"dense" runs the oracle and must agree bit-for-bit
+    // with a ready-scheduler run of the same kernel (cycles + mem
+    // hash).
+    std::string dense = scaleRequest("d", 3);
+    dense.insert(dense.size() - 1, ",\"scheduler\":\"dense\"");
+    JsonValue vd =
+        parseResponse(ServeServer::render(server.submit(dense)));
+    EXPECT_EQ(field(vd, "status"), "ok") << field(vd, "error");
 
     std::string rdy = scaleRequest("r", 3);
     rdy.insert(rdy.size() - 1, ",\"scheduler\":\"ready\"");
     JsonValue vr =
         parseResponse(ServeServer::render(server.submit(rdy)));
     EXPECT_EQ(field(vr, "status"), "ok");
-    EXPECT_EQ(vp.find("cycles")->asInt(),
+    EXPECT_EQ(vd.find("cycles")->asInt(),
               vr.find("cycles")->asInt());
-    EXPECT_EQ(field(vp, "mem_hash"), field(vr, "mem_hash"));
+    EXPECT_EQ(field(vd, "mem_hash"), field(vr, "mem_hash"));
 
-    // trace_file needs an observed run; combining it with the
-    // parallel engine is a structured error up front, never a
-    // silent fallback to another scheduler.
-    std::string bad = scaleRequest("b", 3);
-    bad.insert(bad.size() - 1,
-               ",\"scheduler\":\"parallel\","
-               "\"trace_file\":\"/tmp/ps_never_written.json\"");
-    JsonValue vb =
-        parseResponse(ServeServer::render(server.submit(bad)));
-    EXPECT_EQ(field(vb, "status"), "error");
-    EXPECT_NE(field(vb, "error").find("trace_file"),
-              std::string::npos)
-        << field(vb, "error");
+    // Traced runs execute on the ready engine like any other run.
+    namespace fs = std::filesystem;
+    fs::path dir =
+        fs::temp_directory_path() / "ps_serve_sched_trace_test";
+    fs::create_directories(dir);
+    fs::path trace = dir / "ready.trace.json";
+    std::string traced = scaleRequest("t", 3);
+    traced.insert(traced.size() - 1,
+                  ",\"scheduler\":\"ready\",\"trace_file\":\"" +
+                      trace.string() + "\"");
+    JsonValue vt =
+        parseResponse(ServeServer::render(server.submit(traced)));
+    EXPECT_EQ(field(vt, "status"), "ok") << field(vt, "error");
+    EXPECT_EQ(vt.find("cycles")->asInt(),
+              vr.find("cycles")->asInt());
+    EXPECT_TRUE(fs::exists(trace));
+    fs::remove_all(dir);
 
-    // Unknown scheduler names bounce with the offending name.
-    std::string unk = scaleRequest("u", 3);
-    unk.insert(unk.size() - 1, ",\"scheduler\":\"magic\"");
-    JsonValue vu =
-        parseResponse(ServeServer::render(server.submit(unk)));
-    EXPECT_EQ(field(vu, "status"), "error");
-    EXPECT_NE(field(vu, "error").find("magic"), std::string::npos)
-        << field(vu, "error");
+    // Unknown scheduler names — the removed "parallel" among them —
+    // bounce with the offending name.
+    for (const char *name : {"magic", "parallel"}) {
+        std::string unk = scaleRequest("u", 3);
+        unk.insert(unk.size() - 1,
+                   std::string(",\"scheduler\":\"") + name + "\"");
+        JsonValue vu =
+            parseResponse(ServeServer::render(server.submit(unk)));
+        EXPECT_EQ(field(vu, "status"), "error");
+        EXPECT_NE(field(vu, "error").find(name), std::string::npos)
+            << field(vu, "error");
+    }
 }
 
 TEST(Serve, LoopPumpsRequestsInSubmissionOrder)

@@ -97,10 +97,11 @@ spmvKernel()
 sim::SimResult
 runWith(const workloads::KernelInstance &kernel,
         SimConfig::Scheduler sched, trace::SimObserver *observer,
-        scalar::MemImage &memOut)
+        scalar::MemImage &memOut,
+        ArchVariant variant = ArchVariant::Pipestitch)
 {
     compiler::CompileOptions opts;
-    opts.variant = ArchVariant::Pipestitch;
+    opts.variant = variant;
     auto res = compiler::compileProgram(kernel.prog, kernel.liveIns,
                                         opts);
     auto cfg = res.simConfig;
@@ -305,37 +306,43 @@ sumFires(const sim::SimStats &s)
 
 TEST(TraceParity, SchedulersEmitIdenticalEventStreams)
 {
-    for (const auto &kernel : corpus()) {
-        RecordingObserver dense, ready;
-        scalar::MemImage denseMem, readyMem;
-        auto denseRes = runWith(kernel,
-                                SimConfig::Scheduler::DenseScan,
-                                &dense, denseMem);
-        auto readyRes = runWith(kernel,
-                                SimConfig::Scheduler::ReadyList,
-                                &ready, readyMem);
-        expectSameKeyStats(denseRes.stats, readyRes.stats,
-                           kernel.name);
-        EXPECT_EQ(denseMem, readyMem) << kernel.name;
-        EXPECT_TRUE(dense.simEnded);
-        EXPECT_TRUE(ready.simEnded);
+    // Destination (Pipestitch) and source (RipTide) buffering.
+    for (auto variant :
+         {ArchVariant::Pipestitch, ArchVariant::RipTide}) {
+        for (const auto &kernel : corpus()) {
+            RecordingObserver dense, ready;
+            scalar::MemImage denseMem, readyMem;
+            auto denseRes = runWith(kernel,
+                                    SimConfig::Scheduler::DenseScan,
+                                    &dense, denseMem, variant);
+            auto readyRes = runWith(kernel,
+                                    SimConfig::Scheduler::ReadyList,
+                                    &ready, readyMem, variant);
+            expectSameKeyStats(denseRes.stats, readyRes.stats,
+                               kernel.name);
+            EXPECT_TRUE(sim::statsEqual(denseRes.stats, readyRes.stats))
+                << kernel.name;
+            EXPECT_EQ(denseMem, readyMem) << kernel.name;
+            EXPECT_TRUE(dense.simEnded);
+            EXPECT_TRUE(ready.simEnded);
 
-        // The ordered stream must match event for event.
-        ASSERT_EQ(dense.events.size(), ready.events.size())
-            << kernel.name;
-        for (size_t i = 0; i < dense.events.size(); i++) {
-            if (!(dense.events[i] == ready.events[i])) {
-                FAIL() << kernel.name << " event " << i
-                       << " diverges: dense "
-                       << dense.describe(dense.events[i])
-                       << " vs ready "
-                       << ready.describe(ready.events[i]);
+            // The ordered stream must match event for event.
+            ASSERT_EQ(dense.events.size(), ready.events.size())
+                << kernel.name;
+            for (size_t i = 0; i < dense.events.size(); i++) {
+                if (!(dense.events[i] == ready.events[i])) {
+                    FAIL() << kernel.name << " event " << i
+                           << " diverges: dense "
+                           << dense.describe(dense.events[i])
+                           << " vs ready "
+                           << ready.describe(ready.events[i]);
+                }
             }
+            // SyncPlane activity is cycle-granular (see recording.hh);
+            // the cycle lists must still agree exactly.
+            EXPECT_EQ(dense.syncPlaneCycles, ready.syncPlaneCycles)
+                << kernel.name;
         }
-        // SyncPlane activity is cycle-granular (see recording.hh);
-        // the cycle lists must still agree exactly.
-        EXPECT_EQ(dense.syncPlaneCycles, ready.syncPlaneCycles)
-            << kernel.name;
     }
 }
 
@@ -446,6 +453,38 @@ TEST(TraceSinks, StallTimelineReconciles)
     sink.writeJson(out);
     EXPECT_TRUE(JsonChecker(out.str()).valid());
     EXPECT_FALSE(sink.toString().empty());
+}
+
+TEST(TraceSinks, SinkOutputsMatchAcrossEngines)
+{
+    // The rendered Chrome trace and stall timeline are functions of
+    // the event stream, so the fast engine must reproduce the
+    // DenseScan oracle's files byte for byte.
+    for (auto variant :
+         {ArchVariant::Pipestitch, ArchVariant::RipTide}) {
+        for (const auto &kernel : corpus()) {
+            std::string chromeJson[2], stallJson[2];
+            int k = 0;
+            for (auto sched : {SimConfig::Scheduler::DenseScan,
+                               SimConfig::Scheduler::ReadyList}) {
+                trace::ChromeTraceSink chrome;
+                trace::StallTimelineSink stalls(8);
+                trace::ObserverList list;
+                list.add(&chrome);
+                list.add(&stalls);
+                scalar::MemImage mem;
+                runWith(kernel, sched, &list, mem, variant);
+                std::ostringstream c, t;
+                chrome.write(c);
+                stalls.writeJson(t);
+                chromeJson[k] = c.str();
+                stallJson[k] = t.str();
+                k++;
+            }
+            EXPECT_EQ(chromeJson[0], chromeJson[1]) << kernel.name;
+            EXPECT_EQ(stallJson[0], stallJson[1]) << kernel.name;
+        }
+    }
 }
 
 TEST(TraceSinks, ObserverListFansOutToAllSinks)

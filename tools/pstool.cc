@@ -10,10 +10,11 @@
  *   pstool compile <file.sir>   compile and report fit/threading
  *   pstool run <file.sir>       compile, map, simulate, verify
  *   pstool scalar <file.sir>    sequential interpreter only
- *   pstool bench-sim <file.sir> time a scheduler against the
- *                               ready-list reference
- *   pstool bench-sim-par        parallel engine vs ready-list oracle
- *                               sweep; writes BENCH_sim_par.json
+ *   pstool bench-sim <file.sir> time the fast engine against the
+ *                               dense-scan oracle (bit-identity
+ *                               checked)
+ *   pstool bench-sim --suite    the same on paper-scale kernels;
+ *                               writes BENCH_sim_sched.json
  *   pstool trace <file.sir>     simulate under observation; write a
  *                               Chrome-trace JSON (chrome://tracing
  *                               or https://ui.perfetto.dev) and a
@@ -51,6 +52,7 @@
  * subcommand that maps or simulates.
  */
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -82,6 +84,10 @@
 #include "trace/observer.hh"
 #include "trace/stall_timeline.hh"
 
+#ifndef PSTOOL_BUILD_TYPE
+#define PSTOOL_BUILD_TYPE "unknown"
+#endif
+
 using namespace pipestitch;
 
 namespace {
@@ -102,8 +108,7 @@ struct Options
     bool noMap = false;     ///< lint: skip mapping + placement rules
     bool crossCheck = false; ///< lint: simulate and compare verdicts
     int seeds = 4;            ///< map: portfolio restarts
-    int jobs = 1;             ///< map/bench-sim: worker threads
-    std::string scheduler;    ///< bench-sim: contender scheduler
+    int jobs = 1;             ///< map: worker threads
     uint64_t seed = 1;        ///< map: base RNG seed
     int iterations = 20000;   ///< map: total anneal budget
     /** Fabric topology from --fabric=WxH[,tiles=TXxTY,...] and the
@@ -148,11 +153,9 @@ constexpr Command kCommands[] = {
      cmdRun},
     {"scalar", "", "run the sequential interpreter only",
      cmdScalar},
-    {"bench-sim",
-     "[--variant=V --depth=N --unroll=N --scheduler=dense|ready|"
-     "parallel --jobs=N]",
-     "time a scheduler against the ready-list reference (default "
-     "contender: dense-scan; parallel must be bit-identical)",
+    {"bench-sim", "[--variant=V --depth=N --unroll=N --tm]",
+     "time the fast engine against the dense-scan oracle; exits "
+     "nonzero unless the runs are bit-identical",
      cmdBenchSim},
     {"trace",
      "[--variant=V --depth=N --unroll=N --out=F --stalls=F "
@@ -215,11 +218,11 @@ usage()
         "--out=BENCH_tiles.json]");
     std::fprintf(
         stderr,
-        "  %-10s %s\n             %s\n", "bench-sim-par",
-        "parallel scheduler vs ready-list oracle across a job-count "
-        "sweep (no .sir file); bit-identity checked at every job "
-        "count",
-        "[--smoke --reps=N --out=BENCH_sim_par.json]");
+        "  %-10s %s\n             %s\n", "bench-sim --suite",
+        "fast engine vs dense-scan oracle on paper-scale kernels, "
+        "Pipestitch and RipTide (no .sir file); bit-identity "
+        "checked on every row",
+        "[--smoke --reps=N --out=BENCH_sim_sched.json]");
     std::fprintf(
         stderr,
         "\ncommon options:\n"
@@ -329,8 +332,6 @@ parseArgs(int argc, char **argv)
             opts.seeds = std::atoi(value("--seeds=").c_str());
         } else if (arg.rfind("--jobs=", 0) == 0) {
             opts.jobs = std::atoi(value("--jobs=").c_str());
-        } else if (arg.rfind("--scheduler=", 0) == 0) {
-            opts.scheduler = value("--scheduler=");
         } else if (arg.rfind("--seed=", 0) == 0) {
             opts.seed = static_cast<uint64_t>(
                 std::atoll(value("--seed=").c_str()));
@@ -622,16 +623,15 @@ cmdRun(const Options &opts, const ParseResult &parsed)
 }
 
 /**
- * One timed scheduler sample: a warmup run, then best-of-@p reps on
- * a fresh memory image each time. bench-sim and bench-sim-par share
+ * One timed engine sample: a warmup run, then best-of-@p reps on a
+ * fresh memory image each time. bench-sim and its --suite mode share
  * this harness so their numbers are comparable by construction.
  */
 struct SimTiming
 {
     double ms = 0;
-    int64_t cycles = 0;
-    sim::SimStats stats;
-    bool deadlocked = false;
+    sim::SimResult result;
+    scalar::MemImage memory;
 };
 
 SimTiming
@@ -649,13 +649,42 @@ timeSim(const dfg::Graph &graph,
         double ms =
             std::chrono::duration<double, std::milli>(t1 - t0)
                 .count();
-        t.cycles = r.stats.cycles;
-        t.stats = std::move(r.stats);
-        t.deadlocked = r.deadlocked;
+        t.result = std::move(r);
+        t.memory = std::move(mem);
         if (rep > 0 && (t.ms == 0 || ms < t.ms))
             t.ms = ms;
     }
     return t;
+}
+
+/** Fast engine and DenseScan oracle timed on one configuration. */
+struct EnginePair
+{
+    SimTiming dense, fast;
+    bool identical = false;
+    double speedup() const { return fast.ms > 0 ? dense.ms / fast.ms : 0; }
+};
+
+EnginePair
+timeEngines(const dfg::Graph &graph,
+            const workloads::KernelInstance &kernel,
+            sim::SimConfig cfg, int reps)
+{
+    EnginePair p;
+    cfg.scheduler = sim::SimConfig::Scheduler::DenseScan;
+    p.dense = timeSim(graph, kernel, cfg, reps);
+    cfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
+    p.fast = timeSim(graph, kernel, cfg, reps);
+    // The engine contract: every stats field, the termination
+    // status, the diagnostic and the memory image match the oracle.
+    const sim::SimResult &a = p.dense.result;
+    const sim::SimResult &b = p.fast.result;
+    p.identical = sim::statsEqual(a.stats, b.stats) &&
+                  a.deadlocked == b.deadlocked &&
+                  a.watchdogExpired == b.watchdogExpired &&
+                  a.diagnostic == b.diagnostic &&
+                  p.dense.memory == p.fast.memory;
+    return p;
 }
 
 int
@@ -665,112 +694,200 @@ cmdBenchSim(const Options &opts, const ParseResult &parsed)
     auto res = compileForSim(opts, kernel);
     auto cfg = res.simConfig;
     cfg.bufferDepth = opts.depth;
-    const int reps = 3;
-
-    // --scheduler picks the contender timed against the ready-list
-    // reference; the historical default pairing is dense-scan vs
-    // ready-list. --jobs sets the parallel contender's region count
-    // (worker threads follow hardware concurrency).
-    const std::string sched =
-        opts.scheduler.empty() ? "dense" : opts.scheduler;
-    sim::SimConfig::Scheduler contender;
-    if (sched == "dense") {
-        contender = sim::SimConfig::Scheduler::DenseScan;
-    } else if (sched == "ready") {
-        contender = sim::SimConfig::Scheduler::ReadyList;
-    } else if (sched == "parallel") {
-        contender = sim::SimConfig::Scheduler::ParallelRegions;
-    } else {
-        fatal("--scheduler=%s: expected dense, ready, or parallel",
-              sched.c_str());
+    if (opts.timeMultiplex) {
+        for (const auto &group : compiler::planTimeMultiplexing(
+                 res.graph, opts.topo.globalConfig()))
+            cfg.shareGroups.emplace_back(group.begin(), group.end());
     }
+    EnginePair p = timeEngines(res.graph, kernel, cfg, /*reps=*/3);
+    if (!p.identical)
+        fatal("fast engine diverges from the DenseScan oracle on %s",
+              kernel.name.c_str());
+    const sim::SimResult &run = p.fast.result;
 
-    auto refCfg = cfg;
-    refCfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
-    SimTiming ready = timeSim(res.graph, kernel, refCfg, reps);
-
-    auto conCfg = cfg;
-    conCfg.scheduler = contender;
-    conCfg.parallelJobs = opts.jobs;
-    SimTiming con =
-        contender == sim::SimConfig::Scheduler::ReadyList
-            ? ready
-            : timeSim(res.graph, kernel, conCfg, reps);
-
-    if (con.cycles != ready.cycles)
-        fatal("scheduler divergence: %s %lld cycles, "
-              "ready %lld cycles",
-              sched.c_str(), static_cast<long long>(con.cycles),
-              static_cast<long long>(ready.cycles));
-    // The parallel engine's contract is stronger than matching
-    // cycle counts: every stats field must be bit-identical.
-    if (sched == "parallel" &&
-        !sim::statsEqual(con.stats, ready.stats))
-        fatal("parallel scheduler stats diverge from the "
-              "ready-list oracle on %s", kernel.name.c_str());
-
-    // The certified static bound must hold on the reference run —
-    // the same gate executeOnFabric applies to mapped runs, here
-    // covering the unmapped bench configs (and, via bit-identity,
-    // every scheduler at once).
+    // The certified static bound must hold — the same gate
+    // executeOnFabric applies to mapped runs, here covering the
+    // unmapped bench configs (both engines at once, by identity).
     std::shared_ptr<const dfg::Graph> hold(
         std::shared_ptr<const dfg::Graph>(), &res.graph);
-    sim::Program boundProg(hold, refCfg);
+    sim::Program boundProg(hold, cfg);
     sim::BoundReport::Evaluation boundEval =
-        analysis::computeBound(boundProg).evaluate(ready.stats);
-    if (!ready.deadlocked && !boundEval.holds(ready.cycles))
+        analysis::computeBound(boundProg).evaluate(run.stats);
+    if (!run.deadlocked && !boundEval.holds(run.stats.cycles))
         fatal("%s: simulated %lld cycles beats the certified "
               "static bound of %lld cycles — analyzer and "
               "simulator disagree",
               kernel.name.c_str(),
-              static_cast<long long>(ready.cycles),
+              static_cast<long long>(run.stats.cycles),
               static_cast<long long>(boundEval.certifiedCycles));
 
-    // Historical orientation: the default report shows how much
-    // faster ready-list is than dense-scan (speedup = dense/ready);
-    // for an explicit contender the speedup is over the ready-list
-    // reference (ready/contender).
-    double speedup;
-    const char *conKey;
-    if (sched == "dense") {
-        speedup = ready.ms > 0 ? con.ms / ready.ms : 0;
-        conKey = "dense_ms";
-    } else {
-        speedup = con.ms > 0 ? ready.ms / con.ms : 0;
-        conKey = sched == "parallel" ? "parallel_ms" : "ready_ms";
-    }
     if (opts.json) {
         sim::Report r;
         r.add("schema_version", sim::kJsonSchemaVersion)
             .add("kernel", kernel.name)
             .add("nodes", res.graph.size())
-            .add("cycles", ready.cycles)
+            .add("share_groups",
+                 static_cast<int64_t>(cfg.shareGroups.size()))
+            .add("cycles", run.stats.cycles)
             .add("bound_cycles", boundEval.certifiedCycles)
-            .add("scheduler", sched);
-        if (sched != "ready")
-            r.add(conKey, con.ms);
-        r.add("ready_ms", ready.ms).add("speedup", speedup);
-        if (sched == "parallel")
-            r.add("jobs", opts.jobs)
-                .add("identical", true);
+            .add("dense_ms", p.dense.ms)
+            .add("ready_ms", p.fast.ms)
+            .add("speedup", p.speedup())
+            .add("identical", true);
         std::printf("%s\n", r.toJson().c_str());
-    } else if (sched == "dense") {
-        std::printf("%s: %d operators, %lld cycles\n"
-                    "  dense-scan  %9.3f ms\n"
-                    "  ready-list  %9.3f ms  (%.2fx speedup)\n",
-                    kernel.name.c_str(), res.graph.size(),
-                    static_cast<long long>(ready.cycles), con.ms,
-                    ready.ms, speedup);
     } else {
         std::printf("%s: %d operators, %lld cycles\n"
-                    "  ready-list  %9.3f ms\n"
-                    "  %-10s  %9.3f ms  (%.2fx speedup%s)\n",
+                    "  dense-scan  %9.3f ms\n"
+                    "  fast        %9.3f ms  (%.2fx speedup, "
+                    "bit-identical)\n",
                     kernel.name.c_str(), res.graph.size(),
-                    static_cast<long long>(ready.cycles), ready.ms,
-                    sched.c_str(), con.ms, speedup,
-                    sched == "parallel" ? ", bit-identical" : "");
+                    static_cast<long long>(run.stats.cycles),
+                    p.dense.ms, p.fast.ms, p.speedup());
     }
     return 0;
+}
+
+/** `git describe --always --dirty` of the working directory, or
+ *  "unknown" outside a git checkout. */
+std::string
+gitDescribe()
+{
+    std::string out;
+    if (FILE *p = popen("git describe --always --dirty 2>/dev/null",
+                        "r")) {
+        char buf[128];
+        while (std::fgets(buf, sizeof buf, p))
+            out += buf;
+        if (pclose(p) != 0)
+            out.clear();
+    }
+    while (!out.empty() && std::isspace(static_cast<unsigned char>(
+                               out.back())))
+        out.pop_back();
+    return out.empty() ? "unknown" : out;
+}
+
+/**
+ * `pstool bench-sim --suite` — the simulator benchmark record. Times
+ * the fast engine against the DenseScan oracle on paper-scale
+ * kernels, under Pipestitch (destination) and RipTide (source)
+ * buffering, checks bit-identity on every row, and writes
+ * BENCH_sim_sched.json. Exit is nonzero on any divergence.
+ */
+int
+cmdBenchSimSuite(int argc, char **argv)
+{
+    bool smoke = false;
+    int reps = 2;
+    std::string outFile = "BENCH_sim_sched.json";
+    for (int i = 2; i < argc; i++) {
+        std::string arg = argv[i];
+        if (arg == "--suite") {
+            continue;
+        } else if (arg == "--smoke") {
+            smoke = true;
+        } else if (arg.rfind("--reps=", 0) == 0) {
+            reps = std::atoi(arg.c_str() + 7);
+        } else if (arg.rfind("--out=", 0) == 0) {
+            outFile = arg.substr(6);
+        } else {
+            usage();
+        }
+    }
+    setQuiet(true);
+
+    struct Case
+    {
+        std::string name;
+        workloads::KernelInstance kernel;
+        int unroll;
+    };
+    // Paper-scale means fabric-scale: the _uN suffix is the spatial
+    // unroll factor that fills the fabric the way Table 1's mapped
+    // kernels do. The DNN's widest layer (784×512 at 97% weight
+    // sparsity) is the largest workload in the paper's evaluation.
+    std::vector<Case> cases;
+    if (smoke) {
+        cases.push_back(
+            {"spmv_u8", workloads::makeSpmv(64, 0.90, 2), 8});
+        cases.push_back(
+            {"dither_u8", workloads::makeDither(16, 16, 3), 8});
+    } else {
+        cases.push_back(
+            {"spmv_u8", workloads::makeSpmv(512, 0.90, 2), 8});
+        cases.push_back(
+            {"dither_u8", workloads::makeDither(128, 128, 3), 8});
+        cases.push_back(
+            {"spmspmd_u8", workloads::makeSpMSpMd(64, 0.89, 4), 8});
+        cases.push_back(
+            {"spmspmd_u32", workloads::makeSpMSpMd(64, 0.89, 4),
+             32});
+        auto dnn = workloads::buildDnn();
+        cases.push_back(
+            {"dnn_layer0_u8",
+             workloads::makeSpMSpVdFrom(dnn.weights[0], dnn.input,
+                                        "dnn_layer0"),
+             8});
+    }
+    if (smoke)
+        reps = 1;
+
+    bool allIdentical = true;
+    std::ostringstream out;
+    trace::JsonWriter w(out);
+    w.beginObject();
+    w.key("schema_version").value(sim::kJsonSchemaVersion);
+    w.key("benchmark").value("sim_engine");
+    w.key("host_threads")
+        .value(static_cast<int64_t>(
+            std::thread::hardware_concurrency()));
+    w.key("build_type").value(PSTOOL_BUILD_TYPE);
+    w.key("git_describe").value(gitDescribe());
+    w.key("reps").value(reps);
+    w.key("kernels");
+    w.beginArray();
+    for (const Case &c : cases) {
+        for (auto variant : {compiler::ArchVariant::Pipestitch,
+                             compiler::ArchVariant::RipTide}) {
+            compiler::CompileOptions copts;
+            copts.variant = variant;
+            copts.unrollFactor = c.unroll;
+            auto res = compiler::compileProgram(
+                c.kernel.prog, c.kernel.liveIns, copts);
+            auto cfg = res.simConfig;
+            cfg.maxCycles = 8000000;
+            EnginePair p = timeEngines(res.graph, c.kernel, cfg, reps);
+            allIdentical &= p.identical;
+            const char *vname = compiler::archVariantName(variant);
+            w.beginObject();
+            w.key("kernel").value(c.name);
+            w.key("variant").value(vname);
+            w.key("unroll").value(c.unroll);
+            w.key("nodes").value(res.graph.size());
+            w.key("cycles").value(p.fast.result.stats.cycles);
+            w.key("dense_ms").value(p.dense.ms);
+            w.key("ready_ms").value(p.fast.ms);
+            w.key("speedup").value(p.speedup());
+            w.key("identical").value(p.identical);
+            w.endObject();
+            std::fprintf(stderr,
+                         "bench-sim %-13s %-10s dense=%9.3f ms  "
+                         "fast=%9.3f ms  %.2fx  %s\n",
+                         c.name.c_str(), vname, p.dense.ms, p.fast.ms,
+                         p.speedup(),
+                         p.identical ? "bit-identical" : "DIVERGED");
+        }
+    }
+    w.endArray();
+    w.key("all_identical").value(allIdentical);
+    w.endObject();
+
+    std::ofstream f(outFile);
+    if (!f)
+        fatal("cannot write '%s'", outFile.c_str());
+    f << out.str() << "\n";
+    std::printf("%s\n", out.str().c_str());
+    return allIdentical ? 0 : 1;
 }
 
 int
@@ -1546,143 +1663,6 @@ cmdBenchTiles(int argc, char **argv)
 }
 
 /**
- * `pstool bench-sim-par` — the parallel-scheduler benchmark. Times
- * the ParallelRegions engine against the ReadyList oracle on the
- * paper-scale kernels over a job-count sweep, verifies bit-identical
- * SimStats at every job count, and writes BENCH_sim_par.json. The
- * shared timeSim harness (same warmup + best-of-reps policy as
- * bench-sim) keeps the numbers comparable. Region count (--jobs
- * sweep) is a semantic-free knob; worker threads are capped at
- * hardware concurrency (parallelThreads=0), so on a single-core host
- * the reported speedup is pure engine efficiency. Exit is nonzero if
- * any run diverges from the oracle.
- */
-int
-cmdBenchSimPar(int argc, char **argv)
-{
-    bool smoke = false;
-    int reps = 2;
-    std::string outFile = "BENCH_sim_par.json";
-    for (int i = 2; i < argc; i++) {
-        std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--reps=", 0) == 0) {
-            reps = std::atoi(arg.c_str() + 7);
-        } else if (arg.rfind("--out=", 0) == 0) {
-            outFile = arg.substr(6);
-        } else {
-            usage();
-        }
-    }
-    setQuiet(true);
-
-    struct Case
-    {
-        std::string name;
-        workloads::KernelInstance kernel;
-        int unroll;
-    };
-    // The _uN suffix is the spatial unroll factor, as in
-    // BENCH_sim_sched.json. Larger unrolls grow the mapped graph —
-    // the oracle's per-cycle scan cost grows with the live-node
-    // count while the parallel engine's dormancy tracking keeps its
-    // working set small, so the speedup widens with kernel size.
-    std::vector<Case> cases;
-    cases.push_back(
-        {"spmspmd_u8", workloads::makeSpMSpMd(64, 0.89, 4), 8});
-    if (!smoke) {
-        cases.push_back(
-            {"spmspmd_u32", workloads::makeSpMSpMd(64, 0.89, 4),
-             32});
-        auto dnn = workloads::buildDnn();
-        cases.push_back(
-            {"dnn_layer0_u8",
-             workloads::makeSpMSpVdFrom(dnn.weights[0], dnn.input,
-                                        "dnn_layer0"),
-             8});
-    }
-    const std::vector<int> jobSweep =
-        smoke ? std::vector<int>{1, 4}
-              : std::vector<int>{1, 2, 4, 8};
-    if (smoke)
-        reps = 1;
-
-    constexpr double kTargetSpeedup = 3.0;
-    bool allIdentical = true;
-    bool targetMet = false;
-    std::ostringstream out;
-    trace::JsonWriter w(out);
-    w.beginObject();
-    w.key("schema_version").value(sim::kJsonSchemaVersion);
-    w.key("benchmark").value("sim_parallel");
-    w.key("host_threads")
-        .value(static_cast<int64_t>(
-            std::thread::hardware_concurrency()));
-    w.key("kernels");
-    w.beginArray();
-    for (const Case &c : cases) {
-        compiler::CompileOptions copts;
-        copts.unrollFactor = c.unroll;
-        auto res = compiler::compileProgram(c.kernel.prog,
-                                            c.kernel.liveIns, copts);
-        auto cfg = res.simConfig;
-        cfg.maxCycles = 8000000;
-        cfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
-        SimTiming ready = timeSim(res.graph, c.kernel, cfg, reps);
-
-        w.beginObject();
-        w.key("kernel").value(c.name);
-        w.key("unroll").value(c.unroll);
-        w.key("nodes").value(res.graph.size());
-        w.key("cycles").value(ready.cycles);
-        w.key("ready_ms").value(ready.ms);
-        w.key("runs");
-        w.beginArray();
-        for (int jobs : jobSweep) {
-            cfg.scheduler =
-                sim::SimConfig::Scheduler::ParallelRegions;
-            cfg.parallelJobs = jobs;
-            SimTiming par = timeSim(res.graph, c.kernel, cfg, reps);
-            bool identical =
-                sim::statsEqual(par.stats, ready.stats) &&
-                par.deadlocked == ready.deadlocked;
-            allIdentical &= identical;
-            double speedup = par.ms > 0 ? ready.ms / par.ms : 0;
-            if (identical && jobs >= 4 &&
-                speedup >= kTargetSpeedup)
-                targetMet = true;
-            w.beginObject();
-            w.key("jobs").value(jobs);
-            w.key("parallel_ms").value(par.ms);
-            w.key("speedup").value(speedup);
-            w.key("identical").value(identical);
-            w.endObject();
-            std::fprintf(stderr,
-                         "bench-sim-par %-13s jobs=%d  ready=%9.3f "
-                         "ms  parallel=%9.3f ms  %.2fx  %s\n",
-                         c.name.c_str(), jobs, ready.ms, par.ms,
-                         speedup,
-                         identical ? "bit-identical" : "DIVERGED");
-        }
-        w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.key("target_speedup").value(kTargetSpeedup);
-    w.key("target_met").value(targetMet);
-    w.key("all_identical").value(allIdentical);
-    w.endObject();
-
-    std::ofstream f(outFile);
-    if (!f)
-        fatal("cannot write '%s'", outFile.c_str());
-    f << out.str() << "\n";
-    std::printf("%s\n", out.str().c_str());
-    return allIdentical ? 0 : 1;
-}
-
-/**
  * `pstool serve` — a resident simulation service (runner/serve.hh):
  * one JSON request per stdin line, one JSON response per stdout
  * line, executed concurrently on a bounded thread-pool queue with
@@ -1759,16 +1739,17 @@ cmdScalar(const Options &opts, const ParseResult &parsed)
 int
 main(int argc, char **argv)
 {
-    // `figures`, `serve`, `bench-tiles`, and `bench-sim-par` take
-    // no .sir file; dispatch before parseArgs.
+    // `figures`, `serve`, `bench-tiles`, and `bench-sim --suite`
+    // take no .sir file; dispatch before parseArgs.
     if (argc >= 2 && std::string(argv[1]) == "figures")
         return cmdFigures(argc, argv);
     if (argc >= 2 && std::string(argv[1]) == "serve")
         return cmdServe(argc, argv);
     if (argc >= 2 && std::string(argv[1]) == "bench-tiles")
         return cmdBenchTiles(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "bench-sim-par")
-        return cmdBenchSimPar(argc, argv);
+    if (argc >= 3 && std::string(argv[1]) == "bench-sim" &&
+        std::string(argv[2]) == "--suite")
+        return cmdBenchSimSuite(argc, argv);
     Options opts = parseArgs(argc, argv);
     auto parsed = sir::parseSir(readFile(opts.file), opts.file);
     for (const Command &c : kCommands) {
