@@ -243,20 +243,16 @@ prepareKernel(const workloads::KernelInstance &kernel,
     return out;
 }
 
-FabricRun
-executeOnFabric(const PreparedKernel &prepared,
-                const workloads::KernelInstance &kernel,
-                const RunConfig &config, std::string *error)
+SimOutcome
+simulateOnFabric(const PreparedKernel &prepared,
+                 const workloads::KernelInstance &kernel,
+                 const RunConfig &config)
 {
     ScopedQuiet scopedQuiet(config.quiet);
-    FabricRun run;
-    run.compiled = *prepared.compiled;
-    run.mapping = prepared.mapping;
-    run.analysis = prepared.analysis;
-
-    run.memory = kernel.memory;
-    run.memory.resize(std::max(
-        run.memory.size(),
+    SimOutcome out;
+    out.memory = kernel.memory;
+    out.memory.resize(std::max(
+        out.memory.size(),
         static_cast<size_t>(kernel.prog.memWords)));
 
     sim::RunOptions ropts;
@@ -264,7 +260,23 @@ executeOnFabric(const PreparedKernel &prepared,
     ropts.trace = config.sim.trace;
     ropts.maxCycles = config.sim.maxCycles;
     sim::ExecutionState exec(prepared.program);
-    run.sim = exec.run(run.memory, ropts);
+    out.sim = exec.run(out.memory, ropts);
+    return out;
+}
+
+FabricRun
+finishOnFabric(const PreparedKernel &prepared,
+               const workloads::KernelInstance &kernel,
+               const RunConfig &config, SimOutcome outcome,
+               std::string *error)
+{
+    ScopedQuiet scopedQuiet(config.quiet);
+    FabricRun run;
+    run.compiled = *prepared.compiled;
+    run.mapping = prepared.mapping;
+    run.analysis = prepared.analysis;
+    run.sim = std::move(outcome.sim);
+    run.memory = std::move(outcome.memory);
     if (run.sim.deadlocked) {
         // Cross-check: every quiescence deadlock reaching this
         // point contradicts the analyzer (errors already failed the
@@ -360,6 +372,16 @@ executeOnFabric(const PreparedKernel &prepared,
                                      config.fabric.clockMHz);
     run.edp = energy::edp(run.energy, run.seconds);
     return run;
+}
+
+FabricRun
+executeOnFabric(const PreparedKernel &prepared,
+                const workloads::KernelInstance &kernel,
+                const RunConfig &config, std::string *error)
+{
+    return finishOnFabric(prepared, kernel, config,
+                          simulateOnFabric(prepared, kernel, config),
+                          error);
 }
 
 FabricRun

@@ -309,16 +309,47 @@ PreparedPtr prepareKernel(const workloads::KernelInstance &kernel,
                           const RunConfig &config,
                           std::string *error = nullptr);
 
+/** What one simulation of a prepared Program produces. */
+struct SimOutcome
+{
+    sim::SimResult sim;
+    scalar::MemImage memory; ///< final memory image
+};
+
 /**
- * Execute @p prepared once: fresh memory image from @p kernel, one
- * sim::ExecutionState over the shared Program, then golden
- * verification and energy/EDP accounting. Thread-safe with respect
- * to other executions of the same PreparedKernel.
+ * The simulate step of executeOnFabric: fresh memory image from
+ * @p kernel, one sim::ExecutionState over the shared Program, with
+ * the observer, trace and watchdog of @p config.sim. Never fails:
+ * a deadlock or watchdog expiry is reported in the SimResult. The
+ * outcome is a function of `prepared.program->digest()`, the
+ * kernel's initial memory image and the watchdog alone, so runs
+ * whose Programs share a digest may share one outcome
+ * (runner::Runner does).
+ */
+SimOutcome simulateOnFabric(const PreparedKernel &prepared,
+                            const workloads::KernelInstance &kernel,
+                            const RunConfig &config);
+
+/**
+ * The finish step of executeOnFabric, for one PreparedKernel and
+ * its RunConfig: the deadlock cross-check against the analyzer, the
+ * certified-bound cross-check, golden verification, and energy/EDP
+ * accounting over @p outcome.
  *
- * Failure contract: with @p error null, deadlock / golden mismatch
- * are fatal() (legacy). With @p error non-null, *error is set and
- * the partial FabricRun is still returned — run.sim distinguishes a
- * certified deadlock from watchdog expiry.
+ * Failure contract: with @p error null, deadlock / bound violation /
+ * golden mismatch are fatal() (legacy). With @p error non-null,
+ * *error is set and the partial FabricRun is still returned —
+ * run.sim distinguishes a certified deadlock from watchdog expiry.
+ */
+FabricRun finishOnFabric(const PreparedKernel &prepared,
+                         const workloads::KernelInstance &kernel,
+                         const RunConfig &config, SimOutcome outcome,
+                         std::string *error = nullptr);
+
+/**
+ * Execute @p prepared once: simulateOnFabric then finishOnFabric,
+ * under the latter's failure contract. Thread-safe with respect to
+ * other executions of the same PreparedKernel.
  */
 FabricRun executeOnFabric(const PreparedKernel &prepared,
                           const workloads::KernelInstance &kernel,

@@ -195,8 +195,14 @@ uint64_t
 MemoCache::runKey(const workloads::KernelInstance &k,
                   const RunConfig &cfg)
 {
+    return runKey(kernelKey(k), cfg);
+}
+
+uint64_t
+MemoCache::runKey(uint64_t kernelKey, const RunConfig &cfg)
+{
     Hasher h;
-    h.u64(kernelKey(k))
+    h.u64(kernelKey)
         .i32(static_cast<int32_t>(cfg.variant))
         .i32(static_cast<int32_t>(cfg.threading))
         .b(cfg.useStreams)

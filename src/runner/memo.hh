@@ -9,15 +9,21 @@
  * struct contributes all of its fields. Identical inputs therefore
  * hit regardless of which sweep, figure, or process asked first.
  *
- * Three layers:
+ * The cache holds three layers of the prepare pipeline:
  *  - compile results, in-memory (compiling is cheap relative to
  *    mapping but far from free at paper scale);
  *  - mapper placements, in-memory plus an optional on-disk layer
  *    (`cacheDir`) so successive figure binaries skip the
  *    simulated-annealing mapper entirely;
- *  - whole FabricRuns, deduplicated in-flight by runner::Runner
- *    (see sweep.hh) rather than here — a run embeds its mutated
- *    memory image, so only exact-duplicate jobs may share one.
+ *  - whole PreparedKernels (built sim::Program included), in-memory
+ *    and shared by reference.
+ * Execution is shared by runner::Runner (see sweep.hh), not here,
+ * because it depends on the kernel's memory image:
+ *  - one simulation per distinct machine, keyed on
+ *    (sim::Program::digest(), kernelKey, watchdog) — variants that
+ *    build the same Program share it, and each job still runs its
+ *    own golden check, bound check and energy accounting;
+ *  - whole FabricRuns, for exact-duplicate jobs only (runKey).
  *
  * All methods are thread-safe; counters let tests assert "the warm
  * rerun computed zero mappings".
@@ -96,6 +102,8 @@ class MemoCache final : public PipelineCache
                                const mapper::MapperOptions &opts);
     static uint64_t runKey(const workloads::KernelInstance &k,
                            const RunConfig &cfg);
+    /** runKey from an already computed kernelKey(k). */
+    static uint64_t runKey(uint64_t kernelKey, const RunConfig &cfg);
     /** Prepared-artifact key: like runKey but without the memory
      *  image (per-execution state) or golden-verify flag. */
     static uint64_t preparedKey(const workloads::KernelInstance &k,

@@ -4,11 +4,20 @@
  *
  * Runner owns a ThreadPool and a MemoCache and executes runOnFabric
  * jobs on worker threads; every job shares the cache, so a compile
- * or mapping computed for one job is a hit for all later ones. On
- * top of that, exact-duplicate jobs (same kernel content, same
- * RunConfig) collapse to a single execution via a shared_future —
- * the figure suite re-runs many identical (kernel, variant) points
- * across figures, and each is simulated once.
+ * or mapping computed for one job is a hit for all later ones. Two
+ * further layers of sharing sit on top, both governed by
+ * RunnerOptions::memoize and both skipped for observed or traced
+ * runs:
+ *  - exact-duplicate jobs (same kernel content, same RunConfig)
+ *    collapse to one FabricRun via a shared_future — the figure
+ *    suite re-runs many identical (kernel, variant) points across
+ *    figures;
+ *  - distinct jobs whose configs build the same simulated machine
+ *    (equal sim::Program::digest(), e.g. DMM on RipTide and on
+ *    PipeSB) on the same initial memory image and watchdog share one
+ *    simulation (simulateOnFabric). Each job still runs its own
+ *    finish step (finishOnFabric): deadlock and bound cross-checks,
+ *    golden verify, and the energy of its own variant.
  *
  * Sweep is the grid layer: add jobs one at a time or as a
  * kernels×configs cross product, then run() them concurrently.
@@ -19,7 +28,10 @@
  * reentrant from a worker): a job that blocked on a nested future
  * could deadlock a fully-busy pool. Compound workloads (e.g. the
  * DNN) should be submitted as one job that calls runOnFabric
- * internally — they still share the stage cache.
+ * internally — they still share the stage cache. Simulation sharing
+ * cannot deadlock: a job claims a simulation before running it, so
+ * a job that waits for a shared simulation waits only on one that
+ * another worker is already running.
  */
 
 #ifndef PIPESTITCH_RUNNER_SWEEP_HH
@@ -30,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/system.hh"
@@ -62,7 +75,8 @@ struct RunnerOptions
     /** On-disk mapping cache directory ("" disables). */
     std::string cacheDir;
 
-    /** Master switch for stage memoization and run dedup. */
+    /** Master switch for stage memoization, run dedup and
+     *  simulation sharing. */
     bool memoize = true;
 
     /** Silence warn()/inform() inside pooled runs (keeps parallel
@@ -101,9 +115,33 @@ class Runner
     /** Exact-duplicate jobs served from an earlier enqueue. */
     int64_t dedupHits() const;
 
+    /** Jobs whose simulation was served by another job's run of the
+     *  same machine on the same input memory. */
+    int64_t simDedupHits() const;
+
   private:
+    using SimOutcomePtr = std::shared_ptr<const SimOutcome>;
+    /** (Program digest, MemoCache::kernelKey, watchdog). */
+    using SimKey = std::tuple<uint64_t, uint64_t, int64_t>;
+
+    /** Simulate @p prepared unless another job already claimed the
+     *  same key; then wait for that job's outcome. Runs on a worker:
+     *  a key is claimed only by a running job, so a waiter never
+     *  waits on a queued one. */
+    SimOutcomePtr simulateShared(const SimKey &key,
+                                 const PreparedKernel &prepared,
+                                 const workloads::KernelInstance &kernel,
+                                 const RunConfig &config);
+
     RunnerOptions opts;
     MemoCache memo;
+
+    // Touched by running jobs, so declared before `workers`: the
+    // pool drains its queue on destruction.
+    mutable std::mutex simsMu;
+    std::map<SimKey, std::shared_future<SimOutcomePtr>> sims;
+    int64_t nSimDedupHits = 0;
+
     ThreadPool workers;
 
     mutable std::mutex inflightMu;

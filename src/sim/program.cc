@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "dfg/analysis.hh"
 
@@ -23,6 +24,32 @@ nodeHasOutBufs(const Node &node)
     return node.isControlFlow() || node.isMemory();
 }
 
+/** Program::digest(): the graph plus every SimConfig field that can
+ *  change a run's outcome. Add a field here when SimConfig gains
+ *  one. */
+uint64_t
+machineDigest(const Graph &g, const SimConfig &cfg)
+{
+    Hasher h;
+    h.u64(dfg::graphFingerprint(g))
+        .i32(static_cast<int32_t>(cfg.buffering))
+        .i32(static_cast<int32_t>(cfg.scheduler))
+        .i32(cfg.bufferDepth)
+        .i32(cfg.memBanks)
+        .i32(cfg.memLatency)
+        .b(cfg.memBypass)
+        .i64(cfg.maxCycles)
+        .b(cfg.checkThreadOrder)
+        .b(cfg.greedyDispatch);
+    h.u64(cfg.shareGroups.size());
+    for (const auto &group : cfg.shareGroups)
+        h.vec(group);
+    h.u64(cfg.edgeLatencies.size());
+    for (const auto &e : cfg.edgeLatencies)
+        h.i32(e.node).i32(e.input).i32(e.latency);
+    return h.digest();
+}
+
 } // namespace
 
 Program::Program(std::shared_ptr<const dfg::Graph> graph,
@@ -40,6 +67,7 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
     cfg.trace = false;
 
     sourceMode = cfg.buffering == SimConfig::Buffering::Source;
+    contentDigest = machineDigest(g, cfg);
 
     for (const auto &node : g.nodes) {
         if (node.kind == NodeKind::Dispatch) {

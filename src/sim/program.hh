@@ -71,6 +71,19 @@ class Program
     }
     const SimConfig &config() const { return cfg; }
 
+    /**
+     * Content digest of the simulated machine: the graph's
+     * dfg::graphFingerprint plus every result-bearing SimConfig
+     * field (buffering, bufferDepth, memBanks, memLatency,
+     * memBypass, maxCycles, checkThreadOrder, greedyDispatch,
+     * scheduler, shareGroups, edgeLatencies). Observability
+     * (`observer`, `trace`) is not part of it. Two Programs with
+     * equal digests run any initial memory image to the same
+     * SimResult and final image, which is what lets runner::Runner
+     * simulate each distinct machine once.
+     */
+    uint64_t digest() const { return contentDigest; }
+
     /** Per-node token-buffer layout (0 = no FIFOs on that side). */
     struct NodePlan
     {
@@ -171,6 +184,7 @@ class Program
 
   private:
     std::shared_ptr<const dfg::Graph> graphHold;
+    uint64_t contentDigest = 0;
 };
 
 } // namespace pipestitch::sim

@@ -5,11 +5,14 @@
  * any number of ExecutionStates concurrently, each against its own
  * memory image, with results bit-identical to the legacy serial
  * simulate() calls. Run under TSan in CI: any write through the
- * shared Program is a data race by construction.
+ * shared Program is a data race by construction. A Program's digest
+ * names the simulated machine, so it must change with the graph and
+ * every result-bearing SimConfig field, and with nothing else.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -200,4 +203,107 @@ TEST(ConcurrentExecution, ProgramStripsPerRunConfig)
     sim::Program prog(graph, cfg);
     EXPECT_EQ(prog.config().observer, nullptr);
     EXPECT_FALSE(prog.config().trace);
+}
+
+TEST(ConcurrentExecution, ProgramDigestCoversResultBearingConfig)
+{
+    auto kernel = workloads::makeSpmv(4, 0.5, 3);
+    auto compileFor = [&](compiler::ArchVariant variant) {
+        compiler::CompileOptions opts;
+        opts.variant = variant;
+        return std::make_shared<const compiler::CompileResult>(
+            compiler::compileProgram(kernel.prog, kernel.liveIns,
+                                     opts));
+    };
+    auto compiled = compileFor(compiler::ArchVariant::Pipestitch);
+    auto graph = std::shared_ptr<const dfg::Graph>(
+        compiled, &compiled->graph);
+    const sim::SimConfig base = compiled->simConfig;
+    ASSERT_EQ(base.buffering,
+              sim::SimConfig::Buffering::Destination);
+    auto digestOf = [](std::shared_ptr<const dfg::Graph> g,
+                       const sim::SimConfig &cfg) {
+        return sim::Program(std::move(g), cfg).digest();
+    };
+    const uint64_t want = digestOf(graph, base);
+    EXPECT_EQ(want, digestOf(graph, base));
+
+    // Observability is not part of the machine.
+    {
+        sim::SimConfig cfg = base;
+        cfg.trace = true;
+        cfg.observer =
+            reinterpret_cast<trace::SimObserver *>(0x1); // sentinel
+        EXPECT_EQ(want, digestOf(graph, cfg));
+    }
+
+    // Two PE nodes for a share group and one wired input for an
+    // inter-tile channel.
+    std::vector<int> peNodes;
+    sim::SimConfig::EdgeLatency edge{-1, 0, 2};
+    for (dfg::NodeId id = 0; id < graph->size(); id++) {
+        const dfg::Node &n = graph->at(id);
+        if (!n.cfInNoc && n.kind != dfg::NodeKind::Trigger &&
+            peNodes.size() < 2) {
+            peNodes.push_back(id);
+        }
+        for (int i = 0; i < n.numInputs() && edge.node < 0; i++) {
+            if (n.inputs[static_cast<size_t>(i)].isWire())
+                edge = {id, i, 2};
+        }
+    }
+    ASSERT_EQ(peNodes.size(), 2u);
+    ASSERT_GE(edge.node, 0);
+
+    using SimConfig = sim::SimConfig;
+    const std::pair<const char *, std::function<void(SimConfig &)>>
+        mutations[] = {
+            {"buffering",
+             [](SimConfig &c) {
+                 c.buffering = SimConfig::Buffering::Source;
+             }},
+            {"bufferDepth", [](SimConfig &c) { c.bufferDepth = 8; }},
+            {"memBanks", [](SimConfig &c) { c.memBanks = 8; }},
+            {"memLatency", [](SimConfig &c) { c.memLatency = 3; }},
+            {"memBypass",
+             [](SimConfig &c) { c.memBypass = !c.memBypass; }},
+            {"maxCycles", [](SimConfig &c) { c.maxCycles = 12345; }},
+            {"checkThreadOrder",
+             [](SimConfig &c) {
+                 c.checkThreadOrder = !c.checkThreadOrder;
+             }},
+            {"greedyDispatch",
+             [](SimConfig &c) {
+                 c.greedyDispatch = !c.greedyDispatch;
+             }},
+            {"scheduler",
+             [](SimConfig &c) {
+                 c.scheduler = SimConfig::Scheduler::DenseScan;
+             }},
+            {"shareGroups",
+             [&](SimConfig &c) { c.shareGroups = {peNodes}; }},
+            {"edgeLatencies",
+             [&](SimConfig &c) { c.edgeLatencies = {edge}; }},
+        };
+    for (const auto &[field, mutate] : mutations) {
+        sim::SimConfig cfg = base;
+        mutate(cfg);
+        EXPECT_NE(want, digestOf(graph, cfg)) << field;
+    }
+    // A channel's latency is part of the machine, not just its
+    // presence.
+    {
+        sim::SimConfig a = base, b = base;
+        a.edgeLatencies = {edge};
+        b.edgeLatencies = {{edge.node, edge.input, edge.latency + 1}};
+        EXPECT_NE(digestOf(graph, a), digestOf(graph, b));
+    }
+
+    // Same config, different graph: PipeCFoP moves the router
+    // control flow onto PEs.
+    auto cfop = compileFor(compiler::ArchVariant::PipeCFoP);
+    EXPECT_NE(want,
+              digestOf(std::shared_ptr<const dfg::Graph>(
+                           cfop, &cfop->graph),
+                       base));
 }

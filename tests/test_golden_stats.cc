@@ -2,9 +2,12 @@
  * @file
  * Golden-stats regression harness for the simulator schedulers.
  *
- * Every shipped .sir kernel and every workload kernel runs under
- * {destination, source} buffering × {SyncPlane, greedy} dispatch
- * (plus a time-multiplexed configuration), twice each: once with
+ * Every shipped .sir kernel and every workload kernel, compiled for
+ * Pipestitch, runs under {destination, source} buffering ×
+ * {SyncPlane, greedy} dispatch (plus a time-multiplexed
+ * configuration); compiled for the CF-in-NoC variants PipeCFiN and
+ * RipTide, it runs under that variant's own microarchitecture, which
+ * pins the router control-flow settle. Each case runs twice: once with
  * the dense full-scan reference scheduler and once with the
  * event-driven ready list. The two runs must produce bit-identical
  * SimStats, termination status, and memory images — the ready list
@@ -33,6 +36,8 @@
 #include "sir/parser.hh"
 #include "workloads/kernels.hh"
 
+#include "fuzz_program.hh"
+
 using namespace pipestitch;
 using compiler::ArchVariant;
 using sim::SimConfig;
@@ -53,6 +58,20 @@ constexpr Variant kVariants[] = {
     {"/dst/greedy", SimConfig::Buffering::Destination, true},
     {"/src/sync", SimConfig::Buffering::Source, false},
     {"/src/greedy", SimConfig::Buffering::Source, true},
+};
+
+/** A variant that places all control flow in the NoC, run with the
+ *  buffering it compiles to. */
+struct CfInNocVariant
+{
+    const char *suffix;
+    ArchVariant variant;
+    SimConfig::Buffering buffering;
+};
+
+constexpr CfInNocVariant kCfInNocVariants[] = {
+    {"/cfin", ArchVariant::PipeCFiN, SimConfig::Buffering::Destination},
+    {"/riptide", ArchVariant::RipTide, SimConfig::Buffering::Source},
 };
 
 uint64_t
@@ -234,18 +253,41 @@ allKernels()
     return kernels;
 }
 
+/** Fuzz-corpus programs in which a router op's fire wakes a router
+ *  op later in the same NoC settle sweep; the fast engine must visit
+ *  it in that sweep, as DenseScan does, or a carry or merge fires
+ *  twice. */
+std::vector<workloads::KernelInstance>
+nocWakeKernels()
+{
+    std::vector<workloads::KernelInstance> kernels;
+    for (uint64_t seed : {7, 16, 37}) {
+        fuzz::ProgramGen gen(seed);
+        workloads::KernelInstance kernel;
+        kernel.prog = gen.generate();
+        kernel.name = kernel.prog.name;
+        kernel.liveIns = fuzz::kLiveIns;
+        kernel.memory = fuzz::inputMemory(seed, kernel.prog);
+        kernels.push_back(std::move(kernel));
+    }
+    return kernels;
+}
+
 sim::SimResult
-runCase(const workloads::KernelInstance &kernel,
+runCase(const workloads::KernelInstance &kernel, ArchVariant variant,
         SimConfig::Buffering buffering, bool greedy, bool timeMux,
         SimConfig::Scheduler sched, scalar::MemImage &memOut)
 {
     compiler::CompileOptions opts;
-    opts.variant = ArchVariant::Pipestitch;
+    opts.variant = variant;
     if (timeMux)
         opts.unrollFactor = 2;
     auto res = compiler::compileProgram(kernel.prog, kernel.liveIns,
                                         opts);
     auto cfg = res.simConfig;
+    EXPECT_TRUE(variant == ArchVariant::Pipestitch ||
+                cfg.buffering == buffering)
+        << kernel.name << " compiles to the other buffering";
     cfg.buffering = buffering;
     cfg.greedyDispatch = greedy;
     cfg.scheduler = sched;
@@ -285,15 +327,15 @@ class GoldenHarness
 
     void
     check(const workloads::KernelInstance &kernel,
-          const std::string &tag, SimConfig::Buffering buffering,
-          bool greedy, bool timeMux)
+          const std::string &tag, ArchVariant variant,
+          SimConfig::Buffering buffering, bool greedy, bool timeMux)
     {
         scalar::MemImage denseMem, readyMem;
         auto dense =
-            runCase(kernel, buffering, greedy, timeMux,
+            runCase(kernel, variant, buffering, greedy, timeMux,
                     SimConfig::Scheduler::DenseScan, denseMem);
         auto ready =
-            runCase(kernel, buffering, greedy, timeMux,
+            runCase(kernel, variant, buffering, greedy, timeMux,
                     SimConfig::Scheduler::ReadyList, readyMem);
         expectSameStats(dense, ready, denseMem, readyMem, tag);
 
@@ -339,10 +381,13 @@ TEST(GoldenStats, ReadyListMatchesDenseScanEverywhere)
     setQuiet(true);
     GoldenHarness harness;
 
-    for (const auto &kernel : allKernels()) {
+    const auto kernels = allKernels();
+    const auto nocWake = nocWakeKernels();
+    for (const auto &kernel : kernels) {
         for (const auto &v : kVariants) {
             harness.check(kernel, kernel.name + v.suffix,
-                          v.buffering, v.greedy, /*timeMux=*/false);
+                          ArchVariant::Pipestitch, v.buffering,
+                          v.greedy, /*timeMux=*/false);
         }
     }
 
@@ -352,8 +397,21 @@ TEST(GoldenStats, ReadyListMatchesDenseScanEverywhere)
     // mux-switch / share-conflict accounting).
     auto dither = workloads::makeDither(16, 8, 2);
     harness.check(dither, "dither_u2/dst/sync/tm",
+                  ArchVariant::Pipestitch,
                   SimConfig::Buffering::Destination,
                   /*greedy=*/false, /*timeMux=*/true);
+
+    // Router control flow: every carry, merge, steer and invariant
+    // settles through the NoC within the cycle.
+    for (const auto *set : {&kernels, &nocWake}) {
+        for (const auto &kernel : *set) {
+            for (const auto &v : kCfInNocVariants) {
+                harness.check(kernel, kernel.name + v.suffix,
+                              v.variant, v.buffering,
+                              /*greedy=*/false, /*timeMux=*/false);
+            }
+        }
+    }
 
     harness.finish();
 }

@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests of the runner subsystem: thread pool, sweep determinism
- * (results must not depend on --jobs or on cache temperature), and
- * the content-addressed memo cache (in-memory and on-disk).
+ * (results must not depend on --jobs or on cache temperature), the
+ * content-addressed memo cache (in-memory and on-disk), and the
+ * sharing of one simulation between jobs that build the same
+ * machine on the same inputs.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +29,9 @@
 #include "runner/sweep.hh"
 #include "scalar/interpreter.hh"
 #include "sim/report.hh"
+#include "sim/stats.hh"
 #include "sir/parser.hh"
+#include "trace/observer.hh"
 #include "workloads/kernels.hh"
 
 using namespace pipestitch;
@@ -80,6 +84,34 @@ sweepJsons(runner::Runner &runner)
         out.push_back(runJson(run));
     return out;
 }
+
+/** The Program digest a job's config builds for @p kernel. */
+uint64_t
+machineOf(const runner::KernelPtr &kernel, const RunConfig &cfg)
+{
+    return prepareKernel(*kernel, cfg)->program->digest();
+}
+
+/** Field-by-field equality of two runs of one job. */
+void
+expectSameRun(const FabricRun &want, const FabricRun &got,
+              const std::string &tag)
+{
+    EXPECT_TRUE(sim::statsEqual(want.sim.stats, got.sim.stats)) << tag;
+    EXPECT_EQ(want.sim.deadlocked, got.sim.deadlocked) << tag;
+    EXPECT_EQ(want.sim.diagnostic, got.sim.diagnostic) << tag;
+    EXPECT_EQ(want.memory, got.memory) << tag;
+    EXPECT_EQ(want.energy.totalPj(), got.energy.totalPj()) << tag;
+    EXPECT_EQ(want.edp, got.edp) << tag;
+    EXPECT_EQ(want.boundCycles, got.boundCycles) << tag;
+}
+
+/** Counts fires, to show an observed job really simulated. */
+struct FireCounter final : trace::SimObserver
+{
+    int64_t fires = 0;
+    void onFire(int64_t, dfg::NodeId) override { fires++; }
+};
 
 struct TempDir
 {
@@ -316,6 +348,157 @@ TEST(Runner, DedupsIdenticalRuns)
     cfg.variant = ArchVariant::RipTide;
     runner.enqueue(kernel, cfg);
     EXPECT_EQ(runner.dedupHits(), 1);
+}
+
+TEST(Runner, SharesOneSimulationPerMachine)
+{
+    auto kernel =
+        runner::share(workloads::makeDmm(8, figures::kSeed));
+    const ArchVariant variants[] = {
+        ArchVariant::Pipestitch, ArchVariant::PipeCFiN,
+        ArchVariant::RipTide, ArchVariant::PipeSB};
+    std::vector<RunConfig> configs;
+    for (ArchVariant v : variants) {
+        RunConfig cfg;
+        cfg.variant = v;
+        configs.push_back(cfg);
+    }
+    // Small DMM has no threaded loop: CF-in-NoC Pipestitch is
+    // PipeCFiN, and PipeSB is RipTide, machine for machine.
+    EXPECT_EQ(machineOf(kernel, configs[0]),
+              machineOf(kernel, configs[1]));
+    EXPECT_EQ(machineOf(kernel, configs[2]),
+              machineOf(kernel, configs[3]));
+    EXPECT_NE(machineOf(kernel, configs[0]),
+              machineOf(kernel, configs[2]));
+
+    auto runAll = [&](bool memoize, int64_t wantShared) {
+        runner::RunnerOptions opts;
+        opts.jobs = 2;
+        opts.memoize = memoize;
+        runner::Runner runner(opts);
+        std::vector<std::shared_future<FabricRun>> futs;
+        for (const RunConfig &cfg : configs)
+            futs.push_back(runner.enqueue(kernel, cfg));
+        std::vector<FabricRun> runs;
+        for (auto &f : futs)
+            runs.push_back(f.get());
+        EXPECT_EQ(runner.simDedupHits(), wantShared);
+        EXPECT_EQ(runner.dedupHits(), 0);
+        return runs;
+    };
+    std::vector<FabricRun> shared = runAll(true, 2);
+    std::vector<FabricRun> cold = runAll(false, 0);
+    for (size_t i = 0; i < configs.size(); i++) {
+        expectSameRun(cold[i], shared[i],
+                      compiler::archVariantName(variants[i]));
+    }
+    // One simulation, two fabrics: each job prices the shared stats
+    // with its own variant's area.
+    EXPECT_NE(shared[2].energy.totalPj(), shared[3].energy.totalPj());
+}
+
+TEST(Runner, SharesMachinesNotCoincidentOutcomes)
+{
+    // The smoke grid's Dither runs identically at depth 8 and 16,
+    // but the two are different machines.
+    auto kernel = runner::share(
+        workloads::makeDither(16, 8, figures::kSeed + 2));
+    RunConfig d8;
+    d8.sim.bufferDepth = 8;
+    RunConfig d16 = d8;
+    d16.sim.bufferDepth = 16;
+    EXPECT_NE(machineOf(kernel, d8), machineOf(kernel, d16));
+
+    runner::RunnerOptions opts;
+    opts.jobs = 1;
+    runner::Runner runner(opts);
+    FabricRun r8 = runner.run(kernel, d8);
+    FabricRun r16 = runner.run(kernel, d16);
+    EXPECT_TRUE(sim::statsEqual(r8.sim.stats, r16.sim.stats));
+    EXPECT_EQ(r8.memory, r16.memory);
+    EXPECT_EQ(runner.simDedupHits(), 0);
+}
+
+TEST(Runner, NeverSharesAcrossInputsOrObservedRuns)
+{
+    auto a = runner::share(workloads::makeDmm(8, figures::kSeed));
+    auto b =
+        runner::share(workloads::makeDmm(8, figures::kSeed + 7));
+    ASSERT_NE(a->memory, b->memory);
+    RunConfig pipe;
+    RunConfig cfin;
+    cfin.variant = ArchVariant::PipeCFiN;
+    ASSERT_EQ(machineOf(a, pipe), machineOf(b, cfin));
+
+    runner::RunnerOptions opts;
+    opts.jobs = 2;
+    runner::Runner runner(opts);
+    FabricRun ra = runner.run(a, pipe);
+
+    // Same machine, different input memory.
+    FabricRun rb = runner.run(b, cfin);
+    EXPECT_EQ(runner.simDedupHits(), 0);
+    EXPECT_NE(ra.memory, rb.memory);
+
+    // Same machine and input, but observed: the observer must see
+    // a simulation of its own.
+    FireCounter counter;
+    RunConfig observed = cfin;
+    observed.sim.observer = &counter;
+    FabricRun ro = runner.run(a, observed);
+    EXPECT_EQ(runner.simDedupHits(), 0);
+    EXPECT_GT(counter.fires, 0);
+    expectSameRun(runner.run(a, cfin), ro, "observed");
+    EXPECT_EQ(runner.simDedupHits(), 1);
+
+    // Traced: the fire trace must be printed again.
+    RunConfig traced = pipe;
+    traced.sim.trace = true;
+    testing::internal::CaptureStderr();
+    FabricRun rt = runner.run(a, traced);
+    std::string trace = testing::internal::GetCapturedStderr();
+    EXPECT_NE(trace.find("fire"), std::string::npos);
+    EXPECT_EQ(runner.simDedupHits(), 1);
+    expectSameRun(ra, rt, "traced");
+}
+
+TEST(Sweep, SharedSimulationsIndependentOfJobCount)
+{
+    // Every variant of DMM and SpMV: two shared machines each.
+    auto buildShared = [](runner::Sweep &sweep) {
+        auto kernels = workloads::smallKernels(figures::kSeed);
+        std::vector<runner::KernelPtr> ks;
+        ks.push_back(runner::share(std::move(kernels[0])));
+        ks.push_back(runner::share(std::move(kernels[1])));
+        std::vector<RunConfig> configs;
+        for (ArchVariant v :
+             {ArchVariant::RipTide, ArchVariant::Pipestitch,
+              ArchVariant::PipeSB, ArchVariant::PipeCFiN,
+              ArchVariant::PipeCFoP}) {
+            RunConfig cfg;
+            cfg.variant = v;
+            configs.push_back(cfg);
+        }
+        sweep.addGrid(ks, configs);
+    };
+    auto jsonsAt = [&](int jobs, bool memoize, int64_t wantShared) {
+        runner::RunnerOptions opts;
+        opts.jobs = jobs;
+        opts.memoize = memoize;
+        runner::Runner runner(opts);
+        runner::Sweep sweep(runner);
+        buildShared(sweep);
+        std::vector<std::string> out;
+        for (const FabricRun &run : sweep.run())
+            out.push_back(runJson(run));
+        EXPECT_EQ(runner.simDedupHits(), wantShared) << jobs;
+        return out;
+    };
+    std::vector<std::string> cold = jsonsAt(1, false, 0);
+    ASSERT_EQ(cold.size(), 10u);
+    EXPECT_EQ(cold, jsonsAt(1, true, 4));
+    EXPECT_EQ(cold, jsonsAt(4, true, 4));
 }
 
 TEST(Sweep, ResultsIndependentOfJobCount)

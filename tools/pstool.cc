@@ -1521,7 +1521,8 @@ cmdFigures(int argc, char **argv)
             .add("map_computes", stats.mapComputes)
             .add("prepared_hits", stats.preparedHits)
             .add("prepared_computes", stats.preparedComputes)
-            .add("run_dedup_hits", runner.dedupHits());
+            .add("run_dedup_hits", runner.dedupHits())
+            .add("sim_dedup_hits", runner.simDedupHits());
         std::printf("%s\n", r.toJson().c_str());
     } else {
         std::fprintf(
@@ -1529,7 +1530,7 @@ cmdFigures(int argc, char **argv)
             "\nrendered %d figure(s) in %.1f s with %d job(s); "
             "compile %lld hit/%lld computed, mapping %lld hit "
             "(%lld from disk)/%lld computed, %lld duplicate runs "
-            "shared\n",
+            "shared, %lld simulations shared\n",
             rendered, wallMs / 1e3, runner.pool().threadCount(),
             static_cast<long long>(stats.compileHits),
             static_cast<long long>(stats.compileComputes),
@@ -1537,7 +1538,8 @@ cmdFigures(int argc, char **argv)
                                    stats.mapDiskHits),
             static_cast<long long>(stats.mapDiskHits),
             static_cast<long long>(stats.mapComputes),
-            static_cast<long long>(runner.dedupHits()));
+            static_cast<long long>(runner.dedupHits()),
+            static_cast<long long>(runner.simDedupHits()));
     }
     return 0;
 }
