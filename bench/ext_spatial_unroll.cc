@@ -7,8 +7,12 @@
  * this as a small-kernel technique; the fit column shows why.
  */
 
-#include "bench/common.hh"
+#include <cstdio>
+
+#include "base/logging.hh"
+#include "base/table.hh"
 #include "compiler/timemux.hh"
+#include "figures/figures.hh"
 #include "sir/builder.hh"
 
 using namespace pipestitch;
@@ -104,12 +108,12 @@ main()
     runLanes(compact, 2, base);
     runLanes(compact, 4, base);
 
-    auto dither = workloads::makeDither(128, 128, bench::kSeed + 2);
+    auto dither = workloads::makeDither(128, 128, figures::kSeed + 2);
     double dbase = runLanes(dither, 1, 0);
     runLanes(dither, 2, dbase);
 
     auto spslice =
-        workloads::makeSpSlice(64, 0.89, bench::kSeed + 3);
+        workloads::makeSpSlice(64, 0.89, figures::kSeed + 3);
     double sbase = runLanes(spslice, 1, 0);
     runLanes(spslice, 2, sbase);
 

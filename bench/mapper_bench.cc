@@ -5,10 +5,11 @@
  * Times mapGraph() with the default 4-seed portfolio on the largest
  * kernel that fits the 8x8 fabric (spmspmd at unroll 1, 53
  * operators) and records the final placement cost of every shipped
- * kernel. Writes BENCH_mapper.json so CI can spot regressions in
- * either axis against bench/mapper_seed_baseline.json, which holds
+ * kernel. Writes BENCH_mapper.json, so regressions in
+ * either axis show against bench/mapper_seed_baseline.json, which holds
  * the same measurements for the pre-portfolio mapper (one
- * 20000-iteration anneal, commit d1b9f34).
+ * 20000-iteration anneal, commit d1b9f34). Run it from the
+ * repository root: it reads the kernels/ directory.
  *
  * Methodology: the host is a contended single-core container, so
  * each timing is the best of `reps` runs inside one process — the
@@ -28,6 +29,7 @@
 
 #include "compiler/compile.hh"
 #include "mapper/mapper.hh"
+#include "sim/report.hh"
 #include "sir/parser.hh"
 #include "workloads/kernels.hh"
 
@@ -51,14 +53,12 @@ BM_MapPortfolio(benchmark::State &state)
     setQuiet(true);
     auto g = largestMappableGraph();
     fabric::Fabric fab;
-    mapper::MapperOptions opts;
-    opts.jobs = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        auto m = mapper::mapGraph(g, fab, opts);
+        auto m = mapper::mapGraph(g, fab);
         benchmark::DoNotOptimize(m.totalWireLength);
     }
 }
-BENCHMARK(BM_MapPortfolio)->Arg(1)->Arg(4);
+BENCHMARK(BM_MapPortfolio);
 
 struct MapResult
 {
@@ -73,14 +73,12 @@ MapResult
 timeMap(const dfg::Graph &g, int reps)
 {
     fabric::Fabric fab;
-    mapper::MapperOptions opts;
-    opts.jobs = 4;
     MapResult r;
     r.operators = g.size();
     std::vector<double> ms;
     for (int rep = 0; rep < reps; rep++) {
         auto t0 = std::chrono::steady_clock::now();
-        auto m = mapper::mapGraph(g, fab, opts);
+        auto m = mapper::mapGraph(g, fab);
         auto t1 = std::chrono::steady_clock::now();
         r.success = m.success;
         r.cost = static_cast<int64_t>(m.cost);
@@ -105,12 +103,14 @@ writeMapperReport()
         std::fprintf(stderr, "cannot write BENCH_mapper.json\n");
         return;
     }
-    std::fprintf(f, "{\n  \"benchmark\": \"mapper_portfolio\",\n"
-                    "  \"seeds\": 4,\n  \"jobs\": 4,\n"
-                    "  \"kernels\": [\n");
+    std::fprintf(f,
+                 "{\n  \"schema_version\": %d,\n"
+                 "  \"benchmark\": \"mapper_portfolio\",\n"
+                 "  \"seeds\": 4,\n  \"kernels\": [\n",
+                 sim::kJsonSchemaVersion);
 
-    // Placement cost of every shipped kernel (the CI parity gate
-    // reads the same numbers from pstool map).
+    // Placement cost of every shipped kernel (the same numbers
+    // Mapper.CostNoWorseThanSeedBaseline gates).
     const char *files[] = {"count_nonzeros", "histogram",
                            "prefix_count", "spmv", "vector_scale"};
     for (const char *name : files) {
@@ -156,7 +156,8 @@ writeMapperReport()
                  big.medianMs);
 
     // Baseline (bench/mapper_seed_baseline.json): the seed mapper's
-    // best-of-5 on this kernel, measured interleaved on this host.
+    // best-of-5 on this kernel, measured interleaved on the same
+    // host as the committed record.
     const double seedBestMs = 2.07;
     double speedup = big.bestMs > 0 ? seedBestMs / big.bestMs : 0;
     std::fprintf(f,

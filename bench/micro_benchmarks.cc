@@ -10,12 +10,14 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.hh"
+#include "base/logging.hh"
 #include "compiler/compile.hh"
+#include "core/system.hh"
 #include "mapper/mapper.hh"
 #include "sim/simulator.hh"
 #include "sim/token.hh"
 #include "trace/observer.hh"
+#include "workloads/kernels.hh"
 
 using namespace pipestitch;
 using compiler::ArchVariant;

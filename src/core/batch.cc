@@ -213,24 +213,6 @@ runBatch(const std::vector<workloads::KernelInstance> &shards,
             ? static_cast<double>(batch.totalCycles) /
                   static_cast<double>(batch.makespanCycles)
             : 1.0;
-
-    // The legacy round-robin deal (shard i → tile i % tiles), kept
-    // as the regression baseline: bench-tiles asserts the modeled
-    // schedule never loses to it.
-    std::fill(tileSum.begin(), tileSum.end(), 0);
-    for (size_t i = 0; i < shards.size(); i++) {
-        int t = static_cast<int>(i) % tiles;
-        tileSum[static_cast<size_t>(t)] +=
-            batch.shardCycles[i] + (t > 0 ? overhead : 0);
-    }
-    int64_t rrMakespan = 0;
-    for (int t = 0; t < tiles; t++)
-        rrMakespan =
-            std::max(rrMakespan, tileSum[static_cast<size_t>(t)]);
-    batch.roundRobinSpeedup =
-        rrMakespan > 0 ? static_cast<double>(batch.totalCycles) /
-                             static_cast<double>(rrMakespan)
-                       : 1.0;
     batch.seconds = energy::secondsFor(batch.makespanCycles,
                                        config.fabric.clockMHz);
     batch.success = true;

@@ -19,9 +19,7 @@
  * remaining shard first, each onto the tile that finishes it
  * earliest. `totalCycles` (the sum over shards) is the single-tile
  * serial baseline and `makespanCycles` (the latest tile finish) the
- * batched finish time, so modeledSpeedup = total / makespan;
- * `roundRobinSpeedup` reports the legacy shard-i → tile-i%tiles
- * deal on the same measured cycles as the regression baseline.
+ * batched finish time, so modeledSpeedup = total / makespan.
  */
 
 #ifndef PIPESTITCH_CORE_BATCH_HH
@@ -63,10 +61,6 @@ struct BatchRun
     int64_t makespanCycles = 0;
     /** totalCycles / makespanCycles (≥ 1 when batching helps). */
     double modeledSpeedup = 1.0;
-    /** Modeled speedup of the legacy round-robin deal on the same
-     *  per-shard cycles — the baseline the stealing schedule must
-     *  never lose to. */
-    double roundRobinSpeedup = 1.0;
 
     double seconds = 0;     ///< makespan at the tile clock
     double wallSeconds = 0; ///< host time spent simulating

@@ -171,9 +171,10 @@ struct RunConfig
      *  part of cache keys). */
     int mapperSeeds = 4;
 
-    /** Worker threads for the mapper portfolio. The winner is
-     *  bit-identical for any value, so this never enters cache
-     *  keys. */
+    /** Worker threads for the tiled mapper's per-tile placements
+     *  (MapperOptions::jobs; single-grid mapping ignores it). The
+     *  placement is bit-identical for any value, so this never
+     *  enters cache keys. */
     int mapperJobs = 1;
 
     /** Certified throughput floor handed to the mapper (see

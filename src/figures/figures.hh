@@ -5,11 +5,10 @@
  * Every evaluation figure (Figs. 1–21 and Table 1) is a pure render
  * function: it enqueues its simulations on a shared runner::Runner,
  * collects them in submission order, and returns the finished text.
- * The standalone bench binaries (bench/figNN_*.cc) and the
- * `pstool figures` suite both call the same functions, so their
- * outputs are identical byte for byte — and because collection
- * order is submission order, the text is independent of worker
- * count and cache state.
+ * `pstool figures` renders them (all, or a subset with `--only`),
+ * and because collection order is submission order, a figure's
+ * text is independent of worker count, of which other figures share
+ * the run, and of cache state.
  *
  * A FigureSet is the shared context for one suite invocation: the
  * Table 1 kernel set, the DNN model, and memoized DNN inference

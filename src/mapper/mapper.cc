@@ -1,20 +1,13 @@
 #include "mapper/mapper.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <memory>
-#include <thread>
 #include <span>
 
 #include "base/logging.hh"
 #include "base/random.hh"
 #include "mapper/routecost.hh"
-#include "runner/pool.hh"
 
 namespace pipestitch::mapper {
 
@@ -30,8 +23,8 @@ using fabric::Fabric;
 namespace {
 
 /** Lockstep chunk: all portfolio members run this many iterations
- *  between barriers, so every shared-bound read happens at the same
- *  point of every schedule regardless of thread count. */
+ *  between barriers, where the shared best-cost bound is folded and
+ *  hopeless members are abandoned. */
 constexpr int kChunkIters = 512;
 
 /**
@@ -97,16 +90,6 @@ struct Candidate
     bool congestionOn = false;
     int itersDone = 0;
     bool abandoned = false;
-    // Why `abandoned` was set: true when the shared bound proved
-    // the member could not catch the incumbent; false when
-    // successive halving cut it to reallocate budget.
-    bool boundExited = false;
-    // Set once a full chunk accepts no move: the schedule has cooled
-    // past the point of useful exploration, and the strict
-    // improvements a frozen tail could still find are a subset of
-    // what the descent polish applies to the winner anyway.
-    bool frozen = false;
-    int chunkAccepts = 0;
     // Best full-objective snapshot, updated at chunk barriers.
     double bestCost = 0;
     std::vector<int> bestPos;
@@ -129,14 +112,11 @@ class MapperRun
                     ? 1
                     : std::max(1, opts.portfolioSeeds)),
           // Per-member schedule (the full budget when there is no
-          // portfolio): bound-driven exits after the scouts'
-          // burn-in and keep-one halving past 20% of the schedule
-          // keep the summed iterations well under the budget while
-          // the surviving schedule still cools slowly enough to
-          // approach a single long anneal's quality. Small graphs
-          // afford a longer 40% schedule within the same wall
-          // budget (the same size threshold the polish uses to
-          // scale its kick count); past ~40 representatives the
+          // portfolio), long enough that the holder cools slowly
+          // toward a single long anneal's quality; members the
+          // shared bound abandons stop early. Small graphs afford a
+          // 40% schedule (the same size threshold the polish uses
+          // to scale its kick count); past ~40 representatives the
           // per-chunk cost dominates and the schedule drops to 20%.
           perSeedIters(seeds > 1
                            ? (graph.size() > 40
@@ -187,11 +167,11 @@ class MapperRun
     void commitMove(Candidate &c, int cls, NodeId a, NodeId b,
                     int fromPos, int toPos, int64_t dOf) const;
     void annealStep(Candidate &c) const;
-    void descend(Candidate &c, int maxPasses = 8) const;
+    void descend(Candidate &c) const;
     void runChunk(Candidate &c, int iters) const;
     bool shouldAbandon(const Candidate &c, double bound) const;
     void portfolio(std::vector<int> &winnerPos, int &winnerSeed,
-                   int &earlyExited, int &halved) const;
+                   int &earlyExited) const;
 
     // --- congestion repair / finish ------------------------------
     void candidateFromPos(Candidate &c,
@@ -882,14 +862,8 @@ MapperRun::annealStep(Candidate &c) const
         delta <= 0 ||
         (delta < 30.0 * c.temp &&
          c.rng.nextDouble() < std::exp(-delta / c.temp));
-    if (accept) {
+    if (accept)
         commitMove(c, cls, a, b, fromPos, toPos, dOf);
-        // Sideways (delta == 0) shuffles keep being accepted at any
-        // temperature; only strict improvements or uphill escapes
-        // count as progress for the freeze heuristic.
-        if (delta != 0)
-            c.chunkAccepts++;
-    }
     if (c.congestionOn)
         clearMoveDelta(c);
 }
@@ -928,7 +902,7 @@ MapperRun::shouldAbandon(const Candidate &c, double bound) const
 
 void
 MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
-                     int &earlyExited, int &halved) const
+                     int &earlyExited) const
 {
     std::vector<Candidate> cands(static_cast<size_t>(seeds));
     for (int k = 0; k < seeds; k++) {
@@ -946,11 +920,23 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
         c.bestPos = c.pos;
     }
 
-    // The greedy-init incumbent (pre-anneal, pre-probe) seeds the
-    // shared bound as portfolio member -1; ties keep the earlier
-    // holder so the winner is deterministic.
-    const double incumbentCost = cands[0].bestCost;
+    // The greedy-init incumbent (pre-anneal) seeds the shared bound
+    // as portfolio member -1. Snapshots fold into the bound in seed
+    // order and ties keep the earlier holder, so the winner is
+    // deterministic.
     std::vector<int> incumbentPos = cands[0].pos;
+    double bound = cands[0].bestCost;
+    int holder = -1;
+    auto foldBound = [&] {
+        for (int k = 0; k < seeds; k++) {
+            const Candidate &c = cands[static_cast<size_t>(k)];
+            if (!c.abandoned && c.bestCost < bound) {
+                bound = c.bestCost;
+                holder = k;
+            }
+        }
+    };
+    foldBound();
 
     const int rounds =
         perSeedIters > 0 && !classesInUse.empty()
@@ -961,104 +947,29 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
     const int phase2Round = static_cast<int>(
         std::floor(rounds * (1.0 - phase)));
 
-    // Workers beyond the host's cores (or the portfolio size) only
-    // add pool and barrier latency; the winner is jobs-invariant by
-    // construction, so clamping is unobservable in the result. A
-    // negative jobs value bypasses the host-core clamp so the
-    // threaded path can be exercised (e.g. under TSan) on any host.
-    int hwCores = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-    int effJobs = opts.jobs < 0
-                      ? std::min(-opts.jobs, seeds)
-                      : std::min({opts.jobs, seeds, hwCores});
-    runner::ThreadPool *pool = nullptr;
-    std::unique_ptr<runner::ThreadPool> poolOwner;
-    if (effJobs > 1 && rounds > 0) {
-        poolOwner = std::make_unique<runner::ThreadPool>(effJobs);
-        pool = poolOwner.get();
-    }
-
-    auto probeT0 = std::chrono::steady_clock::now();
-    // Basin probe: descend a copy of the greedy member's starting
-    // placement to its local optimum and record that as its first
-    // best snapshot. Raw anneal costs at hot temperatures are
-    // systematically biased toward random starts — they fall fast
-    // from a high initial cost while the greedy basin's advantage
-    // only shows once the schedule cools — so the incumbent enters
-    // the race at its true basin cost instead of a mid-burn-in
-    // value. Scouts need no probe: a random start descends quickly
-    // on its own, and each one gets a short burn-in (below) before
-    // the bound may judge it.
-    if (rounds > 0 && seeds > 1) {
-        Candidate p;
-        candidateFromPos(p, cands[0].pos);
-        // A structured greedy start converges in a few passes; on
-        // large graphs the probe settles for a near-fixpoint since
-        // each extra pass costs a full scan.
-        descend(p, /*maxPasses=*/graph.size() > 40 ? 3 : 8);
-        double basin = fullCost(p);
-        if (basin < cands[0].bestCost) {
-            cands[0].bestCost = basin;
-            cands[0].bestPos = std::move(p.pos);
-        }
-    }
-
-    auto probeT1 = std::chrono::steady_clock::now();
-    double bound = incumbentCost;
-    int holder = -1;
-    for (int k = 0; k < seeds; k++) {
-        if (cands[static_cast<size_t>(k)].bestCost < bound) {
-            bound = cands[static_cast<size_t>(k)].bestCost;
-            holder = k;
-        }
-    }
-    std::atomic<double> sharedBound{bound};
-
-    // Every scout is guaranteed this many annealed rounds before
-    // the shared bound may abandon it: its pre-burn-in snapshots
-    // are just its random start's cost, which says nothing about
-    // the basin it is descending into. Large graphs get one round
-    // (a random start covers most of its fast descent in the first
-    // chunk, and their chunks are what the wall budget buys);
-    // small graphs afford a second look.
-    const int scoutBurnInRounds = graph.size() > 40 ? 1 : 2;
-
     for (int r = 0; r < rounds; r++) {
-        auto chunkTask = [&, r](int k) {
+        for (int k = 0; k < seeds; k++) {
             Candidate &c = cands[static_cast<size_t>(k)];
-            if (c.abandoned || c.frozen)
-                return;
-            // The bound was last written at the barrier, so every
-            // portfolio member sees the same value here no matter
-            // how chunks are scheduled onto threads.
-            double bnd =
-                sharedBound.load(std::memory_order_relaxed);
-            if (r >= scoutBurnInRounds && holder != k &&
-                shouldAbandon(c, bnd)) {
+            if (c.abandoned)
+                continue;
+            // The bound was last folded at the barrier, so every
+            // member of a round is judged against the same value.
+            if (k != holder && shouldAbandon(c, bound)) {
                 c.abandoned = true;
-                c.boundExited = true;
-                return;
+                continue;
             }
             if (r == phase2Round && !c.congestionOn &&
                 opts.congestionWeight > 0) {
                 enableCongestion(c, /*force=*/false);
             }
-            int iters =
-                std::min(kChunkIters, perSeedIters - c.itersDone);
-            c.chunkAccepts = 0;
-            runChunk(c, iters);
-            if (iters == kChunkIters && c.chunkAccepts == 0 &&
-                c.temp < 0.05) {
-                c.frozen = true;
-            }
+            runChunk(c,
+                     std::min(kChunkIters, perSeedIters - c.itersDone));
             // Snapshot every live member at every barrier, so the
-            // abandon and halving decisions below always compare
-            // freshly annealed costs — never a member's stale
-            // initial-placement cost. Unarmed, the full objective
-            // is wl plus a non-negative overload term, so wl
-            // lower-bounds it: the route trace is paid only when
-            // wl alone beats this member's best, with identical
-            // outcomes either way.
+            // abandon decision always compares freshly annealed
+            // costs. Unarmed, the full objective is wl plus a
+            // non-negative overload term, so wl lower-bounds it: the
+            // route trace is paid only when wl alone beats this
+            // member's best, with identical outcomes either way.
             double cost = static_cast<double>(c.wl);
             if (c.congestionOn ||
                 (cost < c.bestCost && opts.congestionWeight > 0))
@@ -1067,89 +978,13 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
                 c.bestCost = cost;
                 c.bestPos = c.pos;
             }
-        };
-        if (pool) {
-            std::vector<std::future<void>> futs;
-            futs.reserve(static_cast<size_t>(seeds));
-            for (int k = 0; k < seeds; k++)
-                futs.push_back(
-                    pool->submit([&chunkTask, k] { chunkTask(k); }));
-            for (auto &f : futs)
-                f.get();
-        } else {
-            for (int k = 0; k < seeds; k++)
-                chunkTask(k);
         }
-        // Barrier: fold this round's snapshots into the bound in
-        // seed order (deterministic for any thread count).
-        for (int k = 0; k < seeds; k++) {
-            const Candidate &c = cands[static_cast<size_t>(k)];
-            if (!c.abandoned && c.bestCost < bound) {
-                bound = c.bestCost;
-                holder = k;
-            }
-        }
-        sharedBound.store(bound, std::memory_order_relaxed);
-        // Past 20% of the schedule only the best member continues:
-        // every survivor has had its burn-in honestly scored at the
-        // barriers by then, and freeing the trailing tails is what
-        // keeps a 4-seed portfolio under one anneal's budget.
-        // Decided at the barrier in seed order (stable sort →
-        // index tie-break), so the survivor set is identical for
-        // any thread count. The final barrier cuts nothing: every
-        // survivor has already spent its whole budget.
-        if (r + 1 >= rounds)
-            continue;
-        int done = r + 1; // rounds every live member has completed
-        if (5 * done <= rounds)
-            continue;
-        std::vector<int> liveOrder;
-        for (int k = 0; k < seeds; k++) {
-            if (!cands[static_cast<size_t>(k)].abandoned)
-                liveOrder.push_back(k);
-        }
-        if (liveOrder.size() > 1) {
-            std::stable_sort(
-                liveOrder.begin(), liveOrder.end(),
-                [&](int x, int y) {
-                    return cands[static_cast<size_t>(x)].bestCost <
-                           cands[static_cast<size_t>(y)].bestCost;
-                });
-            for (size_t i = 1; i < liveOrder.size(); i++) {
-                cands[static_cast<size_t>(liveOrder[i])].abandoned =
-                    true;
-            }
-        }
+        foldBound(); // the barrier
     }
 
     earlyExited = 0;
-    halved = 0;
-    for (const Candidate &c : cands) {
-        if (c.boundExited)
-            earlyExited++;
-        else if (c.abandoned)
-            halved++;
-    }
-    if (std::getenv("PS_MAPPER_DEBUG")) {
-        for (int k = 0; k < seeds; k++) {
-            const Candidate &c = cands[static_cast<size_t>(k)];
-            std::fprintf(stderr,
-                         "seed %d: best %.1f iters %d abandoned %d "
-                         "bound %d frozen %d\n",
-                         k, c.bestCost, c.itersDone,
-                         c.abandoned ? 1 : 0, c.boundExited ? 1 : 0,
-                         c.frozen ? 1 : 0);
-        }
-        auto ms = [](auto a, auto b) {
-            return std::chrono::duration<double, std::milli>(b - a)
-                .count();
-        };
-        std::fprintf(stderr,
-                     "holder %d bound %.1f rounds %d probe %.3f ms "
-                     "anneal %.3f ms\n",
-                     holder, bound, rounds, ms(probeT0, probeT1),
-                     ms(probeT1, std::chrono::steady_clock::now()));
-    }
+    for (const Candidate &c : cands)
+        earlyExited += c.abandoned ? 1 : 0;
     winnerSeed = holder;
     winnerPos = holder < 0
                     ? std::move(incumbentPos)
@@ -1184,7 +1019,7 @@ MapperRun::candidateFromPos(Candidate &c,
  * would buy at a fraction of the iterations.
  */
 void
-MapperRun::descend(Candidate &c, int maxPasses) const
+MapperRun::descend(Candidate &c) const
 {
     // Scanning the whole class per node is only worth it for small
     // classes; for large ones the improving move is almost always
@@ -1208,7 +1043,8 @@ MapperRun::descend(Candidate &c, int maxPasses) const
         }
     };
     bool fullPass = true;
-    for (int pass = 0; pass < maxPasses; pass++) {
+    const int kMaxPasses = 8;
+    for (int pass = 0; pass < kMaxPasses; pass++) {
         bool improved = false;
         for (int cls : classesInUse) {
             for (NodeId a : byClass[static_cast<size_t>(cls)]) {
@@ -1597,31 +1433,11 @@ MapperRun::run()
         return m;
 
     std::vector<int> winnerPos;
-    int winnerSeed = -1;
-    int earlyExited = 0;
-    int halved = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    portfolio(winnerPos, winnerSeed, earlyExited, halved);
-    m.winningSeed = winnerSeed;
-    m.seedsEarlyExited = earlyExited;
-    m.seedsHalved = halved;
-    auto t1 = std::chrono::steady_clock::now();
+    portfolio(winnerPos, m.winningSeed, m.seedsEarlyExited);
     polish(winnerPos);
-    auto t2 = std::chrono::steady_clock::now();
 
     std::vector<NodeId> implicated;
     bool routable = repairCongestion(winnerPos, implicated);
-    if (std::getenv("PS_MAPPER_DEBUG")) {
-        auto ms = [](auto a, auto b) {
-            return std::chrono::duration<double, std::milli>(b - a)
-                .count();
-        };
-        std::fprintf(stderr,
-                     "portfolio %.3f ms polish %.3f ms repair "
-                     "%.3f ms\n",
-                     ms(t0, t1), ms(t1, t2),
-                     ms(t2, std::chrono::steady_clock::now()));
-    }
     finishMapping(m, winnerPos);
     if (!routable) {
         m.failedNodes = std::move(implicated);

@@ -13,10 +13,11 @@
  *
  * The anneal maintains per-node cached partial costs and applies
  * O(degree) deltas per move; `portfolioSeeds` independently-seeded
- * anneals run in lockstep chunks (optionally on a thread pool) and
- * share a best-cost bound for early exit. The winner is chosen by
- * (lowest cost, lowest seed index), so the emitted mapping is
- * bit-identical for any `jobs` value.
+ * anneals (one greedy start, the rest random) run in lockstep chunks
+ * on the calling thread and share a best-cost bound for early exit.
+ * The winner is chosen by (lowest cost, lowest seed index), then
+ * polished by steepest descent with iterated-local-search kicks, and
+ * targeted restarts repair any link overload (docs/mapper.md).
  */
 
 #ifndef PIPESTITCH_MAPPER_MAPPER_HH
@@ -43,10 +44,10 @@ struct MapperOptions
     /** Number of independently-seeded anneal restarts. */
     int portfolioSeeds = 4;
 
-    /** Worker threads for the portfolio (1 = run in-line; clamped
-     *  to the host's cores; negative = force that many workers,
-     *  bypassing the clamp — for tests). Does not affect the
-     *  result, only wall-clock; never part of cache keys. */
+    /** Worker threads for mapGraphTiled's per-tile placements
+     *  (mapGraph itself always runs on the calling thread). Does
+     *  not affect the result, only wall-clock; never part of cache
+     *  keys. */
     int jobs = 1;
 
     /** Weight of the link-overload term in the anneal objective. */
@@ -119,11 +120,6 @@ struct Mapping
      *  best-cost bound proved they could not catch the incumbent
      *  in their remaining temperature budget. */
     int seedsEarlyExited = 0;
-
-    /** Portfolio members cut by successive halving at a chunk
-     *  barrier (budget reallocation to the leaders, not a
-     *  bound-driven proof of hopelessness). */
-    int seedsHalved = 0;
 
     /** Fabric position (grid index) used for a node's traffic. */
     int positionOf(dfg::NodeId id) const;

@@ -369,7 +369,6 @@ mapGraphTiled(const Graph &graph, const Topology &topo,
             sub.finalize();
 
             MapperOptions tileOpts = options;
-            tileOpts.jobs = 1;
             tileOpts.rngSeed = options.rngSeed +
                                1000003ULL *
                                    static_cast<uint64_t>(t + 1) +

@@ -9,14 +9,17 @@
  * struct contributes all of its fields. Identical inputs therefore
  * hit regardless of which sweep, figure, or process asked first.
  *
- * The cache holds three layers of the prepare pipeline:
- *  - compile results, in-memory (compiling is cheap relative to
- *    mapping but far from free at paper scale);
- *  - mapper placements, in-memory plus an optional on-disk layer
- *    (`cacheDir`) so successive figure binaries skip the
- *    simulated-annealing mapper entirely;
- *  - whole PreparedKernels (built sim::Program included), in-memory
- *    and shared by reference.
+ * The cache holds three layers of the prepare pipeline, all
+ * in-memory and scoped to one process:
+ *  - compile results (compiling is cheap relative to mapping but
+ *    far from free at paper scale);
+ *  - mapper placements, so every figure and sweep point that maps
+ *    one graph onto one fabric runs the anneal once;
+ *  - whole PreparedKernels (built sim::Program included), shared by
+ *    reference.
+ * There is no on-disk layer: the mapper is well under 1 % of a
+ * figures sweep, and a warm disk cache measured no faster than a
+ * cold one (docs/benches.md).
  * Execution is shared by runner::Runner (see sweep.hh), not here,
  * because it depends on the kernel's memory image:
  *  - one simulation per distinct machine, keyed on
@@ -35,7 +38,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 #include "core/system.hh"
@@ -47,8 +49,8 @@ struct MemoStats
 {
     int64_t compileHits = 0;
     int64_t compileComputes = 0;
-    int64_t mapHits = 0;     ///< in-memory mapping hits
-    int64_t mapDiskHits = 0; ///< mapping loaded from cacheDir
+    int64_t mapHits = 0;     ///< mapping hits
+    int64_t mapDiskHits = 0; ///< always 0 (no on-disk layer)
     int64_t mapComputes = 0; ///< mapper actually invoked
     int64_t preparedHits = 0;     ///< whole-artifact hits
     int64_t preparedComputes = 0; ///< prepare pipelines actually run
@@ -57,10 +59,6 @@ struct MemoStats
 class MemoCache final : public PipelineCache
 {
   public:
-    /** @p cacheDir empty disables the on-disk mapping layer; the
-     *  directory is created on first store. */
-    explicit MemoCache(std::string cacheDir = "");
-
     bool lookupCompile(const workloads::KernelInstance &kernel,
                        const compiler::CompileOptions &opts,
                        compiler::CompileResult &out) override;
@@ -77,8 +75,7 @@ class MemoCache final : public PipelineCache
                       const mapper::MapperOptions &opts,
                       const mapper::Mapping &mapping) override;
 
-    /** Whole prepared artifacts (in-memory only: a built Program is
-     *  not serializable). Shared by reference, so N concurrent
+    /** Whole prepared artifacts. Shared by reference, so N concurrent
      *  executions of one kernel×config reuse one Program. */
     std::shared_ptr<const PreparedKernel>
     lookupPrepared(const workloads::KernelInstance &kernel,
@@ -89,8 +86,6 @@ class MemoCache final : public PipelineCache
         std::shared_ptr<const PreparedKernel> prepared) override;
 
     MemoStats stats() const;
-
-    const std::string &cacheDir() const { return dir; }
 
     /** @{ Content keys (exposed for the run-level dedup and tests). */
     static uint64_t programKey(const workloads::KernelInstance &k);
@@ -111,26 +106,16 @@ class MemoCache final : public PipelineCache
     /** @} */
 
   private:
-    std::string mappingPath(uint64_t key) const;
-    bool loadMappingFile(uint64_t key, mapper::Mapping &out) const;
-    void saveMappingFile(uint64_t key,
-                         const mapper::Mapping &mapping) const;
-    /** Delete `*.tmp.*` leftovers from crashed writers (aged, so a
-     *  live writer's in-flight tmp file is never touched). */
-    void sweepOrphanedTmpFiles() const;
-
     mutable std::mutex mu;
     std::unordered_map<uint64_t, compiler::CompileResult> compiles;
     std::unordered_map<uint64_t, mapper::Mapping> mappings;
     std::unordered_map<uint64_t,
                        std::shared_ptr<const PreparedKernel>>
         prepareds;
-    std::string dir;
 
     mutable std::atomic<int64_t> nCompileHits{0};
     mutable std::atomic<int64_t> nCompileComputes{0};
     mutable std::atomic<int64_t> nMapHits{0};
-    mutable std::atomic<int64_t> nMapDiskHits{0};
     mutable std::atomic<int64_t> nMapComputes{0};
     mutable std::atomic<int64_t> nPreparedHits{0};
     mutable std::atomic<int64_t> nPreparedComputes{0};

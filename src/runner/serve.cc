@@ -347,7 +347,7 @@ runServeRequest(const ParsedRequest &req)
 } // namespace
 
 ServeServer::ServeServer(const ServeOptions &options)
-    : opts(options), memo(options.cacheDir), pool(options.jobs)
+    : opts(options), pool(options.jobs)
 {
 }
 

@@ -58,9 +58,6 @@ struct ServeOptions
      *  Further submissions get an immediate `rejected` response. */
     int maxQueue = 1024;
 
-    /** On-disk mapping cache directory ("" disables). */
-    std::string cacheDir;
-
     /** Default fabric for every request (`pstool serve --fabric=`).
      *  A request's `tiles` field overrides the tile arrangement. */
     fabric::Topology topology;

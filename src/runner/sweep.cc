@@ -7,8 +7,7 @@
 namespace pipestitch::runner {
 
 Runner::Runner(const RunnerOptions &options)
-    : opts(options), memo(options.memoize ? options.cacheDir : ""),
-      workers(options.jobs)
+    : opts(options), workers(options.jobs)
 {
 }
 

@@ -72,9 +72,6 @@ struct RunnerOptions
     /** Worker threads; <= 0 means hardware concurrency. */
     int jobs = 0;
 
-    /** On-disk mapping cache directory ("" disables). */
-    std::string cacheDir;
-
     /** Master switch for stage memoization, run dedup and
      *  simulation sharing. */
     bool memoize = true;

@@ -35,7 +35,7 @@ namespace pipestitch::sim {
  * backwards-incompatible field change and record the delta in
  * docs/json-schemas.md.
  */
-constexpr int kJsonSchemaVersion = 1;
+constexpr int kJsonSchemaVersion = 2;
 
 /** Ordered key/value result record with text and JSON renderings. */
 class Report

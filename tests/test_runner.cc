@@ -2,7 +2,7 @@
  * @file
  * Tests of the runner subsystem: thread pool, sweep determinism
  * (results must not depend on --jobs or on cache temperature), the
- * content-addressed memo cache (in-memory and on-disk), and the
+ * content-addressed memo cache, and the
  * sharing of one simulation between jobs that build the same
  * machine on the same inputs.
  */
@@ -10,14 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <future>
 #include <string>
-#include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "base/hash.hh"
@@ -113,18 +107,6 @@ struct FireCounter final : trace::SimObserver
     void onFire(int64_t, dfg::NodeId) override { fires++; }
 };
 
-struct TempDir
-{
-    std::filesystem::path path;
-    TempDir()
-    {
-        path = std::filesystem::temp_directory_path() /
-               ("ps_runner_test_" + std::to_string(::getpid()));
-        std::filesystem::remove_all(path);
-    }
-    ~TempDir() { std::filesystem::remove_all(path); }
-};
-
 } // namespace
 
 TEST(ThreadPool, RunsJobsAndPreservesFutureOrder)
@@ -185,151 +167,6 @@ TEST(MemoCache, KeysSeparateIngredients)
     b.variant = ArchVariant::RipTide;
     EXPECT_NE(runner::MemoCache::compileKey(k1, a),
               runner::MemoCache::compileKey(k1, b));
-}
-
-namespace {
-
-/** A synthetic successful mapping; @p cost tags which writer won. */
-mapper::Mapping
-syntheticMapping(double cost)
-{
-    mapper::Mapping m;
-    m.success = true;
-    m.cost = cost;
-    m.totalWireLength = 42;
-    m.avgHops = 1.5;
-    m.maxLinkLoad = 2;
-    m.peOf = {0, 1, 2, 3, -1};
-    m.routerOf = {-1, -1, -1, -1, 7};
-    m.hopsOf = {{1, 2}, {}, {3}, {0, 0, 4}, {1}};
-    return m;
-}
-
-/** The single map-*.txt file in @p dir. */
-std::filesystem::path
-onlyMappingFile(const std::filesystem::path &dir)
-{
-    std::filesystem::path found;
-    for (const auto &e : std::filesystem::directory_iterator(dir)) {
-        std::string name = e.path().filename().string();
-        if (name.rfind("map-", 0) == 0 &&
-            name.find(".tmp.") == std::string::npos) {
-            EXPECT_TRUE(found.empty()) << "multiple mapping files";
-            found = e.path();
-        }
-    }
-    EXPECT_FALSE(found.empty()) << "no mapping file in " << dir;
-    return found;
-}
-
-} // namespace
-
-TEST(MemoCache, DiskRoundTripsAndRejectsTruncation)
-{
-    TempDir tmp;
-    auto kernel = workloads::makeSpmv(16, 0.8, figures::kSeed);
-    compiler::CompileOptions copts;
-    auto compiled =
-        compiler::compileProgram(kernel.prog, kernel.liveIns, copts);
-    fabric::FabricConfig fab;
-    mapper::MapperOptions mopts;
-    mapper::Mapping stored = syntheticMapping(10.0);
-    {
-        runner::MemoCache cache(tmp.path.string());
-        cache.storeMapping(compiled.graph, fab, mopts, stored);
-    }
-    {
-        // Fresh cache, warm disk: byte-exact round trip.
-        runner::MemoCache cache(tmp.path.string());
-        mapper::Mapping out;
-        ASSERT_TRUE(cache.lookupMapping(compiled.graph, fab, mopts,
-                                        out));
-        EXPECT_EQ(cache.stats().mapDiskHits, 1);
-        EXPECT_EQ(out.cost, stored.cost);
-        EXPECT_EQ(out.totalWireLength, stored.totalWireLength);
-        EXPECT_EQ(out.peOf, stored.peOf);
-        EXPECT_EQ(out.routerOf, stored.routerOf);
-        EXPECT_EQ(out.hopsOf, stored.hopsOf);
-    }
-    // Truncate the file mid-payload (a crashed writer, or a reader
-    // catching a non-atomic replace): the next lookup must be a
-    // plain miss, never a parse error.
-    std::filesystem::path file = onlyMappingFile(tmp.path);
-    auto size = std::filesystem::file_size(file);
-    std::filesystem::resize_file(file, size / 2);
-    {
-        runner::MemoCache cache(tmp.path.string());
-        mapper::Mapping out;
-        EXPECT_FALSE(cache.lookupMapping(compiled.graph, fab, mopts,
-                                         out));
-        auto stats = cache.stats();
-        EXPECT_EQ(stats.mapDiskHits, 0);
-        EXPECT_EQ(stats.mapComputes, 1);
-    }
-    // A trailer glued onto a truncated payload must not pass either:
-    // its claimed length no longer matches.
-    {
-        std::ofstream patch(file, std::ios::app);
-        patch << "end " << size / 2 << " ps-intact\n";
-    }
-    {
-        runner::MemoCache cache(tmp.path.string());
-        mapper::Mapping out;
-        EXPECT_FALSE(cache.lookupMapping(compiled.graph, fab, mopts,
-                                         out));
-    }
-}
-
-TEST(MemoCache, TwoWritersNeverPublishATornFile)
-{
-    TempDir tmp;
-    auto kernel = workloads::makeSpmv(16, 0.8, figures::kSeed);
-    compiler::CompileOptions copts;
-    auto compiled =
-        compiler::compileProgram(kernel.prog, kernel.liveIns, copts);
-    fabric::FabricConfig fab;
-    mapper::MapperOptions mopts;
-    mapper::Mapping m1 = syntheticMapping(1.0);
-    mapper::Mapping m2 = syntheticMapping(2.0);
-    for (int iter = 0; iter < 16; iter++) {
-        // Distinct caches so both writers hit the disk (one cache
-        // would absorb the second store into its in-memory layer).
-        runner::MemoCache a(tmp.path.string());
-        runner::MemoCache b(tmp.path.string());
-        std::thread t1(
-            [&] { a.storeMapping(compiled.graph, fab, mopts, m1); });
-        std::thread t2(
-            [&] { b.storeMapping(compiled.graph, fab, mopts, m2); });
-        t1.join();
-        t2.join();
-        runner::MemoCache reader(tmp.path.string());
-        mapper::Mapping out;
-        ASSERT_TRUE(reader.lookupMapping(compiled.graph, fab, mopts,
-                                         out));
-        // Whole-file wins only: the result is one write or the
-        // other, never an interleaving.
-        EXPECT_TRUE(out.cost == m1.cost || out.cost == m2.cost);
-        EXPECT_EQ(out.hopsOf, m1.hopsOf);
-    }
-}
-
-TEST(MemoCache, SweepsAgedTmpFilesOnConstruction)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path);
-    auto stale = tmp.path / "map-deadbeef.txt.tmp.123";
-    auto young = tmp.path / "map-cafef00d.txt.tmp.456";
-    {
-        std::ofstream(stale) << "partial";
-        std::ofstream(young) << "partial";
-    }
-    std::filesystem::last_write_time(
-        stale, std::filesystem::file_time_type::clock::now() -
-                   std::chrono::hours(2));
-    runner::MemoCache cache(tmp.path.string());
-    // Aged orphans go; a live writer's fresh tmp file stays.
-    EXPECT_FALSE(std::filesystem::exists(stale));
-    EXPECT_TRUE(std::filesystem::exists(young));
 }
 
 TEST(Runner, DedupsIdenticalRuns)
@@ -524,38 +361,35 @@ TEST(Sweep, ResultsIndependentOfJobCount)
 
 TEST(Sweep, ResultsIndependentOfCacheTemperature)
 {
-    TempDir tmp;
-    std::vector<std::string> cold, warmMem, warmDisk;
+    std::vector<std::string> cold, warm, noMemo;
     {
         runner::RunnerOptions opts;
         opts.jobs = 4;
-        opts.cacheDir = tmp.path.string();
         runner::Runner runner(opts);
         cold = sweepJsons(runner);
         auto stats = runner.cache().stats();
         EXPECT_GT(stats.mapComputes, 0);
-        EXPECT_EQ(stats.mapDiskHits, 0);
         // Second sweep on the same runner: every stage memoized,
         // every run deduplicated.
-        warmMem = sweepJsons(runner);
+        warm = sweepJsons(runner);
         EXPECT_EQ(runner.cache().stats().mapComputes,
                   stats.mapComputes);
         EXPECT_GE(runner.dedupHits(), 4);
     }
     {
-        // Fresh process state, warm disk: the mapper never runs.
+        // Memoization, run dedup and simulation sharing off: every
+        // stage recomputes, and the results must not move.
         runner::RunnerOptions opts;
         opts.jobs = 4;
-        opts.cacheDir = tmp.path.string();
+        opts.memoize = false;
         runner::Runner runner(opts);
-        warmDisk = sweepJsons(runner);
-        auto stats = runner.cache().stats();
-        EXPECT_EQ(stats.mapComputes, 0);
-        EXPECT_GT(stats.mapDiskHits, 0);
+        noMemo = sweepJsons(runner);
+        EXPECT_EQ(runner.cache().stats().mapHits, 0);
+        EXPECT_EQ(runner.dedupHits(), 0);
     }
     ASSERT_EQ(cold.size(), 4u);
-    EXPECT_EQ(cold, warmMem);
-    EXPECT_EQ(cold, warmDisk);
+    EXPECT_EQ(cold, warm);
+    EXPECT_EQ(cold, noMemo);
 }
 
 namespace {
@@ -676,23 +510,34 @@ TEST(Sweep, RunPrunedMatchesUnprunedResults)
 
 TEST(Figures, SmokeRenderIndependentOfJobsAndCache)
 {
-    TempDir tmp;
     figures::FigureOptions fopts;
     fopts.smoke = true;
-    auto renderAll = [&](int jobs, const std::string &cacheDir) {
-        runner::RunnerOptions opts;
-        opts.jobs = jobs;
-        opts.cacheDir = cacheDir;
-        runner::Runner runner(opts);
-        figures::FigureSet set(runner, fopts);
+    auto renderAll = [&](figures::FigureSet &set) {
         std::string all;
         for (const auto &fig : figures::allFigures())
             all += fig.render(set);
         return all;
     };
-    std::string serial = renderAll(1, "");
-    std::string parallelCold = renderAll(8, tmp.path.string());
-    std::string parallelWarm = renderAll(8, tmp.path.string());
+    auto renderFresh = [&](int jobs, bool memoize) {
+        runner::RunnerOptions opts;
+        opts.jobs = jobs;
+        opts.memoize = memoize;
+        runner::Runner runner(opts);
+        figures::FigureSet set(runner, fopts);
+        return renderAll(set);
+    };
+    std::string serial = renderFresh(1, true);
+    std::string parallelCold, parallelWarm;
+    {
+        runner::RunnerOptions opts;
+        opts.jobs = 8;
+        runner::Runner runner(opts);
+        figures::FigureSet set(runner, fopts);
+        parallelCold = renderAll(set);
+        parallelWarm = renderAll(set);
+    }
+    std::string noMemo = renderFresh(8, false);
     EXPECT_EQ(serial, parallelCold);
     EXPECT_EQ(serial, parallelWarm);
+    EXPECT_EQ(serial, noMemo);
 }

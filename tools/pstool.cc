@@ -41,7 +41,7 @@
  *   pstool figures              reproduce every paper figure in one
  *                               process, concurrently (takes no
  *                               .sir file; see --jobs/--smoke/
- *                               --cache-dir/--out-dir/--only)
+ *                               --no-memo/--out-dir/--only)
  *   pstool bench-tiles          batched data-parallel SpMV shards
  *                               across tile arrangements; writes the
  *                               scaling curve to BENCH_tiles.json
@@ -108,7 +108,7 @@ struct Options
     bool noMap = false;     ///< lint: skip mapping + placement rules
     bool crossCheck = false; ///< lint: simulate and compare verdicts
     int seeds = 4;            ///< map: portfolio restarts
-    int jobs = 1;             ///< map: worker threads
+    int jobs = 1;             ///< map: tile worker threads (tiled fabrics)
     uint64_t seed = 1;        ///< map: base RNG seed
     int iterations = 20000;   ///< map: total anneal budget
     /** Fabric topology from --fabric=WxH[,tiles=TXxTY,...] and the
@@ -199,7 +199,7 @@ usage()
         "  %-10s %s\n             %s\n", "figures",
         "reproduce every paper figure in one process "
         "(takes no .sir file)",
-        "[--jobs=N --smoke --cache-dir=D --out-dir=D "
+        "[--jobs=N --smoke --no-memo --out-dir=D "
         "--only=id,id --json]");
     std::fprintf(
         stderr,
@@ -207,7 +207,7 @@ usage()
         "resident simulation daemon: newline-delimited JSON "
         "requests on stdin, responses on stdout (no .sir file; "
         "see docs/serve.md)",
-        "[--jobs=N --queue=N --cache-dir=D --fabric=S --bench=N "
+        "[--jobs=N --queue=N --fabric=S --bench=N "
         "--bench-out=F]");
     std::fprintf(
         stderr,
@@ -1278,8 +1278,9 @@ cmdBound(const Options &opts, const ParseResult &parsed)
 
 /**
  * `pstool map` — the portfolio mapper as a standalone gate. Compiles
- * the kernel, maps it with the requested portfolio width and thread
- * count, and reports placement quality plus wall-clock. The emitted
+ * the kernel, maps it with the requested portfolio width (and, on a
+ * tiled fabric, tile thread count), and reports placement quality
+ * plus wall-clock. The emitted
  * mapping is re-checked with the placement lint (PS-P rules) before
  * the command reports success, so a clean exit certifies both "it
  * maps" and "the placement is legal". On failure the structured
@@ -1360,7 +1361,6 @@ cmdMap(const Options &opts, const ParseResult &parsed)
             .add("avg_hops", mapping.avgHops)
             .add("winning_seed", mapping.winningSeed)
             .add("early_exits", mapping.seedsEarlyExited)
-            .add("seeds_halved", mapping.seedsHalved)
             .add("map_ms", mapMs);
         if (tiled) {
             r.add("tiles_x", opts.topo.tilesX)
@@ -1383,7 +1383,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
             "  cost %.1f (wirelength %lld, overflow %lld), max "
             "link load %d/%d\n"
             "  avg hops %.3f, winning seed %d, %d early exit(s), "
-            "%d halved, %.2f ms\n"
+            "%.2f ms\n"
             "  placement lint: %s\n",
             kernel.name.c_str(),
             compiler::archVariantName(opts.variant),
@@ -1392,8 +1392,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
             static_cast<long long>(mapping.congestionOverflow),
             mapping.maxLinkLoad, fab.config().linkCapacity,
             mapping.avgHops,
-            mapping.winningSeed, mapping.seedsEarlyExited,
-            mapping.seedsHalved, mapMs,
+            mapping.winningSeed, mapping.seedsEarlyExited, mapMs,
             lintClean ? "clean" : "DIRTY");
         if (tiled) {
             std::printf(
@@ -1422,10 +1421,9 @@ cmdMap(const Options &opts, const ParseResult &parsed)
  * `pstool figures` — the whole evaluation in one process. Every
  * figure renders from src/figures on a shared runner::Runner, so
  * simulations common to several figures run once, mapper placements
- * memoize (optionally on disk via --cache-dir), and independent
- * runs execute concurrently (--jobs). Figure text is byte-identical
- * to the standalone bench binaries for every job count and cache
- * state.
+ * memoize in memory, and independent runs execute concurrently
+ * (--jobs). `--only=id,id` renders a subset; a figure's text is
+ * byte-identical for every job count, subset and `--no-memo`.
  */
 int
 cmdFigures(int argc, char **argv)
@@ -1441,8 +1439,6 @@ cmdFigures(int argc, char **argv)
             ropts.jobs = std::atoi(arg.c_str() + 7);
         } else if (arg == "--smoke") {
             fopts.smoke = true;
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            ropts.cacheDir = arg.substr(12);
         } else if (arg.rfind("--out-dir=", 0) == 0) {
             outDir = arg.substr(10);
         } else if (arg.rfind("--only=", 0) == 0) {
@@ -1517,7 +1513,6 @@ cmdFigures(int argc, char **argv)
             .add("compile_hits", stats.compileHits)
             .add("compile_computes", stats.compileComputes)
             .add("map_hits", stats.mapHits)
-            .add("map_disk_hits", stats.mapDiskHits)
             .add("map_computes", stats.mapComputes)
             .add("prepared_hits", stats.preparedHits)
             .add("prepared_computes", stats.preparedComputes)
@@ -1528,15 +1523,13 @@ cmdFigures(int argc, char **argv)
         std::fprintf(
             stderr,
             "\nrendered %d figure(s) in %.1f s with %d job(s); "
-            "compile %lld hit/%lld computed, mapping %lld hit "
-            "(%lld from disk)/%lld computed, %lld duplicate runs "
-            "shared, %lld simulations shared\n",
+            "compile %lld hit/%lld computed, mapping %lld hit/"
+            "%lld computed, %lld duplicate runs shared, %lld "
+            "simulations shared\n",
             rendered, wallMs / 1e3, runner.pool().threadCount(),
             static_cast<long long>(stats.compileHits),
             static_cast<long long>(stats.compileComputes),
-            static_cast<long long>(stats.mapHits +
-                                   stats.mapDiskHits),
-            static_cast<long long>(stats.mapDiskHits),
+            static_cast<long long>(stats.mapHits),
             static_cast<long long>(stats.mapComputes),
             static_cast<long long>(runner.dedupHits()),
             static_cast<long long>(runner.simDedupHits()));
@@ -1624,16 +1617,6 @@ cmdBenchTiles(int argc, char **argv)
                          a.ty, err.c_str());
             return 1;
         }
-        // The stealing schedule must never lose to the legacy
-        // round-robin deal on the same measured cycles.
-        if (batch.modeledSpeedup + 1e-9 < batch.roundRobinSpeedup) {
-            std::fprintf(stderr,
-                         "bench-tiles %dx%d: modeled speedup %.4f "
-                         "regressed below round-robin %.4f\n",
-                         a.tx, a.ty, batch.modeledSpeedup,
-                         batch.roundRobinSpeedup);
-            return 1;
-        }
         w.beginObject();
         w.key("tiles_x").value(a.tx);
         w.key("tiles_y").value(a.ty);
@@ -1641,17 +1624,15 @@ cmdBenchTiles(int argc, char **argv)
         w.key("total_cycles").value(batch.totalCycles);
         w.key("makespan_cycles").value(batch.makespanCycles);
         w.key("modeled_speedup").value(batch.modeledSpeedup);
-        w.key("round_robin_speedup").value(batch.roundRobinSpeedup);
         w.key("seconds").value(batch.seconds);
         w.key("wall_s").value(batch.wallSeconds);
         w.endObject();
         std::fprintf(stderr,
                      "bench-tiles %dx%d: %lld shard(s), makespan "
-                     "%lld cycles, %.2fx (round-robin %.2fx)\n",
+                     "%lld cycles, %.2fx\n",
                      a.tx, a.ty, static_cast<long long>(shards),
                      static_cast<long long>(batch.makespanCycles),
-                     batch.modeledSpeedup,
-                     batch.roundRobinSpeedup);
+                     batch.modeledSpeedup);
     }
     w.endArray();
     w.endObject();
@@ -1684,8 +1665,6 @@ cmdServe(int argc, char **argv)
             sopts.jobs = std::atoi(arg.c_str() + 7);
         } else if (arg.rfind("--queue=", 0) == 0) {
             sopts.maxQueue = std::atoi(arg.c_str() + 8);
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            sopts.cacheDir = arg.substr(12);
         } else if (arg.rfind("--fabric=", 0) == 0) {
             parseFabricArg(arg.substr(9), sopts.topology);
         } else if (arg.rfind("--bench=", 0) == 0) {
