@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "base/logging.hh"
@@ -272,9 +273,8 @@ MapperRun::buildStructure()
     nearSpan.assign(
         static_cast<size_t>(kNumMoveClasses * fab.numPes()),
         {0, 0});
-    std::vector<int> list;
+    std::vector<int> slots;
     for (int cls : classesInUse) {
-        std::vector<int> slots;
         if (cls == kNocClass) {
             slots.resize(static_cast<size_t>(fab.numPes()));
             for (int pe = 0; pe < fab.numPes(); pe++)
@@ -283,28 +283,15 @@ MapperRun::buildStructure()
             const auto &supply =
                 fab.pesOfClass(static_cast<PeClass>(cls));
             slots.assign(supply.begin(), supply.end());
+            std::sort(slots.begin(), slots.end());
         }
+        int off = static_cast<int>(nearPool.size());
+        int len = static_cast<int>(slots.size()) - 1;
+        detail::appendNearestFirst(slots, gridCoord, nearPool);
         for (int from : slots) {
-            list.clear();
-            for (int to : slots) {
-                if (to != from)
-                    list.push_back(to);
-            }
-            Coord at = gridCoord[static_cast<size_t>(from)];
-            std::sort(list.begin(), list.end(),
-                      [&](int a, int b) {
-                          int da = fabric::manhattan(
-                              gridCoord[static_cast<size_t>(a)], at);
-                          int db = fabric::manhattan(
-                              gridCoord[static_cast<size_t>(b)], at);
-                          return da != db ? da < db : a < b;
-                      });
             nearSpan[static_cast<size_t>(cls * fab.numPes() +
-                                         from)] = {
-                static_cast<int>(nearPool.size()),
-                static_cast<int>(list.size())};
-            nearPool.insert(nearPool.end(), list.begin(),
-                            list.end());
+                                         from)] = {off, len};
+            off += len;
         }
     }
 
@@ -1456,6 +1443,54 @@ MapperRun::run()
 }
 
 } // namespace
+
+namespace detail {
+
+void
+appendNearestFirst(std::span<const int> slots,
+                   std::span<const Coord> coordOf,
+                   std::vector<int> &pool)
+{
+    ps_assert(std::adjacent_find(slots.begin(), slots.end(),
+                                 std::greater_equal<int>()) ==
+                  slots.end(),
+              "move-table slots must be strictly ascending");
+    const size_t k = slots.size();
+    if (k < 2)
+        return;
+    std::vector<Coord> at(k);
+    int reach = 0;
+    for (size_t j = 0; j < k; j++) {
+        at[j] = coordOf[static_cast<size_t>(slots[j])];
+        reach = std::max(reach, fabric::manhattan(at[j], at[0]));
+    }
+    // Bucket d holds the slots at distance d; scanning `slots` in
+    // ascending order keeps each bucket index-ordered, so the result
+    // is exactly the (distance, index) sort. By the triangle
+    // inequality no two slots are more than 2 * reach apart.
+    std::vector<int> dist(k);
+    std::vector<int> next(static_cast<size_t>(2 * reach + 2));
+    size_t out = pool.size();
+    pool.resize(out + k * (k - 1));
+    for (size_t i = 0; i < k; i++) {
+        std::fill(next.begin(), next.end(), 0);
+        for (size_t j = 0; j < k; j++) {
+            dist[j] = fabric::manhattan(at[j], at[i]);
+            if (j != i)
+                next[static_cast<size_t>(dist[j]) + 1]++;
+        }
+        for (size_t d = 1; d < next.size(); d++)
+            next[d] += next[d - 1];
+        int *list = pool.data() + out;
+        for (size_t j = 0; j < k; j++) {
+            if (j != i)
+                list[next[static_cast<size_t>(dist[j])]++] = slots[j];
+        }
+        out += k - 1;
+    }
+}
+
+} // namespace detail
 
 int
 Mapping::positionOf(dfg::NodeId id) const

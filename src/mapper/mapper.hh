@@ -23,6 +23,7 @@
 #ifndef PIPESTITCH_MAPPER_MAPPER_HH
 #define PIPESTITCH_MAPPER_MAPPER_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,26 @@ struct Mapping
 Mapping mapGraph(const dfg::Graph &graph,
                  const fabric::Fabric &fabric,
                  const MapperOptions &options = MapperOptions{});
+
+namespace detail {
+
+/**
+ * The anneal's nearest-first move tables for one move class. For
+ * each slot of @p slots (grid indices, strictly ascending), appends
+ * to @p pool the other slots ordered by (Manhattan distance to it,
+ * index): slots.size() - 1 entries per slot, in @p slots order.
+ * @p coordOf maps a grid index to its coordinates.
+ *
+ * Counting-sorts each list by distance, O(P) per slot. The order
+ * is a bit-identity contract: move sampling maps an RNG draw to a
+ * list position, so any change to it changes placements
+ * (docs/mapper.md, "Setup").
+ */
+void appendNearestFirst(std::span<const int> slots,
+                        std::span<const fabric::Coord> coordOf,
+                        std::vector<int> &pool);
+
+} // namespace detail
 
 } // namespace pipestitch::mapper
 

@@ -6,6 +6,7 @@
 #include <deque>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -110,8 +111,16 @@ parseRequest(const std::string &line, const RunConfig &base,
             return false;
         }
     }
-    if (const auto *d = v.find("depth"))
-        cfg.sim.bufferDepth = static_cast<int>(d->asInt(4));
+    if (const auto *d = v.find("depth")) {
+        // Checked here: the Program build treats depth < 1 as an
+        // internal invariant and aborts the whole daemon.
+        int64_t depth = d->asInt(0);
+        if (depth < 1 || depth > std::numeric_limits<int>::max()) {
+            error = "\"depth\" must be an integer >= 1";
+            return false;
+        }
+        cfg.sim.bufferDepth = static_cast<int>(depth);
+    }
     if (const auto *u = v.find("unroll"))
         cfg.unrollFactor = static_cast<int>(u->asInt(1));
     if (const auto *t = v.find("tm"))

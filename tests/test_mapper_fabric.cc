@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -380,4 +381,86 @@ TEST(Fabric, CustomMixesWork)
     auto run = runOnFabric(kernel, cfg); // golden-checked
     EXPECT_TRUE(run.mapping.success);
     EXPECT_GT(run.cycles(), 0);
+}
+
+// --- mapper setup -------------------------------------------------------
+
+namespace {
+
+/** Reference move tables: each slot's other slots ordered by a
+ *  comparison sort on (Manhattan distance, index). */
+std::vector<int>
+nearestFirstBySort(const std::vector<int> &slots,
+                   const std::vector<Coord> &coord)
+{
+    std::vector<int> pool;
+    for (int from : slots) {
+        std::vector<int> list;
+        for (int to : slots) {
+            if (to != from)
+                list.push_back(to);
+        }
+        Coord at = coord[static_cast<size_t>(from)];
+        std::sort(list.begin(), list.end(), [&](int a, int b) {
+            int da = manhattan(coord[static_cast<size_t>(a)], at);
+            int db = manhattan(coord[static_cast<size_t>(b)], at);
+            return da != db ? da < db : a < b;
+        });
+        pool.insert(pool.end(), list.begin(), list.end());
+    }
+    return pool;
+}
+
+Fabric
+scaledGrid(int width, int height)
+{
+    FabricConfig cfg;
+    cfg.width = width;
+    cfg.height = height;
+    cfg.peMix = scaleMixFor(width, height);
+    return Fabric(cfg);
+}
+
+} // namespace
+
+/**
+ * The bucketed move-table builder must reproduce the sorted order
+ * exactly: the anneal maps RNG draws to list positions, so any
+ * reordering would change placements.
+ */
+TEST(MapperSetup, BucketedMoveTablesMatchSortedOrder)
+{
+    Topology tiled; // 2x2 grid of default 8x8 tiles
+    tiled.tilesX = 2;
+    tiled.tilesY = 2;
+    const std::vector<std::pair<std::string, Fabric>> fabrics = {
+        {"8x8", Fabric()},
+        {"16x16", scaledGrid(16, 16)},
+        {"8x8 tiles 2x2", Fabric(tiled)},
+        {"5x3", scaledGrid(5, 3)},
+        {"1x9", scaledGrid(1, 9)},
+    };
+    for (const auto &[name, fab] : fabrics) {
+        std::vector<Coord> coord;
+        std::vector<int> allPes;
+        for (int pe = 0; pe < fab.numPes(); pe++) {
+            coord.push_back(fab.coordOf(pe));
+            allPes.push_back(pe);
+        }
+        // Every PE class, plus CF-in-NoC operators, which may sit on
+        // any router.
+        std::vector<std::vector<int>> classes;
+        for (int c = 0; c < 5; c++)
+            classes.push_back(fab.pesOfClass(static_cast<PeClass>(c)));
+        classes.push_back(allPes);
+        for (size_t c = 0; c < classes.size(); c++) {
+            // The builder appends after whatever the pool holds.
+            std::vector<int> pool = {-1};
+            mapper::detail::appendNearestFirst(classes[c], coord, pool);
+            std::vector<int> want = {-1};
+            std::vector<int> ref = nearestFirstBySort(classes[c], coord);
+            want.insert(want.end(), ref.begin(), ref.end());
+            EXPECT_EQ(pool, want) << name << ", move class " << c;
+        }
+    }
 }

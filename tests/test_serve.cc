@@ -176,6 +176,28 @@ TEST(Serve, BadJsonAnswersImmediatelyAndServerSurvives)
     EXPECT_EQ(field(v4, "status"), "ok");
 }
 
+TEST(Serve, DepthBelowOneIsAnErrorNotAnAbort)
+{
+    ServeServer server(withJobs(1));
+    for (const char *depth : {"0", "-1", "\"4\""}) {
+        std::string req = scaleRequest("d", 3);
+        req.insert(req.size() - 1, std::string(",\"depth\":") + depth);
+        JsonValue v =
+            parseResponse(ServeServer::render(server.submit(req)));
+        EXPECT_EQ(field(v, "id"), "d");
+        EXPECT_EQ(field(v, "status"), "error") << depth;
+        EXPECT_NE(field(v, "error").find("depth"), std::string::npos)
+            << field(v, "error");
+    }
+    EXPECT_EQ(server.stats().badRequests, 3);
+
+    // The daemon survives and still serves the next request.
+    std::string req = scaleRequest("next", 3);
+    req.insert(req.size() - 1, ",\"depth\":1");
+    JsonValue v = parseResponse(ServeServer::render(server.submit(req)));
+    EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
+}
+
 TEST(Serve, ContentIdenticalRequestsShareOneExecution)
 {
     ServeServer server(withJobs(2));

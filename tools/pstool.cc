@@ -55,10 +55,12 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -286,6 +288,23 @@ applyFabric(const fabric::Topology &topo, RunConfig &cfg)
     cfg.interTileCapacity = topo.interTileCapacity;
 }
 
+/** `--depth=N`: a buffer depth of at least 1, else a usage error
+ *  (the simulator treats depth < 1 as an internal invariant). */
+int
+parseDepthArg(const std::string &spec)
+{
+    char *end = nullptr;
+    long depth = std::strtol(spec.c_str(), &end, 10);
+    if (spec.empty() || *end != '\0' || depth < 1 ||
+        depth > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr,
+                     "--depth=%s: expected an integer >= 1\n",
+                     spec.c_str());
+        std::exit(2);
+    }
+    return static_cast<int>(depth);
+}
+
 compiler::ArchVariant
 parseVariant(const std::string &name)
 {
@@ -318,7 +337,7 @@ parseArgs(int argc, char **argv)
         if (arg.rfind("--variant=", 0) == 0) {
             opts.variant = parseVariant(value("--variant="));
         } else if (arg.rfind("--depth=", 0) == 0) {
-            opts.depth = std::atoi(value("--depth=").c_str());
+            opts.depth = parseDepthArg(value("--depth="));
         } else if (arg.rfind("--unroll=", 0) == 0) {
             opts.unroll = std::atoi(value("--unroll=").c_str());
         } else if (arg.rfind("--out=", 0) == 0) {
