@@ -18,19 +18,18 @@
 
 #include <cctype>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <sstream>
 
 #include "base/logging.hh"
 #include "compiler/compile.hh"
 #include "sim/simulator.hh"
-#include "sir/parser.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/observer.hh"
 #include "trace/recording.hh"
 #include "trace/stall_timeline.hh"
 #include "workloads/kernels.hh"
+
+#include "shipped_kernels.hh"
 
 using namespace pipestitch;
 using compiler::ArchVariant;
@@ -41,52 +40,9 @@ using Word = sir::Word;
 namespace {
 
 workloads::KernelInstance
-loadSirKernel(const std::string &file,
-              const std::map<std::string, Word> &liveIns,
-              const std::map<std::string, std::vector<Word>> &inits)
-{
-    std::string path = std::string(KERNEL_DIR) + "/" + file;
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << "cannot open " << path;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    auto parsed = sir::parseSir(ss.str(), path);
-
-    workloads::KernelInstance kernel;
-    kernel.name = parsed.program.name;
-    kernel.prog = sir::Program(parsed.program.name);
-    kernel.prog.numRegs = parsed.program.numRegs;
-    kernel.prog.arrays = parsed.program.arrays;
-    kernel.prog.regNames = parsed.program.regNames;
-    kernel.prog.liveIns = parsed.program.liveIns;
-    kernel.prog.memWords = parsed.program.memWords;
-    kernel.prog.body = sir::cloneStmts(parsed.program.body);
-    for (sir::Reg r : kernel.prog.liveIns) {
-        const std::string &name =
-            kernel.prog.regNames[static_cast<size_t>(r)];
-        auto it = liveIns.find(name);
-        kernel.liveIns.push_back(it == liveIns.end() ? 0
-                                                     : it->second);
-    }
-    kernel.memory = scalar::makeMemory(kernel.prog);
-    for (const auto &[name, values] : inits) {
-        auto it = parsed.arrays.find(name);
-        if (it == parsed.arrays.end()) {
-            ADD_FAILURE() << "no array " << name;
-            continue;
-        }
-        const auto &arr = kernel.prog.array(it->second);
-        for (size_t i = 0; i < values.size(); i++)
-            kernel.memory[static_cast<size_t>(arr.base) + i] =
-                values[i];
-    }
-    return kernel;
-}
-
-workloads::KernelInstance
 spmvKernel()
 {
-    return loadSirKernel("spmv.sir", {{"n", 4}},
+    return shipped::loadSirKernel("spmv.sir", {{"n", 4}},
                          {{"rowptr", {0, 2, 3, 5, 6}},
                           {"colidx", {0, 2, 1, 0, 3, 2}},
                           {"val", {5, 1, 7, 2, 4, 3}},
