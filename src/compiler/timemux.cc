@@ -72,19 +72,24 @@ tryPlanTimeMultiplexing(const Graph &graph,
     return groups;
 }
 
+std::string
+timeMultiplexFailure(const Graph &graph)
+{
+    auto counts = graph.peClassCounts();
+    return csprintf("time-multiplexing cannot fit the kernel "
+                    "(%d/%d/%d/%d/%d PEs demanded) onto the fabric; "
+                    "too few cold operators to fold",
+                    counts[0], counts[1], counts[2], counts[3],
+                    counts[4]);
+}
+
 ShareGroups
 planTimeMultiplexing(const Graph &graph,
                      const fabric::FabricConfig &config)
 {
     auto groups = tryPlanTimeMultiplexing(graph, config);
-    if (!groups) {
-        auto counts = graph.peClassCounts();
-        fatal("time-multiplexing cannot fit the kernel "
-              "(%d/%d/%d/%d/%d PEs demanded) onto the fabric; too "
-              "few cold operators to fold",
-              counts[0], counts[1], counts[2], counts[3],
-              counts[4]);
-    }
+    if (!groups)
+        fatal("%s", timeMultiplexFailure(graph).c_str());
     return *groups;
 }
 

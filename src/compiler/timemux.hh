@@ -17,6 +17,7 @@
 #define PIPESTITCH_COMPILER_TIMEMUX_HH
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "dfg/graph.hh"
@@ -42,6 +43,10 @@ ShareGroups planTimeMultiplexing(const dfg::Graph &graph,
 std::optional<ShareGroups>
 tryPlanTimeMultiplexing(const dfg::Graph &graph,
                         const fabric::FabricConfig &config);
+
+/** Why tryPlanTimeMultiplexing() gave up on @p graph: the message
+ *  names the per-class PE demand. */
+std::string timeMultiplexFailure(const dfg::Graph &graph);
 
 } // namespace pipestitch::compiler
 

@@ -112,9 +112,18 @@ prepareKernel(const workloads::KernelInstance &kernel,
                                      : fabric::Fabric(config.fabric);
     compiler::ShareGroups shareGroups;
     if (config.allowTimeMultiplex) {
-        shareGroups = compiler::planTimeMultiplexing(
+        auto planned = compiler::tryPlanTimeMultiplexing(
             graph, prep->tiled ? prep->topo.globalConfig()
                                : config.fabric);
+        if (!planned) {
+            reportFailure(
+                error,
+                csprintf("kernel %s: %s", kernel.name.c_str(),
+                         compiler::timeMultiplexFailure(graph)
+                             .c_str()));
+            return nullptr;
+        }
+        shareGroups = std::move(*planned);
     }
     if (config.map) {
         mapper::MapperOptions mopts;

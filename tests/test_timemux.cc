@@ -132,3 +132,20 @@ TEST(TimeMux, PlannerRejectsImpossibleFits)
         { compiler::planTimeMultiplexing(res.graph, cfg); },
         "cannot fit");
 }
+
+TEST(TimeMux, PrepareReportsImpossibleFitsThroughError)
+{
+    setQuiet(true);
+    // The explore grid's SpMSpMd at unroll 8 on the 8x8 fabric: a
+    // caller that passes an error out-param gets a structured
+    // failure naming the PE demand, not a process exit.
+    auto kernel = workloads::makeSpMSpMd(8, 0.8, 6);
+    RunConfig cfg;
+    cfg.variant = ArchVariant::Pipestitch;
+    cfg.unrollFactor = 8;
+    cfg.allowTimeMultiplex = true;
+    std::string error;
+    EXPECT_EQ(prepareKernel(kernel, cfg, &error), nullptr);
+    EXPECT_NE(error.find("PEs demanded"), std::string::npos) << error;
+    EXPECT_NE(error.find(kernel.name), std::string::npos) << error;
+}
