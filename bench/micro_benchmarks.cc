@@ -40,12 +40,15 @@ BM_Compile(benchmark::State &state)
     const auto &k = spmspvd();
     compiler::CompileOptions opts;
     opts.variant = ArchVariant::Pipestitch;
+    opts.unrollFactor = static_cast<int>(state.range(0));
     for (auto _ : state) {
         auto res = compiler::compileProgram(k.prog, k.liveIns, opts);
         benchmark::DoNotOptimize(res.graph.size());
     }
 }
-BENCHMARK(BM_Compile);
+// Arg: spatial unroll factor (unroll 8 is where the register-set
+// and CSE costs of larger programs show).
+BENCHMARK(BM_Compile)->Arg(1)->Arg(8);
 
 void
 BM_Map(benchmark::State &state)
