@@ -80,29 +80,29 @@ findThreadingCandidates(const sir::Program &prog)
     return candidates;
 }
 
-std::set<int>
+ThreadingDecision
 decideThreading(const sir::Program &prog,
-                const std::vector<sir::Word> &liveIns, bool useStreams,
-                std::vector<int> &outII)
+                const std::vector<sir::Word> &liveIns, bool useStreams)
 {
     LowerOptions opts;
     opts.liveInValues = liveIns;
     opts.useStreams = useStreams;
-    dfg::Graph baseline = lower(prog, opts);
+    ThreadingDecision decision;
+    decision.baseline = lower(prog, opts);
+    const dfg::Graph &baseline = decision.baseline;
 
-    outII.assign(static_cast<size_t>(baseline.numLoops), 0);
+    decision.loopII.assign(static_cast<size_t>(baseline.numLoops), 0);
     for (int l = 0; l < baseline.numLoops; l++)
-        outII[static_cast<size_t>(l)] =
+        decision.loopII[static_cast<size_t>(l)] =
             dfg::computeLoopII(baseline, l);
 
-    std::set<int> threaded;
     for (int l : findThreadingCandidates(prog)) {
         if (l < baseline.numLoops &&
-            outII[static_cast<size_t>(l)] > 1) {
-            threaded.insert(l);
+            decision.loopII[static_cast<size_t>(l)] > 1) {
+            decision.threaded.insert(l);
         }
     }
-    return threaded;
+    return decision;
 }
 
 } // namespace pipestitch::compiler

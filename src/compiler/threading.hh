@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dfg/graph.hh"
 #include "sir/program.hh"
 
 namespace pipestitch::compiler {
@@ -31,15 +32,26 @@ int countLoops(const sir::Program &prog);
 /** See compile.hh; ids follow the lowering's pre-order numbering. */
 std::set<int> findThreadingCandidates(const sir::Program &prog);
 
+/** What the threading heuristic measured and decided. */
+struct ThreadingDecision
+{
+    /** Candidate loops whose baseline II exceeds 1. */
+    std::set<int> threaded;
+    /** Baseline (unthreaded) II per loop id. */
+    std::vector<int> loopII;
+    /** The unthreaded lowering the IIs were measured on: exactly
+     *  what lower() returns for these live-ins and stream setting
+     *  with no loop threaded. */
+    dfg::Graph baseline;
+};
+
 /**
  * Apply the II > 1 heuristic: lower @p prog unthreaded, measure each
- * candidate's II, and return the loops to thread. @p outII receives
- * the per-loop baseline II.
+ * loop's II, and pick the candidates to thread.
  */
-std::set<int> decideThreading(const sir::Program &prog,
-                              const std::vector<sir::Word> &liveIns,
-                              bool useStreams,
-                              std::vector<int> &outII);
+ThreadingDecision decideThreading(const sir::Program &prog,
+                                  const std::vector<sir::Word> &liveIns,
+                                  bool useStreams);
 
 } // namespace pipestitch::compiler
 

@@ -1,5 +1,7 @@
 #include "sir/verifier.hh"
 
+#include <optional>
+
 #include "base/logging.hh"
 #include "sir/analysis.hh"
 
@@ -7,20 +9,95 @@ namespace pipestitch::sir {
 
 namespace {
 
+bool
+inRange(Reg r, int numRegs)
+{
+    return r >= 0 && r < numRegs;
+}
+
+/** True if every register operand in @p list names a register of a
+ *  program with @p numRegs registers. */
+bool
+regsInRange(const StmtList &list, int numRegs)
+{
+    auto ok = [numRegs](Reg r) { return inRange(r, numRegs); };
+    for (const auto &stmt : list) {
+        switch (stmt->kind()) {
+          case Stmt::Kind::Const:
+            if (!ok(static_cast<const ConstStmt &>(*stmt).dst))
+                return false;
+            break;
+          case Stmt::Kind::Compute: {
+            const auto &s = static_cast<const ComputeStmt &>(*stmt);
+            if (!ok(s.dst) || !ok(s.a) || !ok(s.b) ||
+                (s.op == Opcode::Select && !ok(s.c)))
+                return false;
+            break;
+          }
+          case Stmt::Kind::Load: {
+            const auto &s = static_cast<const LoadStmt &>(*stmt);
+            if (!ok(s.dst) || !ok(s.addr))
+                return false;
+            break;
+          }
+          case Stmt::Kind::Store: {
+            const auto &s = static_cast<const StoreStmt &>(*stmt);
+            if (!ok(s.addr) || !ok(s.value))
+                return false;
+            break;
+          }
+          case Stmt::Kind::If: {
+            const auto &s = static_cast<const IfStmt &>(*stmt);
+            if (!ok(s.cond) || !regsInRange(s.thenBody, numRegs) ||
+                !regsInRange(s.elseBody, numRegs))
+                return false;
+            break;
+          }
+          case Stmt::Kind::For: {
+            const auto &s = static_cast<const ForStmt &>(*stmt);
+            if (!ok(s.var) || !ok(s.begin) || !ok(s.end) ||
+                !regsInRange(s.body, numRegs))
+                return false;
+            break;
+          }
+          case Stmt::Kind::While: {
+            const auto &s = static_cast<const WhileStmt &>(*stmt);
+            if (!ok(s.cond) || !regsInRange(s.header, numRegs) ||
+                !regsInRange(s.body, numRegs))
+                return false;
+            break;
+          }
+        }
+    }
+    return true;
+}
+
 class Verifier
 {
   public:
-    explicit Verifier(const Program &prog)
-        : prog(prog), liveness(prog)
-    {}
+    explicit Verifier(const Program &prog) : prog(prog) {}
 
     std::vector<std::string>
     run()
     {
+        for (Reg r : prog.liveIns)
+            checkReg(r, "live-in");
+        // The register-set analyses index registers densely, so they
+        // only run once every register is known to be in range; a
+        // program with a bad register gets the range problems alone.
+        bool setsOk =
+            problems.empty() && regsInRange(prog.body, prog.numRegs);
+        if (setsOk)
+            liveness.emplace(prog);
+
         checkList(prog.body);
+        if (!setsOk)
+            return std::move(problems);
 
         RegSet exposed = upwardExposedUses(prog.body);
-        RegSet liveIns(prog.liveIns.begin(), prog.liveIns.end());
+        RegSet liveIns;
+        for (Reg r : prog.liveIns)
+            liveIns.insert(r);
         for (Reg r : exposed) {
             if (!liveIns.count(r)) {
                 problem(csprintf(
@@ -42,7 +119,7 @@ class Verifier
     void
     checkReg(Reg r, const char *what)
     {
-        if (r == NoReg || r >= prog.numRegs) {
+        if (!inRange(r, prog.numRegs)) {
             problem(csprintf("%s register %d out of range", what, r));
         }
     }
@@ -109,6 +186,10 @@ class Verifier
             checkReg(s.end, "end");
             if (s.step <= 0)
                 problem("For loop step must be positive");
+            if (!liveness) {
+                checkList(s.body);
+                break;
+            }
             RegSet bodyDefs = collectDefs(s.body);
             if (bodyDefs.count(s.var)) {
                 problem(csprintf(
@@ -127,7 +208,7 @@ class Verifier
             // The induction variable has no defined value after the
             // loop (the dataflow lowering produces no exit token
             // for it).
-            if (liveness.liveAfter(s).count(s.var)) {
+            if (liveness->liveAfter(s).count(s.var)) {
                 problem(csprintf(
                     "induction variable %s read after its loop",
                     prog.regNames[static_cast<size_t>(s.var)]
@@ -139,15 +220,18 @@ class Verifier
           case Stmt::Kind::While: {
             const auto &s = static_cast<const WhileStmt &>(stmt);
             checkReg(s.cond, "condition");
+            if (!liveness) {
+                checkList(s.header);
+                checkList(s.body);
+                break;
+            }
             RegSet defs = collectDefs(s.header);
-            RegSet bodyDefs = collectDefs(s.body);
-            defs.insert(bodyDefs.begin(), bodyDefs.end());
+            defs.insert(collectDefs(s.body));
             // Carried state: some register flows across the iteration
             // boundary, i.e. is read before being (re)assigned and is
             // also assigned somewhere in the loop.
             RegSet exposed = upwardExposedUses(s.header);
-            RegSet bodyExposed = upwardExposedUses(s.body);
-            exposed.insert(bodyExposed.begin(), bodyExposed.end());
+            exposed.insert(upwardExposedUses(s.body));
             bool carried = false;
             for (Reg r : exposed) {
                 if (defs.count(r))
@@ -165,7 +249,8 @@ class Verifier
     }
 
     const Program &prog;
-    Liveness liveness;
+    /** Engaged when every register is in range. */
+    std::optional<Liveness> liveness;
     std::vector<std::string> problems;
 };
 
