@@ -3,7 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
+#include <string>
 
 namespace pipestitch {
 
@@ -27,15 +27,20 @@ quietNow()
 std::string
 vformat(const char *fmt, va_list args)
 {
+    // Most messages and node names fit the stack buffer: one
+    // formatting pass and no scratch allocation.
+    char small[256];
     va_list copy;
     va_copy(copy, args);
-    int n = std::vsnprintf(nullptr, 0, fmt, copy);
+    int n = std::vsnprintf(small, sizeof(small), fmt, copy);
     va_end(copy);
     if (n < 0)
         return "<format error>";
-    std::vector<char> buf(static_cast<size_t>(n) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, args);
-    return std::string(buf.data(), static_cast<size_t>(n));
+    if (static_cast<size_t>(n) < sizeof(small))
+        return std::string(small, static_cast<size_t>(n));
+    std::string out(static_cast<size_t>(n), '\0');
+    std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+    return out;
 }
 
 } // namespace

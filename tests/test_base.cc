@@ -27,6 +27,11 @@ TEST(Logging, CsprintfLongStrings)
     std::string out = csprintf("%s!", big.c_str());
     EXPECT_EQ(out.size(), big.size() + 1);
     EXPECT_EQ(out.back(), '!');
+    // Around the 256-byte stack buffer: the last byte must survive.
+    for (size_t len : {254, 255, 256, 257}) {
+        std::string s(len - 1, 'b');
+        EXPECT_EQ(csprintf("%s!", s.c_str()), s + "!") << len;
+    }
 }
 
 TEST(Rng, DeterministicAcrossInstances)
