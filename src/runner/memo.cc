@@ -2,7 +2,6 @@
 
 #include "base/hash.hh"
 #include "dfg/analysis.hh"
-#include "sir/printer.hh"
 
 namespace pipestitch::runner {
 
@@ -40,7 +39,7 @@ uint64_t
 MemoCache::programKey(const workloads::KernelInstance &k)
 {
     Hasher h;
-    h.str(sir::print(k.prog)).vec(k.liveIns);
+    h.u64(sir::fingerprint(k.prog)).vec(k.liveIns);
     return h.digest();
 }
 

@@ -4,10 +4,11 @@
  * pipeline.
  *
  * Keys are 64-bit content hashes: a kernel is addressed by its
- * printed SIR plus bound live-ins (and, for whole runs, its initial
- * memory image), a graph by dfg::graphFingerprint, and every option
- * struct contributes all of its fields. Identical inputs therefore
- * hit regardless of which sweep, figure, or process asked first.
+ * structural SIR fingerprint (sir::fingerprint) plus bound live-ins
+ * (and, for whole runs, its initial memory image), a graph by
+ * dfg::graphFingerprint, and every option struct contributes all of
+ * its fields. Identical inputs therefore hit regardless of which
+ * sweep, figure, or process asked first.
  *
  * The cache holds three layers of the prepare pipeline, all
  * in-memory and scoped to one process:

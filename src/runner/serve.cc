@@ -83,7 +83,8 @@ statusPayload(const char *status, const std::string &error)
  */
 bool
 parseRequest(const std::string &line, const RunConfig &base,
-             ParsedRequest &out, std::string &error)
+             ParsedKernelCache &kernels, ParsedRequest &out,
+             std::string &error)
 {
     trace::JsonValue v;
     if (!trace::parseJson(line, v, &error)) {
@@ -171,10 +172,11 @@ parseRequest(const std::string &line, const RunConfig &base,
     try {
         ScopedFatalTrap trap;
         ScopedQuiet quiet(true);
-        auto parsed = sir::parseSir(sirText->str, "<request>");
+        std::shared_ptr<const sir::ParseResult> parsed =
+            kernels.get(sirText->str);
         workloads::KernelInstance kernel;
-        kernel.name = parsed.program.name;
-        kernel.prog = std::move(parsed.program);
+        kernel.name = parsed->program.name;
+        kernel.prog = sir::cloneProgram(parsed->program);
 
         const auto *liveins = v.find("liveins");
         for (sir::Reg r : kernel.prog.liveIns) {
@@ -195,8 +197,8 @@ parseRequest(const std::string &line, const RunConfig &base,
                 return false;
             }
             for (const auto &[name, vals] : init->members) {
-                auto it = parsed.arrays.find(name);
-                if (it == parsed.arrays.end()) {
+                auto it = parsed->arrays.find(name);
+                if (it == parsed->arrays.end()) {
                     error = "init: no array '" + name + "'";
                     return false;
                 }
@@ -233,19 +235,13 @@ parseRequest(const std::string &line, const RunConfig &base,
 }
 
 /** Deep-copy a kernel instance (sir::Program bodies are move-only,
- *  so shard replication clones via cloneStmts). */
+ *  so shard replication clones via cloneProgram). */
 workloads::KernelInstance
 cloneKernel(const workloads::KernelInstance &k)
 {
     workloads::KernelInstance out;
     out.name = k.name;
-    out.prog = sir::Program(k.prog.name);
-    out.prog.numRegs = k.prog.numRegs;
-    out.prog.arrays = k.prog.arrays;
-    out.prog.regNames = k.prog.regNames;
-    out.prog.liveIns = k.prog.liveIns;
-    out.prog.memWords = k.prog.memWords;
-    out.prog.body = sir::cloneStmts(k.prog.body);
+    out.prog = sir::cloneProgram(k.prog);
     out.liveIns = k.liveIns;
     out.memory = k.memory;
     return out;
@@ -355,6 +351,64 @@ runServeRequest(const ParsedRequest &req)
 
 } // namespace
 
+std::shared_ptr<const sir::ParseResult>
+ParsedKernelCache::get(const std::string &text)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = byText.find(text);
+        if (it != byText.end()) {
+            nHits.fetch_add(1, std::memory_order_relaxed);
+            return it->second;
+        }
+    }
+    nMisses.fetch_add(1, std::memory_order_relaxed);
+    auto parsed = std::make_shared<const sir::ParseResult>(
+        sir::parseSir(text, "<request>"));
+    if (text.size() > kMaxBytes)
+        return parsed;
+
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, inserted] = byText.emplace(text, parsed);
+    if (!inserted) // a concurrent miss on the same text won
+        return it->second;
+    order.push_back(&it->first);
+    textBytes += text.size();
+    while (byText.size() > kMaxTexts || textBytes > kMaxBytes) {
+        auto oldest = byText.find(*order.front());
+        order.pop_front();
+        textBytes -= oldest->first.size();
+        byText.erase(oldest);
+    }
+    return parsed;
+}
+
+int64_t
+ParsedKernelCache::hits() const
+{
+    return nHits.load(std::memory_order_relaxed);
+}
+
+int64_t
+ParsedKernelCache::misses() const
+{
+    return nMisses.load(std::memory_order_relaxed);
+}
+
+size_t
+ParsedKernelCache::entries() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return byText.size();
+}
+
+size_t
+ParsedKernelCache::bytes() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return textBytes;
+}
+
 ServeServer::ServeServer(const ServeOptions &options)
     : opts(options), pool(options.jobs)
 {
@@ -395,7 +449,7 @@ ServeServer::submit(const std::string &line)
         base.tilesY = opts.topology.tilesY;
         base.interTileLatency = opts.topology.interTileLatency;
         base.interTileCapacity = opts.topology.interTileCapacity;
-        if (!parseRequest(line, base, req, error)) {
+        if (!parseRequest(line, base, parsed, req, error)) {
             nBadRequests.fetch_add(1, std::memory_order_relaxed);
             return immediate(req.id,
                              statusPayload("error", error));
@@ -471,6 +525,8 @@ ServeServer::stats() const
     s.dedupHits = nDedupHits.load(std::memory_order_relaxed);
     s.completed = nCompleted.load(std::memory_order_relaxed);
     s.peakQueued = nPeakQueued.load(std::memory_order_relaxed);
+    s.parseHits = parsed.hits();
+    s.parseMisses = parsed.misses();
     return s;
 }
 
@@ -652,6 +708,8 @@ runServeBench(const ServeOptions &options,
         .add("dedup_hits", st.dedupHits)
         .add("dedup_rate",
              n > 0 ? static_cast<double>(st.dedupHits) / n : 0.0)
+        .add("parse_hits", st.parseHits)
+        .add("parse_misses", st.parseMisses)
         .add("peak_queued", st.peakQueued)
         .add("ok", okCount)
         .add("failed", n - okCount)

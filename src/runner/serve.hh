@@ -18,6 +18,8 @@
  *    config) collapse onto one in-flight execution and one memoized
  *    response — the serve-level analogue of runner::Runner's run
  *    dedup;
+ *  - each distinct SIR text is parsed once (ParsedKernelCache);
+ *    later requests naming it deep-copy the cached program;
  *  - distinct requests for the same kernel×config share one
  *    immutable sim::Program through the MemoCache prepared layer;
  *    only per-run ExecutionState is rebuilt per request;
@@ -35,7 +37,9 @@
 #define PIPESTITCH_RUNNER_SERVE_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <iosfwd>
 #include <memory>
@@ -46,6 +50,7 @@
 #include "fabric/fabric.hh"
 #include "runner/memo.hh"
 #include "runner/pool.hh"
+#include "sir/parser.hh"
 
 namespace pipestitch::runner {
 
@@ -73,6 +78,45 @@ struct ServeStats
     int64_t dedupHits = 0;  ///< served from an identical request
     int64_t completed = 0;  ///< executions finished
     int64_t peakQueued = 0; ///< high-water mark of queued+running
+    int64_t parseHits = 0;   ///< SIR texts found already parsed
+    int64_t parseMisses = 0; ///< SIR texts parsed (failures included)
+};
+
+/**
+ * A server's parsed SIR kernels, keyed by their exact text (compared
+ * in full, not by hash alone). Only successful parses are kept, so a
+ * malformed text fails the same way every time. Fixed bounds on the
+ * number of texts and on their total size evict the oldest entry
+ * first; a text larger than the byte bound is parsed but never kept.
+ */
+class ParsedKernelCache
+{
+  public:
+    static constexpr size_t kMaxTexts = 64;
+    static constexpr size_t kMaxBytes = size_t{4} << 20;
+
+    /** The parse of @p text, from the cache or parsed now (outside
+     *  the lock). fatal()s on a malformed text, like sir::parseSir. */
+    std::shared_ptr<const sir::ParseResult>
+    get(const std::string &text);
+
+    int64_t hits() const;
+    int64_t misses() const;
+    /** Texts held and their total size in bytes. */
+    size_t entries() const;
+    size_t bytes() const;
+
+  private:
+    mutable std::mutex mu;
+    std::unordered_map<std::string,
+                       std::shared_ptr<const sir::ParseResult>>
+        byText;
+    /** Keys of byText (node-owned, so stable), oldest first. */
+    std::deque<const std::string *> order;
+    size_t textBytes = 0;
+
+    std::atomic<int64_t> nHits{0};
+    std::atomic<int64_t> nMisses{0};
 };
 
 class ServeServer
@@ -108,6 +152,7 @@ class ServeServer
 
     ServeStats stats() const;
     MemoCache &cache() { return memo; }
+    const ParsedKernelCache &parsedKernels() const { return parsed; }
     int threadCount() { return pool.threadCount(); }
 
   private:
@@ -116,6 +161,7 @@ class ServeServer
 
     ServeOptions opts;
     MemoCache memo;
+    ParsedKernelCache parsed;
 
     mutable std::mutex mu;
     /** Request content key -> shared payload (in-flight or done). */

@@ -1,5 +1,6 @@
 #include "sir/program.hh"
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 
 namespace pipestitch::sir {
@@ -144,6 +145,107 @@ cloneStmts(const StmtList &stmts)
     for (const auto &s : stmts)
         out.push_back(cloneStmt(*s));
     return out;
+}
+
+Program
+cloneProgram(const Program &prog)
+{
+    Program out(prog.name);
+    out.numRegs = prog.numRegs;
+    out.arrays = prog.arrays;
+    out.regNames = prog.regNames;
+    out.liveIns = prog.liveIns;
+    out.body = cloneStmts(prog.body);
+    out.memWords = prog.memWords;
+    return out;
+}
+
+namespace {
+
+void hashStmts(Hasher &h, const StmtList &stmts);
+
+void
+hashStmt(Hasher &h, const Stmt &stmt)
+{
+    h.i32(static_cast<int32_t>(stmt.kind()));
+    switch (stmt.kind()) {
+      case Stmt::Kind::Const: {
+        const auto &s = static_cast<const ConstStmt &>(stmt);
+        h.i32(s.dst).i32(s.value);
+        return;
+      }
+      case Stmt::Kind::Compute: {
+        const auto &s = static_cast<const ComputeStmt &>(stmt);
+        h.i32(static_cast<int32_t>(s.op))
+            .i32(s.dst)
+            .i32(s.a)
+            .i32(s.b)
+            .i32(s.c);
+        return;
+      }
+      case Stmt::Kind::Load: {
+        const auto &s = static_cast<const LoadStmt &>(stmt);
+        h.i32(s.dst).i32(s.addr).i32(s.array).i32(s.offset);
+        return;
+      }
+      case Stmt::Kind::Store: {
+        const auto &s = static_cast<const StoreStmt &>(stmt);
+        h.i32(s.addr).i32(s.value).i32(s.array).i32(s.offset);
+        return;
+      }
+      case Stmt::Kind::If: {
+        const auto &s = static_cast<const IfStmt &>(stmt);
+        h.i32(s.cond);
+        hashStmts(h, s.thenBody);
+        hashStmts(h, s.elseBody);
+        return;
+      }
+      case Stmt::Kind::For: {
+        const auto &s = static_cast<const ForStmt &>(stmt);
+        h.i32(s.var)
+            .i32(s.begin)
+            .i32(s.end)
+            .i32(s.step)
+            .b(s.isForeach);
+        hashStmts(h, s.body);
+        return;
+      }
+      case Stmt::Kind::While: {
+        const auto &s = static_cast<const WhileStmt &>(stmt);
+        hashStmts(h, s.header);
+        h.i32(s.cond);
+        hashStmts(h, s.body);
+        return;
+      }
+    }
+    panic("unknown statement kind");
+}
+
+/** Length-prefixed, so nesting is part of the hash. */
+void
+hashStmts(Hasher &h, const StmtList &stmts)
+{
+    h.u64(stmts.size());
+    for (const auto &s : stmts)
+        hashStmt(h, *s);
+}
+
+} // namespace
+
+uint64_t
+fingerprint(const Program &prog)
+{
+    Hasher h;
+    h.str(prog.name).i32(prog.numRegs).i64(prog.memWords);
+    h.u64(prog.arrays.size());
+    for (const Array &a : prog.arrays)
+        h.str(a.name).i64(a.base).i64(a.words);
+    h.u64(prog.regNames.size());
+    for (const std::string &name : prog.regNames)
+        h.str(name);
+    h.vec(prog.liveIns);
+    hashStmts(h, prog.body);
+    return h.digest();
 }
 
 } // namespace pipestitch::sir

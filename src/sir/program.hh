@@ -229,6 +229,18 @@ class Program
 /** Deep-copy a statement list (used by compilation variants). */
 StmtList cloneStmts(const StmtList &stmts);
 
+/** Deep-copy a whole program: every field, body included. */
+Program cloneProgram(const Program &prog);
+
+/**
+ * Structural content hash of @p prog: name, register file, memory
+ * layout, register names, live-ins and every statement field
+ * (Load/Store offsets included). Two programs with the same
+ * fingerprint compile, interpret and simulate alike; the memo cache
+ * keys kernels on it.
+ */
+uint64_t fingerprint(const Program &prog);
+
 } // namespace pipestitch::sir
 
 #endif // PIPESTITCH_SIR_PROGRAM_HH

@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scalar/interpreter.hh"
@@ -43,13 +44,7 @@ loadSirKernel(const std::string &file,
 
     workloads::KernelInstance kernel;
     kernel.name = parsed.program.name;
-    kernel.prog = sir::Program(parsed.program.name);
-    kernel.prog.numRegs = parsed.program.numRegs;
-    kernel.prog.arrays = parsed.program.arrays;
-    kernel.prog.regNames = parsed.program.regNames;
-    kernel.prog.liveIns = parsed.program.liveIns;
-    kernel.prog.memWords = parsed.program.memWords;
-    kernel.prog.body = sir::cloneStmts(parsed.program.body);
+    kernel.prog = std::move(parsed.program);
     for (sir::Reg r : kernel.prog.liveIns) {
         const std::string &name =
             kernel.prog.regNames[static_cast<size_t>(r)];

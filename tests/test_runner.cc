@@ -169,6 +169,63 @@ TEST(MemoCache, KeysSeparateIngredients)
               runner::MemoCache::compileKey(k1, b));
 }
 
+namespace {
+
+/** The first Load (or Store) statement in @p stmts, depth first. */
+template <typename S>
+S *
+firstMemStmt(sir::StmtList &stmts, sir::Stmt::Kind kind)
+{
+    for (auto &stmt : stmts) {
+        if (stmt->kind() == kind)
+            return static_cast<S *>(stmt.get());
+        if (stmt->kind() == sir::Stmt::Kind::For) {
+            auto &loop = static_cast<sir::ForStmt &>(*stmt);
+            if (S *s = firstMemStmt<S>(loop.body, kind))
+                return s;
+        }
+    }
+    return nullptr;
+}
+
+} // namespace
+
+TEST(MemoCache, ProgramKeyIsStructural)
+{
+    auto spmv = [] {
+        return workloads::makeSpmv(16, 0.8, figures::kSeed);
+    };
+    auto k = spmv();
+    workloads::KernelInstance copy;
+    copy.prog = sir::cloneProgram(k.prog);
+    copy.liveIns = k.liveIns;
+    EXPECT_EQ(runner::MemoCache::programKey(k),
+              runner::MemoCache::programKey(copy));
+
+    // The printer omits Load/Store offsets; the key must not.
+    auto load = spmv();
+    auto *ld = firstMemStmt<sir::LoadStmt>(load.prog.body,
+                                           sir::Stmt::Kind::Load);
+    ASSERT_NE(ld, nullptr);
+    ld->offset += 1;
+    EXPECT_NE(runner::MemoCache::programKey(k),
+              runner::MemoCache::programKey(load));
+
+    auto store = spmv();
+    auto *st = firstMemStmt<sir::StoreStmt>(store.prog.body,
+                                            sir::Stmt::Kind::Store);
+    ASSERT_NE(st, nullptr);
+    st->offset += 1;
+    EXPECT_NE(runner::MemoCache::programKey(k),
+              runner::MemoCache::programKey(store));
+
+    auto renamed = spmv();
+    ASSERT_FALSE(renamed.prog.arrays.empty());
+    renamed.prog.arrays[0].name += "_renamed";
+    EXPECT_NE(runner::MemoCache::programKey(k),
+              runner::MemoCache::programKey(renamed));
+}
+
 TEST(Runner, DedupsIdenticalRuns)
 {
     runner::RunnerOptions opts;

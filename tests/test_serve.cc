@@ -1,15 +1,20 @@
 /**
  * @file
- * The serve daemon (runner/serve.hh): request parsing, response
- * stitching, dedup, admission control, the watchdog/deadlock status
- * distinction, and the JSON parser underneath it all.
+ * The serve daemon (runner/serve.hh): request parsing, the
+ * parsed-kernel cache, response stitching, dedup, admission control,
+ * the watchdog/deadlock status distinction, and the JSON parser
+ * underneath it all.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "runner/serve.hh"
 #include "trace/json_parse.hh"
@@ -36,6 +41,31 @@ scaleRequest(const std::string &id, int mulBy)
        << "  store y[i] = s\\nend\\n"
        << "\",\"liveins\":{\"n\":4},"
        << "\"init\":{\"x\":[1,2,3,4]}}";
+    return os.str();
+}
+
+/** Request @p i of a stream on one fixed kernel text: the variant,
+ *  the live-in n and the inputs x all vary with @p i, so every
+ *  request hits the same parsed-kernel entry but runs anew. */
+std::string
+sameTextRequest(int i)
+{
+    static const char *kVariants[] = {"pipestitch", "riptide",
+                                      "pipesb"};
+    std::ostringstream os;
+    os << "{\"id\":\"s" << i << "\",\"sir\":\""
+       << "program scale\\n"
+       << "array x 8\\narray y 8\\nlivein n\\n\\n"
+       << "foreach i = 0 .. n:\\n"
+       << "  v = load x[i]\\n"
+       << "  s = mul v 3\\n"
+       << "  store y[i] = s\\nend\\n"
+       << "\",\"variant\":\"" << kVariants[i % 3] << "\","
+       << "\"liveins\":{\"n\":" << 4 + i % 5 << "},"
+       << "\"init\":{\"x\":[";
+    for (int j = 0; j < 8; j++)
+        os << (j ? "," : "") << i * 7 + j * 3 - 5;
+    os << "]}}";
     return os.str();
 }
 
@@ -87,6 +117,14 @@ withJobs(int jobs)
     ServeOptions opts;
     opts.jobs = jobs;
     return opts;
+}
+
+/** The response a server that never saw another request gives. */
+std::string
+freshResponse(const std::string &request)
+{
+    ServeServer fresh(withJobs(1));
+    return ServeServer::render(fresh.submit(request));
 }
 
 } // namespace
@@ -215,6 +253,137 @@ TEST(Serve, ContentIdenticalRequestsShareOneExecution)
     EXPECT_EQ(st.received, 3);
     EXPECT_EQ(st.dedupHits, 1);
     EXPECT_EQ(st.accepted, 2) << "the dedup hit cost no slot";
+}
+
+TEST(Serve, RepeatedKernelTextAnswersLikeFreshServers)
+{
+    ServeServer server(withJobs(2));
+    std::set<std::string> memHashes;
+    constexpr int kRequests = 6;
+    for (int i = 0; i < kRequests; i++) {
+        std::string req = sameTextRequest(i);
+        std::string line = ServeServer::render(server.submit(req));
+        EXPECT_EQ(line, freshResponse(req));
+        JsonValue v = parseResponse(line);
+        EXPECT_EQ(field(v, "status"), "ok") << line;
+        memHashes.insert(field(v, "mem_hash"));
+    }
+    EXPECT_EQ(memHashes.size(), static_cast<size_t>(kRequests))
+        << "every request ran on its own inputs";
+    auto st = server.stats();
+    EXPECT_EQ(st.parseMisses, 1);
+    EXPECT_EQ(st.parseHits, kRequests - 1);
+    EXPECT_EQ(st.dedupHits, 0);
+    EXPECT_EQ(server.parsedKernels().entries(), 1u);
+}
+
+TEST(Serve, MalformedKernelTextIsNotCached)
+{
+    ServeServer server(withJobs(1));
+    const std::string bad =
+        "{\"id\":\"b\",\"sir\":\"program broken\\nthis is not "
+        "sir\\n\"}";
+    std::string first = ServeServer::render(server.submit(bad));
+    std::string second = ServeServer::render(server.submit(bad));
+    EXPECT_EQ(first, second);
+    JsonValue v = parseResponse(first);
+    EXPECT_EQ(field(v, "status"), "error");
+    EXPECT_FALSE(field(v, "error").empty());
+
+    auto st = server.stats();
+    EXPECT_EQ(st.parseMisses, 2);
+    EXPECT_EQ(st.parseHits, 0);
+    EXPECT_EQ(server.parsedKernels().entries(), 0u);
+}
+
+TEST(Serve, ParsedKernelCacheKeepsItsTextBound)
+{
+    ServeServer server(withJobs(2));
+    constexpr int kTexts =
+        static_cast<int>(runner::ParsedKernelCache::kMaxTexts) + 4;
+    // scaleRequest's text differs with the multiplier.
+    for (int i = 0; i < kTexts; i++) {
+        std::string line = ServeServer::render(
+            server.submit(scaleRequest("t", i + 1)));
+        EXPECT_EQ(field(parseResponse(line), "status"), "ok") << line;
+        EXPECT_LE(server.parsedKernels().entries(),
+                  runner::ParsedKernelCache::kMaxTexts);
+    }
+    EXPECT_EQ(server.stats().parseMisses, kTexts);
+    EXPECT_EQ(server.parsedKernels().entries(),
+              runner::ParsedKernelCache::kMaxTexts);
+
+    // The newest text is still held; the oldest was evicted.
+    server.submit(scaleRequest("newest", kTexts));
+    EXPECT_EQ(server.stats().parseHits, 1);
+    std::string line =
+        ServeServer::render(server.submit(scaleRequest("oldest", 1)));
+    EXPECT_EQ(field(parseResponse(line), "status"), "ok") << line;
+    EXPECT_EQ(server.stats().parseMisses, kTexts + 1);
+}
+
+TEST(Serve, ParsedKernelCacheKeepsItsByteBound)
+{
+    // A valid kernel padded by a comment to @p bytes of text.
+    auto padded = [](int id, size_t bytes) {
+        std::string text = "program big" + std::to_string(id) +
+                           "\narray y 1\n\ny0 = const 0\n"
+                           "v = const 1\nstore y[y0] = v\n# ";
+        text.resize(bytes, 'x');
+        return text + "\n";
+    };
+    constexpr size_t kMax = runner::ParsedKernelCache::kMaxBytes;
+    runner::ParsedKernelCache cache;
+    for (int i = 0; i < 4; i++) {
+        auto parsed = cache.get(padded(i, kMax * 2 / 5));
+        EXPECT_EQ(parsed->program.name, "big" + std::to_string(i));
+        EXPECT_LE(cache.bytes(), kMax);
+    }
+    EXPECT_EQ(cache.entries(), 2u);
+    EXPECT_EQ(cache.misses(), 4);
+
+    // A text over the whole budget is parsed but never kept.
+    const std::string huge = padded(9, kMax + 1);
+    cache.get(huge);
+    cache.get(huge);
+    EXPECT_EQ(cache.misses(), 6);
+    EXPECT_EQ(cache.hits(), 0);
+    EXPECT_EQ(cache.entries(), 2u);
+}
+
+TEST(Serve, ConcurrentSubmittersShareParsedKernels)
+{
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 3;
+    std::vector<std::string> requests, expected;
+    for (int i = 0; i < kThreads * kPerThread; i++) {
+        requests.push_back(sameTextRequest(i));
+        expected.push_back(freshResponse(requests.back()));
+    }
+
+    ServeServer server(withJobs(2));
+    std::vector<std::string> got(requests.size());
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            for (int k = 0; k < kPerThread; k++) {
+                size_t i = static_cast<size_t>(t * kPerThread + k);
+                got[i] = ServeServer::render(server.submit(requests[i]));
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (size_t i = 0; i < requests.size(); i++)
+        EXPECT_EQ(got[i], expected[i]) << requests[i];
+
+    auto st = server.stats();
+    EXPECT_EQ(st.parseHits + st.parseMisses,
+              static_cast<int64_t>(requests.size()));
+    EXPECT_GE(st.parseMisses, 1);
+    EXPECT_EQ(server.parsedKernels().entries(), 1u);
 }
 
 TEST(Serve, WatchdogIsNotReportedAsDeadlock)
@@ -371,6 +540,10 @@ TEST(Serve, BenchReportsDedupAndLatency)
     EXPECT_EQ(v.find("failed")->asInt(), 0) << json;
     EXPECT_EQ(v.find("accepted")->asInt(), 8);
     EXPECT_EQ(v.find("dedup_hits")->asInt(), 40);
+    // Dedup keys on the parsed content, so every request is parsed
+    // or found parsed: once per distinct text.
+    EXPECT_EQ(v.find("parse_misses")->asInt(), 8);
+    EXPECT_EQ(v.find("parse_hits")->asInt(), 40);
     EXPECT_GT(v.find("rps")->asDouble(), 0.0);
     EXPECT_GE(v.find("p99_ms")->asDouble(),
               v.find("p50_ms")->asDouble());

@@ -484,7 +484,7 @@ TEST(SirVerifier, FlagsBoundAssignedInBody)
 TEST(SirVerifier, FlagsInductionVarReadAfterLoop)
 {
     Builder b("bad");
-    auto arr = b.array("a", 8);
+    b.array("a", 8);
     Reg n = b.liveIn("n");
     Reg leak = b.reg("leak");
     b.assignConst(leak, 0);

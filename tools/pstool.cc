@@ -210,7 +210,7 @@ usage()
         "requests on stdin, responses on stdout (no .sir file; "
         "see docs/serve.md)",
         "[--jobs=N --queue=N --fabric=S --bench=N "
-        "--bench-out=F]");
+        "--bench-unique=N --bench-out=F]");
     std::fprintf(
         stderr,
         "  %-10s %s\n             %s\n", "bench-tiles",
@@ -422,14 +422,7 @@ buildKernel(const Options &opts, const ParseResult &parsed)
 {
     workloads::KernelInstance kernel;
     kernel.name = parsed.program.name;
-    kernel.prog = sir::Program(parsed.program.name);
-    // Deep-copy via clone (Program is move-only in spirit).
-    kernel.prog.numRegs = parsed.program.numRegs;
-    kernel.prog.arrays = parsed.program.arrays;
-    kernel.prog.regNames = parsed.program.regNames;
-    kernel.prog.liveIns = parsed.program.liveIns;
-    kernel.prog.memWords = parsed.program.memWords;
-    kernel.prog.body = sir::cloneStmts(parsed.program.body);
+    kernel.prog = sir::cloneProgram(parsed.program);
 
     // Bind live-ins by name, defaulting to 0 with a warning.
     for (sir::Reg r : kernel.prog.liveIns) {
@@ -1669,14 +1662,16 @@ cmdBenchTiles(int argc, char **argv)
  * one JSON request per stdin line, one JSON response per stdout
  * line, executed concurrently on a bounded thread-pool queue with
  * content dedup onto the shared MemoCache. `--bench=N` runs the
- * built-in load generator instead and writes the throughput/latency
+ * built-in load generator instead (`--bench-unique=N` distinct
+ * request contents, default 32) and writes the throughput/latency
  * record to --bench-out (default BENCH_serve.json).
  */
 int
 cmdServe(int argc, char **argv)
 {
     runner::ServeOptions sopts;
-    int bench = 0;
+    runner::ServeBenchOptions bench;
+    bench.requests = 0;
     std::string benchOut = "BENCH_serve.json";
     for (int i = 2; i < argc; i++) {
         std::string arg = argv[i];
@@ -1687,16 +1682,17 @@ cmdServe(int argc, char **argv)
         } else if (arg.rfind("--fabric=", 0) == 0) {
             parseFabricArg(arg.substr(9), sopts.topology);
         } else if (arg.rfind("--bench=", 0) == 0) {
-            bench = std::atoi(arg.c_str() + 8);
+            bench.requests = std::atoi(arg.c_str() + 8);
+        } else if (arg.rfind("--bench-unique=", 0) == 0) {
+            bench.unique = std::atoi(arg.c_str() + 15);
         } else if (arg.rfind("--bench-out=", 0) == 0) {
             benchOut = arg.substr(12);
         } else {
             usage();
         }
     }
-    if (bench > 0) {
-        std::string json = runner::runServeBench(
-            sopts, runner::ServeBenchOptions{bench});
+    if (bench.requests > 0) {
+        std::string json = runner::runServeBench(sopts, bench);
         std::ofstream f(benchOut);
         if (!f)
             fatal("cannot write '%s'", benchOut.c_str());
@@ -1710,13 +1706,16 @@ cmdServe(int argc, char **argv)
     std::fprintf(
         stderr,
         "serve: %lld received, %lld executed, %lld dedup hits, "
-        "%lld rejected, %lld bad, peak queue %lld\n",
+        "%lld rejected, %lld bad, peak queue %lld, "
+        "%lld parse hits, %lld parse misses\n",
         static_cast<long long>(st.received),
         static_cast<long long>(st.completed),
         static_cast<long long>(st.dedupHits),
         static_cast<long long>(st.rejected),
         static_cast<long long>(st.badRequests),
-        static_cast<long long>(st.peakQueued));
+        static_cast<long long>(st.peakQueued),
+        static_cast<long long>(st.parseHits),
+        static_cast<long long>(st.parseMisses));
     return rc;
 }
 
