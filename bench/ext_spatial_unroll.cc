@@ -69,7 +69,7 @@ main()
         cfg.unrollFactor = lanes;
         cfg.map = false; // measure even when it wouldn't fit as-is
         auto run = runOnFabric(k, cfg);
-        auto counts = run.compiled.graph.peClassCounts();
+        auto counts = run.compiled().graph.peClassCounts();
         fabric::FabricConfig fc;
         bool fits = true;
         int total = 0;
@@ -83,7 +83,7 @@ main()
         std::string fitNote = fits ? "yes" : "no";
         double cycles = static_cast<double>(run.cycles());
         if (!fits && lanes > 1 &&
-            compiler::tryPlanTimeMultiplexing(run.compiled.graph,
+            compiler::tryPlanTimeMultiplexing(run.compiled().graph,
                                               fc)) {
             RunConfig tm = cfg;
             tm.map = true;

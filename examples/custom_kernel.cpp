@@ -70,6 +70,6 @@ main()
                  static_cast<long long>(run.cycles()));
 
     // The DFG, for inspection with GraphViz (stdout).
-    std::printf("%s", dfg::toDot(run.compiled.graph).c_str());
+    std::printf("%s", dfg::toDot(run.compiled().graph).c_str());
     return 0;
 }

@@ -45,11 +45,11 @@ main(int argc, char **argv)
                     static_cast<long long>(run.cycles()),
                     run.sim.stats.ipc());
         std::printf("%s\n",
-                    sim::utilizationMap(run.compiled.graph, fab,
-                                        run.mapping, run.sim.stats)
+                    sim::utilizationMap(run.compiled().graph, fab,
+                                        run.mapping(), run.sim.stats)
                         .c_str());
         std::printf("hottest operators:\n%s\n",
-                    sim::operatorReport(run.compiled.graph,
+                    sim::operatorReport(run.compiled().graph,
                                         run.sim.stats, 12)
                         .c_str());
     }

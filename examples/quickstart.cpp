@@ -99,7 +99,7 @@ main()
 
     std::printf("\n=== execution ===\n");
     std::printf("  threaded compilation: %s (inner-loop II > 1)\n",
-                pipe.compiled.threaded ? "yes" : "no");
+                pipe.compiled().threaded ? "yes" : "no");
     std::printf("  threads spawned:      %lld\n",
                 static_cast<long long>(
                     pipe.sim.stats.dispatchSpawns /

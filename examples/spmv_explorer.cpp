@@ -41,7 +41,7 @@ sweep(const char *title,
                                  static_cast<double>(p.cycles()),
                              2) +
                       "x",
-                  p.compiled.threaded ? "yes" : "no"});
+                  p.compiled().threaded ? "yes" : "no"});
     }
     std::printf("%s\n\n%s\n", title, t.render().c_str());
 }

@@ -95,9 +95,10 @@ runBatch(const std::vector<workloads::KernelInstance> &shards,
     std::vector<std::string> tileError(static_cast<size_t>(tiles));
     auto wallStart = std::chrono::steady_clock::now();
 
-    // One worker per tile, one warmed ExecutionState per worker —
-    // run() resets all run state, so one ExecutionState streams
-    // every shard its tile claims. Shards sit in one shared queue
+    // One worker per tile, one ExecutionState per worker: run()
+    // resets all run state and borrows a warmed engine from the
+    // Program, so every shard after a tile's first reuses one set of
+    // slabs (sim/program.hh). Shards sit in one shared queue
     // and each idle tile claims the next one (work-stealing): a
     // tile stuck on a slow shard never holds a fixed stride of the
     // queue the way the old round-robin deal did.
@@ -121,9 +122,9 @@ runBatch(const std::vector<workloads::KernelInstance> &shards,
                 tileError[static_cast<size_t>(t)] = csprintf(
                     "shard %zu (%s) %s on tile %d:\n%s", i,
                     shard.name.c_str(),
-                    res.watchdogExpired
-                        ? "exceeded its cycle watchdog"
-                        : "deadlocked",
+                    res.fault.any()       ? "hit a memory fault"
+                    : res.watchdogExpired ? "exceeded its cycle watchdog"
+                                          : "deadlocked",
                     t, res.diagnostic.c_str());
                 return;
             }

@@ -281,11 +281,20 @@ finishOnFabric(const PreparedKernel &prepared,
 {
     ScopedQuiet scopedQuiet(config.quiet);
     FabricRun run;
-    run.compiled = *prepared.compiled;
-    run.mapping = prepared.mapping;
-    run.analysis = prepared.analysis;
+    run.prepared = prepared.shared_from_this();
     run.sim = std::move(outcome.sim);
     run.memory = std::move(outcome.memory);
+    if (run.sim.fault.any()) {
+        // An out-of-bounds access is the input's fault (say, a trip
+        // count past the arrays), not a disagreement between the
+        // analyzer and the simulator.
+        reportFailure(
+            error,
+            csprintf("kernel %s on %s: %s", kernel.name.c_str(),
+                     compiler::archVariantName(config.variant),
+                     run.sim.diagnostic.c_str()));
+        return run;
+    }
     if (run.sim.deadlocked) {
         // Cross-check: every quiescence deadlock reaching this
         // point contradicts the analyzer (errors already failed the
@@ -294,7 +303,7 @@ finishOnFabric(const PreparedKernel &prepared,
         // kernel. Watchdog expiry is exempt: the fabric was still
         // making progress, and termination is input-dependent —
         // outside what static certification claims.
-        if (config.analyze && run.analysis.deadlockFree &&
+        if (config.analyze && prepared.analysis.deadlockFree &&
             !run.sim.watchdogExpired) {
             reportFailure(
                 error,
@@ -327,7 +336,6 @@ finishOnFabric(const PreparedKernel &prepared,
         sim::BoundReport::Evaluation ev =
             prepared.bound.evaluate(run.sim.stats);
         run.boundCycles = ev.certifiedCycles;
-        run.bound = prepared.bound;
         run.boundEval = ev;
         if (!ev.holds(run.sim.stats.cycles)) {
             const char *binding =
@@ -369,18 +377,45 @@ finishOnFabric(const PreparedKernel &prepared,
     }
 
     run.area = prepared.area;
+    const int nodes = prepared.compiled->graph.size();
     run.energy =
         prepared.mapped
             ? energy::fabricEnergyMapped(run.sim.stats, run.area,
-                                         run.mapping,
-                                         run.compiled.graph.size())
+                                         prepared.mapping, nodes)
             : energy::fabricEnergy(run.sim.stats, run.area,
-                                   prepared.avgHops,
-                                   run.compiled.graph.size());
+                                   prepared.avgHops, nodes);
     run.seconds = energy::secondsFor(run.sim.stats.cycles,
                                      config.fabric.clockMHz);
     run.edp = energy::edp(run.energy, run.seconds);
     return run;
+}
+
+const compiler::CompileResult &
+FabricRun::compiled() const
+{
+    static const compiler::CompileResult empty;
+    return prepared ? *prepared->compiled : empty;
+}
+
+const mapper::Mapping &
+FabricRun::mapping() const
+{
+    static const mapper::Mapping empty;
+    return prepared ? prepared->mapping : empty;
+}
+
+const analysis::AnalysisReport &
+FabricRun::analysis() const
+{
+    static const analysis::AnalysisReport empty;
+    return prepared ? prepared->analysis : empty;
+}
+
+const sim::BoundReport &
+FabricRun::bound() const
+{
+    static const sim::BoundReport empty;
+    return prepared ? prepared->bound : empty;
 }
 
 FabricRun

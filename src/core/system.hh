@@ -222,40 +222,6 @@ struct RunConfig
     }
 };
 
-/** Everything produced by one fabric execution. */
-struct FabricRun
-{
-    compiler::CompileResult compiled;
-    mapper::Mapping mapping;
-    /** Static-analyzer findings (empty when RunConfig::analyze is
-     *  off; placement rules only when mapping ran). */
-    analysis::AnalysisReport analysis;
-    sim::SimResult sim;
-    fabric::AreaBreakdown area;
-    energy::EnergyBreakdown energy;
-    scalar::MemImage memory; ///< final memory image
-
-    double seconds = 0;
-    double edp = 0; ///< pJ·s
-
-    /**
-     * Certified static throughput bound instantiated with this
-     * run's fire counts (0 when RunConfig::analyze is off). On
-     * every clean analyzed run, executeOnFabric cross-checks
-     * boundCycles <= cycles() and fails the run on violation —
-     * mirroring the deadlock-certification cross-check.
-     */
-    int64_t boundCycles = 0;
-    /** The bound's structural terms and their per-run evaluation
-     *  (empty/zero when RunConfig::analyze is off). `pstool bound`
-     *  renders these; boundEval.binding indexes the term that set
-     *  boundCycles. */
-    sim::BoundReport bound;
-    sim::BoundReport::Evaluation boundEval;
-
-    int64_t cycles() const { return sim.stats.cycles; }
-};
-
 /**
  * The immutable product of the prepare pipeline: one kernel compiled,
  * statically analyzed, mapped, linted, and lowered into a built
@@ -263,9 +229,11 @@ struct FabricRun
  * prepareKernel returns; any number of threads may execute it
  * concurrently (each execution owns its ExecutionState and memory
  * image). This is the unit `pstool serve` and the figures sweeps
- * cache and share — prepare once, execute N times.
+ * cache and share — prepare once, execute N times. Always owned by
+ * a shared_ptr (prepareKernel makes it so): every FabricRun of it
+ * holds a reference instead of a copy.
  */
-struct PreparedKernel
+struct PreparedKernel : std::enable_shared_from_this<PreparedKernel>
 {
     /** Owned by shared_ptr so the Program's graph pointer can alias
      *  it (the graph must outlive every execution). */
@@ -298,6 +266,52 @@ struct PreparedKernel
 };
 
 using PreparedPtr = std::shared_ptr<const PreparedKernel>;
+
+/** Everything produced by one fabric execution. */
+struct FabricRun
+{
+    /**
+     * The prepared artifact this run executed, shared read-only;
+     * null in a FabricRun{} whose prepare failed. The compiled
+     * kernel, mapping, analyzer report and bound terms are read
+     * through it (the accessors below), not copied per run.
+     */
+    PreparedPtr prepared;
+
+    sim::SimResult sim;
+    fabric::AreaBreakdown area;
+    energy::EnergyBreakdown energy;
+    scalar::MemImage memory; ///< final memory image
+
+    double seconds = 0;
+    double edp = 0; ///< pJ·s
+
+    /**
+     * Certified static throughput bound instantiated with this
+     * run's fire counts (0 when RunConfig::analyze is off). On
+     * every clean analyzed run, executeOnFabric cross-checks
+     * boundCycles <= cycles() and fails the run on violation —
+     * mirroring the deadlock-certification cross-check.
+     */
+    int64_t boundCycles = 0;
+    /** The evaluation of bound() against this run's stats (zero
+     *  unless the run retired and was analyzed); `binding` indexes
+     *  the term that set boundCycles. */
+    sim::BoundReport::Evaluation boundEval;
+
+    /** The compiled kernel (empty when prepare failed). */
+    const compiler::CompileResult &compiled() const;
+    /** The placement (empty when unmapped or prepare failed). */
+    const mapper::Mapping &mapping() const;
+    /** Static-analyzer findings (empty when RunConfig::analyze is
+     *  off; placement rules only when mapping ran). */
+    const analysis::AnalysisReport &analysis() const;
+    /** The bound's structural terms (empty when RunConfig::analyze
+     *  is off). `pstool bound` renders these with boundEval. */
+    const sim::BoundReport &bound() const;
+
+    int64_t cycles() const { return sim.stats.cycles; }
+};
 
 /**
  * Run the prepare pipeline (or fetch the whole artifact from
@@ -335,12 +349,14 @@ SimOutcome simulateOnFabric(const PreparedKernel &prepared,
  * The finish step of executeOnFabric, for one PreparedKernel and
  * its RunConfig: the deadlock cross-check against the analyzer, the
  * certified-bound cross-check, golden verification, and energy/EDP
- * accounting over @p outcome.
+ * accounting over @p outcome. The FabricRun shares @p prepared
+ * (which must be owned by a shared_ptr, as prepareKernel's are).
  *
- * Failure contract: with @p error null, deadlock / bound violation /
- * golden mismatch are fatal() (legacy). With @p error non-null,
- * *error is set and the partial FabricRun is still returned —
- * run.sim distinguishes a certified deadlock from watchdog expiry.
+ * Failure contract: with @p error null, memory fault / deadlock /
+ * bound violation / golden mismatch are fatal() (legacy). With
+ * @p error non-null, *error is set and the partial FabricRun is
+ * still returned — run.sim distinguishes a memory fault and a
+ * watchdog expiry from a certified deadlock.
  */
 FabricRun finishOnFabric(const PreparedKernel &prepared,
                          const workloads::KernelInstance &kernel,

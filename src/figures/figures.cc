@@ -567,8 +567,8 @@ fig18(FigureSet &f)
         const auto &rip = rips[i].get();
         const auto &pipe = pipes[i].get();
         auto ripIpc =
-            sim::computeLoopIpc(rip.compiled.graph, rip.sim.stats);
-        auto pipeIpc = sim::computeLoopIpc(pipe.compiled.graph,
+            sim::computeLoopIpc(rip.compiled().graph, rip.sim.stats);
+        auto pipeIpc = sim::computeLoopIpc(pipe.compiled().graph,
                                            pipe.sim.stats);
         t.addRow({ks[i]->name, "RipTide",
                   Table::fmt(ripIpc.innerPerUnit, 3),

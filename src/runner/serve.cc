@@ -301,13 +301,15 @@ runServeRequest(const ParsedRequest &req)
             executeOnFabric(*prepared, *req.kernel, cfg, &err);
 
         // A watchdog expiry is NOT a certified deadlock: the fabric
-        // was still making progress when maxCycles elapsed. Clients
-        // (and the lint cross-check) rely on the distinction.
+        // was still making progress when maxCycles elapsed, and a
+        // memory fault is the input's doing. Clients (and the lint
+        // cross-check) rely on the distinction.
         const char *status =
-            run.sim.deadlocked
-                ? (run.sim.watchdogExpired ? "watchdog"
-                                           : "deadlock")
-                : (!err.empty() ? "error" : "ok");
+            run.sim.fault.any()       ? "fault"
+            : run.sim.watchdogExpired ? "watchdog"
+            : run.sim.deadlocked      ? "deadlock"
+            : !err.empty()            ? "error"
+                                      : "ok";
 
         sim::Report r;
         r.add("schema_version", sim::kJsonSchemaVersion)
@@ -328,10 +330,15 @@ runServeRequest(const ParsedRequest &req)
                 .add("edp_pj_s", run.edp)
                 .add("ipc", run.sim.stats.ipc())
                 .add("threads", run.sim.stats.dispatchSpawns)
-                .add("operators", run.compiled.graph.size())
+                .add("operators", run.compiled().graph.size())
                 .add("mem_hash", hashHex(mem.digest()));
         } else {
             r.add("error", err);
+        }
+        if (run.sim.fault.any()) {
+            r.add("fault_node", run.sim.fault.node)
+                .add("fault_address", run.sim.fault.addr)
+                .add("fault_cycle", run.sim.fault.cycle);
         }
         if (!req.traceFile.empty()) {
             std::ofstream f(req.traceFile);

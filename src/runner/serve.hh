@@ -8,7 +8,8 @@
  * sim configuration; the server compiles, maps, lints, and simulates
  * it and answers with a result record whose `status` distinguishes
  * `ok`, `deadlock` (quiesced), `watchdog` (maxCycles elapsed while
- * the fabric was live), `rejected` (admission control), and `error`
+ * the fabric was live), `fault` (a Load or Store addressed memory
+ * outside the image), `rejected` (admission control), and `error`
  * (malformed request, analysis/map failure, golden divergence).
  *
  * Concurrency and caching:
@@ -21,8 +22,12 @@
  *  - each distinct SIR text is parsed once (ParsedKernelCache);
  *    later requests naming it deep-copy the cached program;
  *  - distinct requests for the same kernel×config share one
- *    immutable sim::Program through the MemoCache prepared layer;
- *    only per-run ExecutionState is rebuilt per request;
+ *    PreparedKernel (compiled graph, mapping, analysis, bound and
+ *    sim::Program) through the MemoCache prepared layer, and the
+ *    response reads it in place rather than copying it; each run
+ *    borrows one of the Program's idle fast engines, so a request
+ *    allocates a fresh engine only when every engine of its Program
+ *    is busy;
  *  - admission control: at most `maxQueue` requests may be queued or
  *    running; excess requests get an immediate structured
  *    `rejected` response instead of unbounded buffering.

@@ -227,7 +227,7 @@ Sweep::runPruned()
                                !point.run.sim.watchdogExpired;
         if (completed) {
             firesByGraph.emplace(
-                dfg::graphFingerprint(point.run.compiled.graph),
+                dfg::graphFingerprint(point.run.compiled().graph),
                 FireRef{kernel.get(), point.run.sim.stats});
             if (bestCycles == 0 || point.run.cycles() < bestCycles)
                 bestCycles = point.run.cycles();

@@ -177,6 +177,7 @@ FastEngine::resetRun()
     bornStamp = 0;
     lastSyncPlane = -1;
     activeFlag = false;
+    fault = MemFault{};
     failure.clear();
 
     stats = SimStats{};
@@ -509,6 +510,18 @@ int32_t
 FastEngine::combine3(NodeId id, int32_t a, int32_t b, int32_t c)
 {
     return combine2(id, combine2(id, a, b), c);
+}
+
+bool
+FastEngine::checkAddr(NodeId id, Word addr)
+{
+    if (addr >= 0 && static_cast<size_t>(addr) < mem->size())
+        return true;
+    if (failure.empty()) {
+        fault = MemFault{id, addr, cycle};
+        failure = describeFault(prog.graph(), fault, mem->size());
+    }
+    return false;
 }
 
 // ---------------------------------------------------------------------
@@ -979,10 +992,7 @@ FastEngine::commitFire(NodeId id)
         }
         // The bank port was claimed at selection; the value is read
         // at issue (banked SRAM, fixed latency).
-        ps_assert(addr >= 0 &&
-                      static_cast<size_t>(addr) < mem->size(),
-                  "memory address %d out of bounds (%zu words)",
-                  addr, mem->size());
+        const bool inBounds = checkAddr(id, addr);
         if (pendCnt == static_cast<int32_t>(pendNode.size())) {
             // Grow the pending-load ring, preserving order.
             size_t cap = pendNode.size();
@@ -1009,7 +1019,8 @@ FastEngine::commitFire(NodeId id)
                            static_cast<size_t>(pendCnt)) %
                           pendNode.size();
             pendNode[slot] = id;
-            pendVal[slot] = (*mem)[static_cast<size_t>(addr)];
+            pendVal[slot] =
+                inBounds ? (*mem)[static_cast<size_t>(addr)] : 0;
             pendTag[slot] = tag;
             pendReady[slot] = cycle + prog.cfg.memLatency;
             pendCnt++;
@@ -1038,11 +1049,8 @@ FastEngine::commitFire(NodeId id)
             Tok ord = consumeIn(id, pidx::StoreOrder);
             tag = combine2(id, tag, ord.tag);
         }
-        ps_assert(addr >= 0 &&
-                      static_cast<size_t>(addr) < mem->size(),
-                  "memory address %d out of bounds (%zu words)",
-                  addr, mem->size());
-        (*mem)[static_cast<size_t>(addr)] = data.value;
+        if (checkAddr(id, addr))
+            (*mem)[static_cast<size_t>(addr)] = data.value;
         stats.memStores++;
         if (obs) {
             obs->onMemAccess(cycle, id, false, addr,
@@ -1689,7 +1697,7 @@ FastEngine::finish(SimResult result)
             portReads.begin() + base,
             portReads.begin() + prog.insBase[i + 1]);
     }
-    result.stats = stats;
+    result.stats = std::move(stats);
     mem = nullptr;
     cfg = nullptr;
     obs = nullptr;
@@ -1745,6 +1753,7 @@ FastEngine::run(MemImage &memImage, const SimConfig &runCfg)
         if (!failure.empty()) {
             stats.cycles = cycle + 1;
             result.deadlocked = true;
+            result.fault = fault;
             result.diagnostic = failure;
             return finish(result);
         }

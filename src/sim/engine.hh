@@ -84,6 +84,9 @@ class FastEngine
     void refreshEdge(int e);
     int32_t combine2(dfg::NodeId id, int32_t a, int32_t b);
     int32_t combine3(dfg::NodeId id, int32_t a, int32_t b, int32_t c);
+    /** False, and the run's fault recorded when it is the first
+     *  failure, when @p addr is outside the memory image. */
+    bool checkAddr(dfg::NodeId id, Word addr);
 
     // --- worklist ---------------------------------------------------
     /** Structural wake: inputs, space or state changed — the
@@ -220,7 +223,8 @@ class FastEngine
     int64_t lastSyncPlane = -1;
     bool activeFlag = false;
     SimStats stats;
-    std::string failure;
+    MemFault fault;      ///< set with `failure` by checkAddr
+    std::string failure; ///< first failure; ends the run at cycle end
 };
 
 } // namespace pipestitch::sim

@@ -20,11 +20,7 @@ ExecutionState::ExecutionState(std::shared_ptr<const Program> program)
       graph(prog.graph()), cfg(prog.cfg),
       sourceMode(prog.sourceMode)
 {
-    if (cfg.scheduler == SimConfig::Scheduler::ReadyList)
-        engine = std::make_unique<FastEngine>(prog);
 }
-
-ExecutionState::~ExecutionState() = default;
 
 void
 ExecutionState::reset()
@@ -86,6 +82,7 @@ ExecutionState::reset()
     lastSyncPlaneCycle = -1;
     active = false;
     fireList.clear();
+    fault = MemFault{};
     failure.clear();
 }
 
@@ -102,8 +99,10 @@ ExecutionState::run(MemImage &mem, const RunOptions &opts)
     if (obs)
         obs->onSimBegin(graph, cfg);
     SimResult result;
-    if (engine) {
+    if (cfg.scheduler == SimConfig::Scheduler::ReadyList) {
+        std::unique_ptr<FastEngine> engine = prog.borrowEngine();
         result = engine->run(mem, cfg);
+        prog.returnEngine(std::move(engine));
     } else {
         reset();
         memsys.emplace(mem, cfg.memBanks, cfg.memLatency);
@@ -371,6 +370,15 @@ ExecutionState::combineTags(NodeId id,
         }
     }
     return tag;
+}
+
+void
+ExecutionState::checkAddr(NodeId id, Word addr)
+{
+    if (!memsys->inBounds(addr) && failure.empty()) {
+        fault = MemFault{id, addr, cycle};
+        failure = describeFault(graph, fault, memsys->words());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -872,6 +880,7 @@ ExecutionState::commitFire(NodeId id)
         // The bank port was claimed when the scheduler selected
         // this node (the claim must be visible to later candidates
         // within the same round).
+        checkAddr(id, addr.value);
         memsys->issueLoad(id, addr.value, tag, cycle);
         if (portHasConsumers(id, pidx::LoadDataOut))
             r.reservedOut++;
@@ -895,6 +904,7 @@ ExecutionState::commitFire(NodeId id)
             tag = combineTags(id, {tag, ord.tag});
         }
         // Bank port claimed at scheduler selection (see Load).
+        checkAddr(id, addr.value);
         memsys->store(addr.value, data.value);
         stats.memStores++;
         if (obs) {
@@ -1190,6 +1200,7 @@ ExecutionState::runLoop()
             result.stats = stats;
             result.stats.cycles = cycle + 1;
             result.deadlocked = true;
+            result.fault = fault;
             result.diagnostic = failure;
             return result;
         }

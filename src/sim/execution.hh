@@ -7,15 +7,18 @@
  *
  *  - an ExecutionState holds a shared_ptr to its Program and never
  *    writes through it;
- *  - everything mutable lives here: the fast engine's per-run slabs
- *    (sim/engine.hh) or the DenseScan oracle's token FIFOs and gate
- *    FSMs, the memory system (bound to the caller's MemImage for the
- *    duration of run()), stats, and the per-run observer/trace
- *    settings;
+ *  - everything mutable lives here or in the fast engine a run
+ *    borrows from the Program (sim/engine.hh holds its per-run
+ *    slabs): the DenseScan oracle's token FIFOs and gate FSMs, the
+ *    memory system (bound to the caller's MemImage for the duration
+ *    of run()), stats, and the per-run observer/trace settings;
  *  - run() may be called repeatedly on one ExecutionState (state is
  *    reset each time), but a single ExecutionState must not be used
  *    from two threads at once. Concurrency = one ExecutionState per
- *    thread, all sharing one Program.
+ *    thread, all sharing one Program. Constructing one is cheap: the
+ *    engine's slabs belong to the Program's idle list, not to the
+ *    state, so a one-run ExecutionState per request costs no more
+ *    than a long-lived one.
  *
  * The legacy simulate() entry point is now a thin wrapper that builds
  * a Program and runs one ExecutionState, so both paths are
@@ -36,8 +39,6 @@
 
 namespace pipestitch::sim {
 
-class FastEngine;
-
 /** Per-run knobs stripped from the Program's SimConfig. */
 struct RunOptions
 {
@@ -53,7 +54,6 @@ class ExecutionState
 {
   public:
     explicit ExecutionState(std::shared_ptr<const Program> program);
-    ~ExecutionState();
 
     /**
      * Execute the program against @p mem until the fabric drains.
@@ -61,9 +61,10 @@ class ExecutionState
      * duration of the call. Resets all run state first, so the same
      * ExecutionState can be reused sequentially.
      *
-     * Scheduler::ReadyList runs execute on the sim::FastEngine
-     * built with the state; Scheduler::DenseScan runs execute the
-     * plain reference loop below, which the goldens pin.
+     * Scheduler::ReadyList runs execute on a sim::FastEngine
+     * borrowed from the Program for the call; Scheduler::DenseScan
+     * runs execute the plain reference loop below, which the goldens
+     * pin.
      */
     SimResult run(MemImage &mem, const RunOptions &opts = {});
 
@@ -120,6 +121,9 @@ class ExecutionState
     void emit(dfg::NodeId id, int port, Token token);
     int32_t combineTags(dfg::NodeId id,
                         std::initializer_list<int32_t> tags);
+    /** Record a memory fault when @p addr is outside the image and
+     *  no failure came first. */
+    void checkAddr(dfg::NodeId id, Word addr);
 
     // ------------------------------------------------------------------
     std::shared_ptr<const Program> progHold;
@@ -128,9 +132,6 @@ class ExecutionState
     SimConfig cfg; ///< per-run copy: prog.cfg + RunOptions overrides
     trace::SimObserver *obs = nullptr;
     bool sourceMode;
-
-    /** The Scheduler::ReadyList engine (null under DenseScan). */
-    std::unique_ptr<FastEngine> engine;
 
     // DenseScan oracle state, materialized by reset() on each run.
     std::optional<MemSystem> memsys; ///< engaged only inside run()
@@ -168,7 +169,8 @@ class ExecutionState
     std::vector<int64_t> nocFiredAt;
 
     SimStats stats;
-    std::string failure;
+    MemFault fault;      ///< set with `failure` by checkAddr
+    std::string failure; ///< first failure; ends the run at cycle end
 };
 
 } // namespace pipestitch::sim

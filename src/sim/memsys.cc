@@ -40,22 +40,17 @@ MemSystem::claimBank(Word addr)
     bankClaimed[static_cast<size_t>(bank)] = true;
 }
 
-void
-MemSystem::checkAddr(Word addr) const
+bool
+MemSystem::inBounds(Word addr) const
 {
-    ps_assert(addr >= 0 &&
-                  static_cast<size_t>(addr) < mem.size(),
-              "memory address %d out of bounds (%zu words)", addr,
-              mem.size());
+    return addr >= 0 && static_cast<size_t>(addr) < mem.size();
 }
 
 PendingLoad
 MemSystem::issueLoad(int node, Word addr, int32_t tag, int64_t cycle)
 {
-    checkAddr(addr);
-    PendingLoad load{node,
-                     Token{mem[static_cast<size_t>(addr)], tag},
-                     cycle + loadLatency};
+    Word value = inBounds(addr) ? mem[static_cast<size_t>(addr)] : 0;
+    PendingLoad load{node, Token{value, tag}, cycle + loadLatency};
     pending.push_back(load);
     return load;
 }
@@ -63,8 +58,8 @@ MemSystem::issueLoad(int node, Word addr, int32_t tag, int64_t cycle)
 void
 MemSystem::store(Word addr, Word value)
 {
-    checkAddr(addr);
-    mem[static_cast<size_t>(addr)] = value;
+    if (inBounds(addr))
+        mem[static_cast<size_t>(addr)] = value;
 }
 
 std::vector<PendingLoad>

@@ -47,11 +47,21 @@ class MemSystem
     /** Claim the bank port (call once per winning accessor). */
     void claimBank(Word addr);
 
-    /** Read for a load issued at @p cycle; returns the pending slot. */
+    /** Whether @p addr is a word of the memory image. An access
+     *  outside it is a memory fault (SimResult::fault): the engine
+     *  records it and ends the run at the end of the cycle. */
+    bool inBounds(Word addr) const;
+
+    /** Size of the memory image in words. */
+    size_t words() const { return mem.size(); }
+
+    /** Read for a load issued at @p cycle; returns the pending slot.
+     *  An out-of-bounds @p addr reads 0. */
     PendingLoad issueLoad(int node, Word addr, int32_t tag,
                           int64_t cycle);
 
-    /** Commit a store immediately (single-cycle write). */
+    /** Commit a store immediately (single-cycle write). An
+     *  out-of-bounds @p addr writes nothing. */
     void store(Word addr, Word value);
 
     /** Loads completing at @p cycle (moved out of the pending list). */
@@ -65,8 +75,6 @@ class MemSystem
     }
 
   private:
-    void checkAddr(Word addr) const;
-
     MemImage &mem;
     int numBanks;
     int loadLatency;

@@ -5,6 +5,7 @@
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "dfg/analysis.hh"
+#include "sim/engine.hh"
 
 namespace pipestitch::sim {
 
@@ -341,6 +342,36 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
             static_cast<int32_t>(ch);
         chanSlab[ch + 1] = chanSlab[ch] + cc.capacity;
     }
+}
+
+Program::~Program() = default;
+
+size_t
+Program::idleEngines() const
+{
+    std::lock_guard<std::mutex> lock(enginesMu);
+    return idle.size();
+}
+
+std::unique_ptr<FastEngine>
+Program::borrowEngine() const
+{
+    {
+        std::lock_guard<std::mutex> lock(enginesMu);
+        if (!idle.empty()) {
+            std::unique_ptr<FastEngine> engine = std::move(idle.back());
+            idle.pop_back();
+            return engine;
+        }
+    }
+    return std::make_unique<FastEngine>(*this);
+}
+
+void
+Program::returnEngine(std::unique_ptr<FastEngine> engine) const
+{
+    std::lock_guard<std::mutex> lock(enginesMu);
+    idle.push_back(std::move(engine));
 }
 
 } // namespace pipestitch::sim

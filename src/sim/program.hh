@@ -13,12 +13,18 @@
  *
  * The contract (see docs/simulator.md):
  *
- *  - a Program is deeply immutable after construction — every member
- *    is written exactly once, in the constructor;
+ *  - a Program's tables are immutable after construction — every
+ *    one is written exactly once, in the constructor;
  *  - any number of `ExecutionState`s (execution.hh) may share one
- *    Program concurrently from different threads with no locking;
+ *    Program concurrently from different threads;
  *  - all mutable run state (token buffers, gate FSMs, memory image,
- *    stats, scheduler worklists, observer) lives in ExecutionState.
+ *    stats, scheduler worklists, observer) lives in a run's
+ *    ExecutionState or in the fast engine it borrows;
+ *  - the Program owns its idle fast engines (sim/engine.hh): a run
+ *    borrows one, building it only when none is idle, and hands it
+ *    back when it ends. So an engine lives exactly as long as its
+ *    Program, concurrent runs each hold their own, and a Program
+ *    run N times in sequence builds one engine, not N.
  *
  * This mirrors the plan/execute split of image-pipeline graph
  * executors: plan once (sizes, cursors, layouts), execute many times
@@ -29,6 +35,7 @@
 #define PIPESTITCH_SIM_PROGRAM_HH
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "dfg/graph.hh"
@@ -47,6 +54,8 @@ struct InputRef
     bool wired() const { return prod != dfg::NoNode; }
 };
 
+class FastEngine;
+
 class Program
 {
   public:
@@ -63,6 +72,7 @@ class Program
      */
     Program(std::shared_ptr<const dfg::Graph> graph,
             const SimConfig &config);
+    ~Program();
 
     const dfg::Graph &graph() const { return *graphHold; }
     const std::shared_ptr<const dfg::Graph> &graphPtr() const
@@ -83,6 +93,9 @@ class Program
      * simulate each distinct machine once.
      */
     uint64_t digest() const { return contentDigest; }
+
+    /** Fast engines idle between runs (sim/engine.hh). */
+    size_t idleEngines() const;
 
     /** Per-node token-buffer layout (0 = no FIFOs on that side). */
     struct NodePlan
@@ -183,8 +196,18 @@ class Program
     bool hasChannels = false;
 
   private:
+    friend class ExecutionState;
+
+    /** An idle engine for one run, or a new one when none is. */
+    std::unique_ptr<FastEngine> borrowEngine() const;
+    /** Hand @p engine, borrowed from this Program, back. */
+    void returnEngine(std::unique_ptr<FastEngine> engine) const;
+
     std::shared_ptr<const dfg::Graph> graphHold;
     uint64_t contentDigest = 0;
+
+    mutable std::mutex enginesMu;
+    mutable std::vector<std::unique_ptr<FastEngine>> idle;
 };
 
 } // namespace pipestitch::sim

@@ -1,9 +1,22 @@
 #include "sim/simulator.hh"
 
+#include "base/logging.hh"
 #include "sim/execution.hh"
 #include "sim/program.hh"
 
 namespace pipestitch::sim {
+
+std::string
+describeFault(const dfg::Graph &graph, const MemFault &fault,
+              size_t memWords)
+{
+    const dfg::Node &node = graph.at(fault.node);
+    return csprintf("memory fault at node %d (%s %s): word address %d "
+                    "outside the %zu-word memory image (cycle %lld)",
+                    fault.node, nodeKindName(node.kind),
+                    node.name.c_str(), fault.addr, memWords,
+                    static_cast<long long>(fault.cycle));
+}
 
 SimResult
 simulate(const dfg::Graph &graph, MemImage &mem,

@@ -144,9 +144,29 @@ struct SimConfig
     std::vector<EdgeLatency> edgeLatencies;
 };
 
+/**
+ * An out-of-bounds memory access: a Load or Store whose word address
+ * (base offset applied) lies outside the memory image. The access
+ * itself does nothing (a load reads 0, a store writes nothing) and
+ * the run stops at the end of that cycle, under either scheduler.
+ */
+struct MemFault
+{
+    int node = -1;      ///< the Load/Store node; -1 = no fault
+    Word addr = 0;      ///< word address it tried to access
+    int64_t cycle = -1; ///< cycle of the access
+
+    bool any() const { return node >= 0; }
+    bool operator==(const MemFault &) const = default;
+};
+
 struct SimResult
 {
     SimStats stats;
+    /** The run did not retire cleanly: a quiesced deadlock, or one
+     *  of the causes flagged below (watchdog expiry, memory fault)
+     *  or named in `diagnostic` (thread-order violation, token
+     *  leak). */
     bool deadlocked = false;
     /**
      * The run ended because `maxCycles` elapsed while the fabric was
@@ -156,16 +176,29 @@ struct SimResult
      * termination, so cross-checks must exempt this case.
      */
     bool watchdogExpired = false;
+    /**
+     * The first out-of-bounds access, when it was the first failure
+     * of the run (then `deadlocked` is set and `diagnostic` describes
+     * it). A kernel indexing past its arrays — say, a live-in trip
+     * count larger than the arrays — is a bad input, not a deadlock;
+     * the deadlock cross-checks exempt it.
+     */
+    MemFault fault;
     /** Non-empty on deadlock / invariant trouble. */
     std::string diagnostic;
 };
 
+/** The diagnostic both schedulers report for @p fault, an access
+ *  outside an image of @p memWords words. */
+std::string describeFault(const dfg::Graph &graph,
+                          const MemFault &fault, size_t memWords);
+
 /**
  * Simulate @p graph against @p mem until the fabric drains.
  *
- * @p mem must be at least as large as the addresses the kernel
- * touches; it is mutated in place (compare with the scalar
- * interpreter's image for functional verification).
+ * @p mem is mutated in place (compare with the scalar
+ * interpreter's image for functional verification); an access
+ * outside it ends the run with a SimResult::fault.
  */
 SimResult simulate(const dfg::Graph &graph, MemImage &mem,
                    const SimConfig &config);

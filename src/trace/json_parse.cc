@@ -1,7 +1,9 @@
 #include "trace/json_parse.hh"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -45,6 +47,47 @@ JsonValue::asBool(bool def) const
 }
 
 namespace {
+
+/**
+ * What strtod gives for a numeral std::from_chars found out of a
+ * double's range: ±HUGE_VAL when it overflows, ±0 when it
+ * underflows. The numeral is 0.d... × 10^(lead + exponent), where
+ * `lead` counts the integer digits from the first significant one
+ * (or, negated, the fraction's zeros before it); out of range, that
+ * power is far above or far below 0.
+ */
+double
+outOfRangeValue(const char *first, const char *last)
+{
+    const bool negative = *first == '-';
+    const char *p = first + (negative ? 1 : 0);
+    int64_t lead = 0;
+    bool significant = false, fraction = false;
+    for (; p != last && *p != 'e' && *p != 'E'; p++) {
+        if (*p == '.') {
+            fraction = true;
+        } else if (significant || *p != '0') {
+            significant = true;
+            lead += fraction ? 0 : 1;
+        } else if (fraction) {
+            lead--;
+        }
+    }
+    int64_t exponent = 0;
+    if (p != last) {
+        p++;
+        const bool expNegative = *p == '-';
+        if (*p == '+' || *p == '-')
+            p++;
+        // Too many digits for int64: the sign alone decides.
+        if (std::from_chars(p, last, exponent).ec != std::errc{})
+            exponent = std::numeric_limits<int64_t>::max() / 2;
+        if (expNegative)
+            exponent = -exponent;
+    }
+    const double magnitude = lead + exponent > 0 ? HUGE_VAL : 0.0;
+    return negative ? -magnitude : magnitude;
+}
 
 struct Parser
 {
@@ -211,14 +254,22 @@ struct Parser
         }
         if (pos == start)
             return fail("expected number");
-        char *end = nullptr;
-        std::string num = text.substr(start, pos - start);
-        out.kind = JsonValue::Kind::Number;
-        out.number = std::strtod(num.c_str(), &end);
-        if (end != num.c_str() + num.size()) {
+        // Read the scanned range in place. from_chars ignores the
+        // locale; it takes what strtod took except a leading '+'.
+        const char *first = text.data() + start;
+        const char *last = text.data() + pos;
+        if (*first == '+' && last - first > 1 && first[1] != '-')
+            first++;
+        double value = 0;
+        auto [end, ec] = std::from_chars(first, last, value);
+        if (end != last ||
+            (ec != std::errc{} && ec != std::errc::result_out_of_range)) {
             pos = start;
             return fail("bad number");
         }
+        out.kind = JsonValue::Kind::Number;
+        out.number =
+            ec == std::errc{} ? value : outOfRangeValue(first, last);
         return true;
     }
 

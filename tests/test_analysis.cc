@@ -120,14 +120,14 @@ TEST(Analysis, RunOnFabricCarriesTheReport)
     FabricRun run = runOnFabric(kernel, cfg);
     // analyze defaults on: the run only returns when certification
     // succeeded and the simulator agreed (no deadlock).
-    EXPECT_TRUE(run.analysis.ok());
-    EXPECT_TRUE(run.analysis.deadlockFree);
-    EXPECT_TRUE(run.analysis.placementOk);
+    EXPECT_TRUE(run.analysis().ok());
+    EXPECT_TRUE(run.analysis().deadlockFree);
+    EXPECT_TRUE(run.analysis().placementOk);
     EXPECT_FALSE(run.sim.deadlocked);
 
-    std::string summary = run.analysis.toString(run.compiled.graph);
+    std::string summary = run.analysis().toString(run.compiled().graph);
     EXPECT_NE(summary.find("deadlock-free=yes"), std::string::npos);
-    std::string json = run.analysis.toJson(run.compiled.graph);
+    std::string json = run.analysis().toJson(run.compiled().graph);
     EXPECT_NE(json.find("\"deadlockFree\":true"),
               std::string::npos);
 }
@@ -138,7 +138,7 @@ TEST(Analysis, AnalyzeOffLeavesReportEmpty)
     RunConfig cfg;
     cfg.analyze = false;
     FabricRun run = runOnFabric(kernel, cfg);
-    EXPECT_TRUE(run.analysis.diags.empty());
+    EXPECT_TRUE(run.analysis().diags.empty());
 }
 
 /** Sweeps analyze every run they compile, concurrently; this is the
@@ -168,9 +168,9 @@ TEST(Analysis, ConcurrentSweepAnalyzesEveryRun)
     auto runs = sweep.run();
     ASSERT_EQ(runs.size(), kernels.size() * configs.size());
     for (const FabricRun &run : runs) {
-        EXPECT_TRUE(run.analysis.ok());
-        EXPECT_TRUE(run.analysis.deadlockFree);
-        EXPECT_TRUE(run.analysis.placementOk);
+        EXPECT_TRUE(run.analysis().ok());
+        EXPECT_TRUE(run.analysis().deadlockFree);
+        EXPECT_TRUE(run.analysis().placementOk);
     }
 }
 
@@ -321,7 +321,7 @@ TEST(Analysis, BoundIsTightOnCalibrationKernels)
             << " vs simulated " << run.cycles();
         // The documented binding constraint is the one that binds.
         ASSERT_GE(run.boundEval.binding, 0) << c.kernel.name;
-        EXPECT_EQ(run.bound
+        EXPECT_EQ(run.bound()
                       .terms[static_cast<size_t>(
                           run.boundEval.binding)]
                       .kind,

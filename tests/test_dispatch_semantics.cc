@@ -167,7 +167,7 @@ TEST(Dispatch, SpawnCountMatchesThreadsTimesGates)
     cfg.variant = ArchVariant::Pipestitch;
     auto run = runOnFabric(kernel, cfg);
     int gates = 0;
-    for (const auto &n : run.compiled.graph.nodes)
+    for (const auto &n : run.compiled().graph.nodes)
         gates += n.kind == dfg::NodeKind::Dispatch;
     ASSERT_GT(gates, 0);
     EXPECT_EQ(run.sim.stats.dispatchSpawns,

@@ -10,7 +10,9 @@
  *    destination and source buffering;
  *  - inter-tile channels via a real 2×2-tiled run;
  *  - share groups (time multiplexing) under both bufferings;
- *  - watchdog diagnostics (diagnose() must match byte-for-byte).
+ *  - watchdog diagnostics (diagnose() must match byte-for-byte);
+ *  - memory faults (out-of-bounds loads and stores): same node,
+ *    address, cycle, stats and partial memory image.
  *
  * The randomized counterpart is tests/test_fuzz_equivalence.cc; the
  * pinned counterpart is tests/test_golden_stats.cc.
@@ -24,6 +26,7 @@
 #include "fabric/fabric.hh"
 #include "scalar/interpreter.hh"
 #include "sim/simulator.hh"
+#include "sir/parser.hh"
 #include "workloads/kernels.hh"
 
 using namespace pipestitch;
@@ -64,6 +67,7 @@ expectSameRun(const sim::SimResult &oracle, const sim::SimResult &fast,
     EXPECT_TRUE(sim::statsEqual(a, b)) << tag;
     EXPECT_EQ(oracle.deadlocked, fast.deadlocked) << tag;
     EXPECT_EQ(oracle.watchdogExpired, fast.watchdogExpired) << tag;
+    EXPECT_EQ(oracle.fault, fast.fault) << tag;
     EXPECT_EQ(oracle.diagnostic, fast.diagnostic) << tag;
     EXPECT_EQ(oracleMem, fastMem) << tag << " memory image";
 }
@@ -153,6 +157,51 @@ TEST(FastEngine, WatchdogDiagnosticsMatchByteForByte)
         mem.resize(static_cast<size_t>(kernel.prog.memWords));
         ASSERT_TRUE(sim::simulate(res.graph, mem, cfg).watchdogExpired);
         expectEnginesAgree(res.graph, kernel, cfg, "dither/watchdog");
+    }
+}
+
+TEST(FastEngine, MemoryFaultsMatchDenseScan)
+{
+    setQuiet(true);
+    // An out-of-bounds store: the trip count runs past both arrays.
+    auto parsed = sir::parseSir("program scale\n"
+                                "array x 16\n"
+                                "array y 16\n"
+                                "livein n\n"
+                                "foreach i = 0 .. n:\n"
+                                "  v = load x[i]\n"
+                                "  store y[i] = v\n"
+                                "end\n",
+                                "scale.sir");
+    workloads::KernelInstance scale;
+    scale.name = "scale";
+    scale.prog = std::move(parsed.program);
+    scale.liveIns = {40};
+    scale.memory = scalar::makeMemory(scale.prog);
+    // An out-of-bounds load: one column index far past x.
+    auto spmv = workloads::makeSpmv(8, 0.5, 5);
+    for (const auto &arr : spmv.prog.arrays) {
+        if (arr.name == "colidx")
+            spmv.memory[static_cast<size_t>(arr.base)] = -(1 << 20);
+    }
+    for (const workloads::KernelInstance *kernel : {&scale, &spmv}) {
+        auto res = compiler::compileProgram(kernel->prog,
+                                            kernel->liveIns, {});
+        for (auto buffering : {SimConfig::Buffering::Destination,
+                               SimConfig::Buffering::Source}) {
+            auto cfg = res.simConfig;
+            cfg.buffering = buffering;
+            cfg.maxCycles = 500000;
+            scalar::MemImage mem = kernel->memory;
+            mem.resize(static_cast<size_t>(kernel->prog.memWords));
+            auto fault = sim::simulate(res.graph, mem, cfg).fault;
+            ASSERT_TRUE(fault.any()) << kernel->name;
+            EXPECT_EQ(res.graph.at(fault.node).kind,
+                      kernel == &scale ? dfg::NodeKind::Store
+                                       : dfg::NodeKind::Load);
+            expectEnginesAgree(res.graph, *kernel, cfg,
+                               kernel->name + "/fault");
+        }
     }
 }
 

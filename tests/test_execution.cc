@@ -8,11 +8,17 @@
  * shared Program is a data race by construction. A Program's digest
  * names the simulated machine, so it must change with the graph and
  * every result-bearing SimConfig field, and with nothing else.
+ *
+ * A Program also owns its idle fast engines: every run borrows one
+ * and hands it back. A borrowed engine must carry nothing of its
+ * previous run into the next — however that run ended — and
+ * concurrent runs must each get their own.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -22,6 +28,7 @@
 #include "sim/execution.hh"
 #include "sim/program.hh"
 #include "sim/simulator.hh"
+#include "trace/chrome_trace.hh"
 #include "workloads/kernels.hh"
 
 using namespace pipestitch;
@@ -65,6 +72,7 @@ expectSameResult(const sim::SimResult &want,
 #undef PS_EQ
     EXPECT_EQ(want.deadlocked, got.deadlocked) << tag;
     EXPECT_EQ(want.watchdogExpired, got.watchdogExpired) << tag;
+    EXPECT_EQ(want.fault, got.fault) << tag;
     EXPECT_EQ(want.diagnostic, got.diagnostic) << tag;
     EXPECT_EQ(wantMem, gotMem) << tag << " memory image";
 }
@@ -306,4 +314,254 @@ TEST(ConcurrentExecution, ProgramDigestCoversResultBearingConfig)
               digestOf(std::shared_ptr<const dfg::Graph>(
                            cfop, &cfop->graph),
                        base));
+}
+
+namespace {
+
+/** One way for a run to end other than a clean retire, and a run to
+ *  follow it on the same ExecutionState. */
+struct DirtyCase
+{
+    const char *name;
+    std::shared_ptr<const sim::Program> program;
+    scalar::MemImage dirtyMem;
+    sim::RunOptions dirtyOpts;
+    std::function<bool(const sim::SimResult &)> endedAsIntended;
+    scalar::MemImage nextMem;
+};
+
+/** An Add whose second operand is its own output: it can never
+ *  fire, so the fabric quiesces with a token in flight. */
+std::shared_ptr<const dfg::Graph>
+starvedGraph()
+{
+    auto g = std::make_shared<dfg::Graph>("starved");
+    dfg::Node trig;
+    trig.kind = dfg::NodeKind::Trigger;
+    trig.name = "start";
+    dfg::NodeId t = g->add(trig);
+    dfg::Node add;
+    add.kind = dfg::NodeKind::Arith;
+    add.name = "stuck";
+    add.op = sir::Opcode::Add;
+    add.inputs.resize(2);
+    add.inputs[0] = dfg::Operand::wire({t, 0});
+    dfg::NodeId a = g->add(add);
+    g->connect({a, 0}, a, 1);
+    dfg::Node store;
+    store.kind = dfg::NodeKind::Store;
+    store.name = "st";
+    store.inputs = {dfg::Operand::imm_(0), dfg::Operand::wire({a, 0})};
+    g->add(store);
+    g->finalize();
+    return g;
+}
+
+/**
+ * A threaded loop whose threads tear: a dispatch gate spawns one
+ * thread per index 0..3, and an Add pairs each thread's index with
+ * the output of a steer that drops thread 0's token. Its first
+ * firing meets tokens of threads 0 and 1 — a thread-order
+ * violation the debug tags catch.
+ */
+std::shared_ptr<const dfg::Graph>
+tearingGraph()
+{
+    auto g = std::make_shared<dfg::Graph>("tearing");
+    g->numLoops = 1;
+    g->loopParent = {-1};
+    g->loopThreaded = {true};
+    auto mk = [](dfg::NodeKind kind, const char *name, int loop) {
+        dfg::Node n;
+        n.kind = kind;
+        n.name = name;
+        n.loopId = loop;
+        return n;
+    };
+    dfg::NodeId t = g->add(mk(dfg::NodeKind::Trigger, "start", -1));
+    dfg::Node stream = mk(dfg::NodeKind::Stream, "i", -1);
+    stream.inputs = {dfg::Operand::imm_(0), dfg::Operand::imm_(4),
+                     dfg::Operand::wire({t, 0})};
+    dfg::NodeId s = g->add(stream);
+    dfg::Node gate = mk(dfg::NodeKind::Dispatch, "gate", 0);
+    gate.inputs.resize(2);
+    gate.inputs[dfg::port_idx::DispatchSpawn] =
+        dfg::Operand::wire({s, dfg::port_idx::StreamIdxOut});
+    dfg::NodeId d = g->add(gate);
+    dfg::Node steer = mk(dfg::NodeKind::Steer, "nonzero", 0);
+    steer.inputs = {dfg::Operand::wire({d, 0}),
+                    dfg::Operand::wire({d, 0})};
+    dfg::NodeId f = g->add(steer);
+    dfg::Node add = mk(dfg::NodeKind::Arith, "pair", 0);
+    add.op = sir::Opcode::Add;
+    add.inputs = {dfg::Operand::wire({d, 0}),
+                  dfg::Operand::wire({f, 0})};
+    dfg::NodeId a = g->add(add);
+    dfg::Node store = mk(dfg::NodeKind::Store, "st", 0);
+    store.inputs = {dfg::Operand::imm_(0), dfg::Operand::wire({a, 0})};
+    g->add(store);
+    g->finalize();
+    return g;
+}
+
+std::vector<DirtyCase>
+dirtyCases(sim::SimConfig::Scheduler sched,
+           trace::ChromeTraceSink &chrome)
+{
+    std::vector<DirtyCase> cases;
+    auto spmv = workloads::makeSpmv(8, 0.5, 17);
+    auto spmvProgram = build(spmv, sched).program;
+    const scalar::MemImage clean = imageForRun(spmv, 1);
+
+    DirtyCase watchdog{"watchdog", spmvProgram, imageForRun(spmv, 0),
+                       {}, nullptr, clean};
+    watchdog.dirtyOpts.maxCycles = 20;
+    watchdog.endedAsIntended = [](const sim::SimResult &r) {
+        return r.watchdogExpired;
+    };
+    cases.push_back(watchdog);
+
+    DirtyCase fault{"fault", spmvProgram, imageForRun(spmv, 0), {},
+                    nullptr, clean};
+    for (const auto &arr : spmv.prog.arrays) {
+        if (arr.name == "colidx")
+            fault.dirtyMem[static_cast<size_t>(arr.base + 1)] = 1 << 20;
+    }
+    fault.endedAsIntended = [](const sim::SimResult &r) {
+        return r.fault.any();
+    };
+    cases.push_back(fault);
+
+    DirtyCase observed{"observed", spmvProgram, imageForRun(spmv, 0),
+                       {}, nullptr, clean};
+    observed.dirtyOpts.observer = &chrome;
+    observed.endedAsIntended = [&chrome](const sim::SimResult &r) {
+        return !r.deadlocked && chrome.spanCount() > 0;
+    };
+    cases.push_back(observed);
+
+    sim::SimConfig handCfg;
+    handCfg.scheduler = sched;
+    handCfg.maxCycles = 100000;
+    cases.push_back({"thread-order",
+                     std::make_shared<const sim::Program>(
+                         tearingGraph(), handCfg),
+                     scalar::MemImage(4, 0),
+                     {},
+                     [](const sim::SimResult &r) {
+                         return r.diagnostic.find("thread-order") !=
+                                std::string::npos;
+                     },
+                     scalar::MemImage(4, 0)});
+    cases.push_back({"deadlock",
+                     std::make_shared<const sim::Program>(
+                         starvedGraph(), handCfg),
+                     scalar::MemImage(4, 0),
+                     {},
+                     [](const sim::SimResult &r) {
+                         return r.deadlocked && !r.watchdogExpired &&
+                                !r.fault.any();
+                     },
+                     scalar::MemImage(4, 0)});
+    return cases;
+}
+
+} // namespace
+
+TEST(EngineReuse, RunAfterAnAbnormalEndMatchesAFreshEngine)
+{
+    for (auto sched : {sim::SimConfig::Scheduler::DenseScan,
+                       sim::SimConfig::Scheduler::ReadyList}) {
+        trace::ChromeTraceSink chrome;
+        for (DirtyCase &c : dirtyCases(sched, chrome)) {
+            const std::string tag =
+                std::string(c.name) +
+                (sched == sim::SimConfig::Scheduler::ReadyList
+                     ? " ready"
+                     : " reference");
+            sim::ExecutionState es(c.program);
+            sim::SimResult dirty = es.run(c.dirtyMem, c.dirtyOpts);
+            ASSERT_TRUE(c.endedAsIntended(dirty))
+                << tag << ": " << dirty.diagnostic;
+
+            scalar::MemImage gotMem = c.nextMem;
+            sim::SimResult got = es.run(gotMem);
+
+            // The same machine on a Program of its own: a fresh
+            // engine.
+            sim::ExecutionState fresh(std::make_shared<const sim::Program>(
+                c.program->graphPtr(), c.program->config()));
+            scalar::MemImage wantMem = c.nextMem;
+            sim::SimResult want = fresh.run(wantMem);
+            EXPECT_TRUE(sim::statsEqual(want.stats, got.stats)) << tag;
+            expectSameResult(want, got, wantMem, gotMem, tag);
+
+            // Both runs went through one engine, handed back each
+            // time (the oracle borrows none).
+            EXPECT_EQ(c.program->idleEngines(),
+                      sched == sim::SimConfig::Scheduler::ReadyList
+                          ? 1u
+                          : 0u)
+                << tag;
+        }
+    }
+}
+
+TEST(EngineReuse, ConcurrentRunsOfOneProgramMatchSequentialRuns)
+{
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 6;
+    constexpr int kTotal = kThreads * kPerThread;
+    auto kernel = workloads::makeSpmv(8, 0.5, 19);
+
+    // Sequential reference on a Program of its own: one engine,
+    // reused by every run.
+    Built ref = build(kernel, sim::SimConfig::Scheduler::ReadyList);
+    std::vector<sim::SimResult> want(kTotal);
+    std::vector<scalar::MemImage> wantMem(kTotal);
+    for (int i = 0; i < kTotal; i++) {
+        wantMem[static_cast<size_t>(i)] = imageForRun(kernel, i);
+        sim::ExecutionState es(ref.program);
+        want[static_cast<size_t>(i)] =
+            es.run(wantMem[static_cast<size_t>(i)]);
+    }
+    EXPECT_EQ(ref.program->idleEngines(), 1u);
+
+    // kThreads threads on one Program at once, each alternating
+    // between a long-lived ExecutionState and one-run ones, so
+    // engines pass between threads through the idle list.
+    Built b = build(kernel, sim::SimConfig::Scheduler::ReadyList);
+    std::vector<sim::SimResult> got(kTotal);
+    std::vector<scalar::MemImage> gotMem(kTotal);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            sim::ExecutionState mine(b.program);
+            start.arrive_and_wait();
+            for (int k = 0; k < kPerThread; k++) {
+                const size_t i =
+                    static_cast<size_t>(t * kPerThread + k);
+                gotMem[i] = imageForRun(kernel, static_cast<int>(i));
+                if (k % 2 == 0) {
+                    got[i] = mine.run(gotMem[i]);
+                } else {
+                    sim::ExecutionState once(b.program);
+                    got[i] = once.run(gotMem[i]);
+                }
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    for (int i = 0; i < kTotal; i++) {
+        const size_t k = static_cast<size_t>(i);
+        expectSameResult(want[k], got[k], wantMem[k], gotMem[k],
+                         "run " + std::to_string(i));
+    }
+    // At most one engine per run that was in flight at once.
+    EXPECT_GE(b.program->idleEngines(), 1u);
+    EXPECT_LE(b.program->idleEngines(),
+              static_cast<size_t>(kThreads));
 }

@@ -9,7 +9,9 @@
  * share groups and inter-tile channels. Every compiled graph also
  * runs through the static analyzer: a fuzz-generated program the
  * analyzer rejects (or that deadlocks after certification) is a
- * bug in either the compiler or the analyzer.
+ * bug in either the compiler or the analyzer. Every simulation also
+ * runs twice through one ExecutionState, so a reused engine must
+ * carry nothing from its previous run.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "compiler/timemux.hh"
 #include "dfg/dot.hh"
 #include "scalar/interpreter.hh"
+#include "sim/execution.hh"
 #include "sim/program.hh"
 #include "sim/simulator.hh"
 #include "sir/builder.hh"
@@ -76,9 +79,37 @@ expectBoundHolds(const dfg::Graph &graph, const sim::SimConfig &cfg,
 }
 
 /**
- * Simulate @p cfg on the DenseScan oracle and on the fast engine,
- * require the two runs to be bit-identical, and leave the fast
- * engine's memory image in @p mem.
+ * Simulate @p cfg twice through one ExecutionState, each time on a
+ * copy of @p mem: the second run reuses the first run's state (and,
+ * on the fast engine, its borrowed engine), so it must equal the
+ * first. Leaves the second run's image in @p mem.
+ */
+sim::SimResult
+simulateTwice(const dfg::Graph &graph, const sim::SimConfig &cfg,
+              scalar::MemImage &mem, uint64_t seed,
+              const std::string &tag)
+{
+    std::shared_ptr<const dfg::Graph> hold(
+        std::shared_ptr<const dfg::Graph>(), &graph);
+    sim::ExecutionState exec(
+        std::make_shared<const sim::Program>(hold, cfg));
+    scalar::MemImage firstMem = mem;
+    sim::SimResult first = exec.run(firstMem);
+    sim::SimResult again = exec.run(mem);
+    EXPECT_TRUE(sim::statsEqual(first.stats, again.stats))
+        << "seed " << seed << " " << tag << ": a reused state diverges";
+    EXPECT_EQ(first.deadlocked, again.deadlocked)
+        << "seed " << seed << " " << tag;
+    EXPECT_EQ(first.diagnostic, again.diagnostic)
+        << "seed " << seed << " " << tag;
+    EXPECT_EQ(firstMem, mem) << "seed " << seed << " " << tag;
+    return again;
+}
+
+/**
+ * Simulate @p cfg on the DenseScan oracle and on the fast engine
+ * (each twice, see simulateTwice), require the runs to be
+ * bit-identical, and leave the fast engine's memory image in @p mem.
  */
 sim::SimResult
 simulateBoth(const dfg::Graph &graph, sim::SimConfig cfg,
@@ -87,9 +118,10 @@ simulateBoth(const dfg::Graph &graph, sim::SimConfig cfg,
 {
     scalar::MemImage denseMem = mem;
     cfg.scheduler = sim::SimConfig::Scheduler::DenseScan;
-    sim::SimResult dense = sim::simulate(graph, denseMem, cfg);
+    sim::SimResult dense =
+        simulateTwice(graph, cfg, denseMem, seed, tag + " dense");
     cfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
-    sim::SimResult fast = sim::simulate(graph, mem, cfg);
+    sim::SimResult fast = simulateTwice(graph, cfg, mem, seed, tag);
     EXPECT_TRUE(sim::statsEqual(dense.stats, fast.stats))
         << "seed " << seed << " " << tag
         << ": fast engine stats diverge from DenseScan";
@@ -277,7 +309,8 @@ TEST_P(Fuzz, SpatialUnrollMatchesGolden)
         auto cfg = res.simConfig;
         cfg.maxCycles = 3'000'000;
         scalar::MemImage mem = init;
-        auto sim = sim::simulate(res.graph, mem, cfg);
+        auto sim = simulateTwice(res.graph, cfg, mem, seed,
+                                 "unroll " + std::to_string(unroll));
         ASSERT_FALSE(sim.deadlocked)
             << "seed " << seed << " unroll " << unroll << "\n"
             << sim.diagnostic;

@@ -262,10 +262,10 @@ TEST(Reference, Conv3x3)
     // Four nested affine loops consume exactly the fabric's four
     // stream PEs.
     int streams = 0;
-    for (const auto &n : run.compiled.graph.nodes)
+    for (const auto &n : run.compiled().graph.nodes)
         streams += n.kind == dfg::NodeKind::Stream;
     EXPECT_EQ(streams, 4);
-    EXPECT_FALSE(run.compiled.threaded);
+    EXPECT_FALSE(run.compiled().threaded);
     for (int y = 1; y < h - 1; y++) {
         for (int x = 1; x < w - 1; x++) {
             Word want = 0;

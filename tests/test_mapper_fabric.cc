@@ -379,7 +379,7 @@ TEST(Fabric, CustomMixesWork)
     cfg.variant = ArchVariant::Pipestitch;
     cfg.fabric = small;
     auto run = runOnFabric(kernel, cfg); // golden-checked
-    EXPECT_TRUE(run.mapping.success);
+    EXPECT_TRUE(run.mapping().success);
     EXPECT_GT(run.cycles(), 0);
 }
 

@@ -110,8 +110,37 @@ TEST(Robustness, RunsAreDeterministic)
     EXPECT_EQ(a.cycles(), b.cycles());
     EXPECT_EQ(a.sim.stats.nodeFires, b.sim.stats.nodeFires);
     EXPECT_DOUBLE_EQ(a.energy.totalPj(), b.energy.totalPj());
-    EXPECT_EQ(a.mapping.peOf, b.mapping.peOf);
+    EXPECT_EQ(a.mapping().peOf, b.mapping().peOf);
     EXPECT_EQ(a.memory, b.memory);
+}
+
+TEST(Robustness, RunsShareTheirPreparedKernel)
+{
+    // Every execution of one PreparedKernel reads the compiled
+    // graph, mapping, analysis and bound terms through it instead of
+    // holding copies; a FabricRun{} from a failed prepare reads empty.
+    setQuiet(true);
+    auto kernel = workloads::makeSpmv(8, 0.5, 4);
+    RunConfig cfg;
+    cfg.quiet = true;
+    PreparedPtr prep = prepareKernel(kernel, cfg);
+    FabricRun a = executeOnFabric(*prep, kernel, cfg);
+    FabricRun b = executeOnFabric(*prep, kernel, cfg);
+    EXPECT_EQ(a.prepared, prep);
+    EXPECT_EQ(b.prepared, prep);
+    EXPECT_EQ(&a.compiled(), prep->compiled.get());
+    EXPECT_EQ(&b.mapping(), &prep->mapping);
+    EXPECT_EQ(&b.analysis(), &prep->analysis);
+    EXPECT_EQ(&b.bound(), &prep->bound);
+    EXPECT_FALSE(a.bound().terms.empty());
+    EXPECT_EQ(a.boundCycles, a.boundEval.certifiedCycles);
+
+    FabricRun failed;
+    EXPECT_EQ(failed.prepared, nullptr);
+    EXPECT_EQ(failed.compiled().graph.size(), 0);
+    EXPECT_FALSE(failed.mapping().success);
+    EXPECT_TRUE(failed.analysis().diags.empty());
+    EXPECT_TRUE(failed.bound().terms.empty());
 }
 
 TEST(Robustness, ScalarProfilesAreOrdered)

@@ -43,7 +43,7 @@ runJson(const FabricRun &run)
     r.add("cycles", run.cycles())
         .add("energy_pj", run.energy.totalPj())
         .add("edp", run.edp)
-        .add("wirelength", run.mapping.totalWireLength)
+        .add("wirelength", run.mapping().totalWireLength)
         .add("mem_hash", hashHex(mem.digest()));
     return r.toJson();
 }

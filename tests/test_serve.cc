@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <latch>
@@ -148,6 +149,83 @@ TEST(JsonParse, ValuesRoundTrip)
     EXPECT_EQ(v.find("f")->elems[2].elems[0].asInt(), 3);
 }
 
+TEST(JsonParse, NumbersKeepTheirAcceptedSet)
+{
+    // Every numeral the parser took (or refused) when it went
+    // through strtod, it still takes (or refuses), with the same
+    // value: a leading '+', a bare '.' on either side, and values
+    // past a double's range, which read as infinity or zero.
+    struct Case
+    {
+        const char *text;
+        bool ok;
+        double value;
+    };
+    const Case cases[] = {
+        {"0", true, 0.0},
+        {"-0", true, -0.0},
+        {"42", true, 42.0},
+        {"-3.25", true, -3.25},
+        {"00012", true, 12.0},
+        {".5", true, 0.5},
+        {"-.5", true, -0.5},
+        {"1.", true, 1.0},
+        {"5.e3", true, 5000.0},
+        {"+1", true, 1.0},
+        {"+.5", true, 0.5},
+        {"1e5", true, 1e5},
+        {"1E+5", true, 1e5},
+        {"2.5e-3", true, 2.5e-3},
+        {"1e-310", true, 1e-310},
+        {"1e999", true, HUGE_VAL},
+        {"-1e999", true, -HUGE_VAL},
+        {"1.8e308", true, HUGE_VAL},
+        {"0.001e99999999999999999999", true, HUGE_VAL},
+        {"1e-999", true, 0.0},
+        {"-1e-999", true, -0.0},
+        {"2e-324", true, 0.0},
+        {"1000e-99999999999999999999", true, 0.0},
+        {"-", false, 0},
+        {"+", false, 0},
+        {".", false, 0},
+        {"1e", false, 0},
+        {"1e+", false, 0},
+        {"--1", false, 0},
+        {"+-1", false, 0},
+        {"-+1", false, 0},
+        {"++1", false, 0},
+        {"1e5.", false, 0},
+        {"1-2", false, 0},
+        {"e5", false, 0},
+        {".e1", false, 0},
+    };
+    for (const Case &c : cases) {
+        JsonValue v;
+        std::string err;
+        const bool ok = trace::parseJson(c.text, v, &err);
+        EXPECT_EQ(ok, c.ok) << c.text << ": " << err;
+        if (!ok || !c.ok)
+            continue;
+        EXPECT_EQ(v.kind, JsonValue::Kind::Number) << c.text;
+        EXPECT_EQ(v.number, c.value) << c.text;
+        EXPECT_EQ(std::signbit(v.number), std::signbit(c.value))
+            << c.text;
+    }
+
+    // In context: inside arrays and objects, next to other tokens.
+    JsonValue v;
+    ASSERT_TRUE(trace::parseJson("{\"n\":[.5,1e999,-2]}", v, nullptr));
+    const JsonValue &n = *v.find("n");
+    ASSERT_EQ(n.elems.size(), 3u);
+    EXPECT_EQ(n.elems[0].number, 0.5);
+    EXPECT_EQ(n.elems[1].number, HUGE_VAL);
+    EXPECT_EQ(n.elems[2].asInt(), -2);
+    std::string err;
+    EXPECT_FALSE(trace::parseJson("[1e]", v, &err));
+    EXPECT_NE(err.find("bad number at offset 1"), std::string::npos)
+        << err;
+}
+
 TEST(JsonParse, SurrogatePairBecomesUtf8)
 {
     JsonValue v;
@@ -275,6 +353,64 @@ TEST(Serve, RepeatedKernelTextAnswersLikeFreshServers)
     EXPECT_EQ(st.parseHits, kRequests - 1);
     EXPECT_EQ(st.dedupHits, 0);
     EXPECT_EQ(server.parsedKernels().entries(), 1u);
+}
+
+/** A gather y[i] = x[idx[i]]: whether it faults depends on the
+ *  contents of idx alone, so faulting and clean requests share one
+ *  prepared Program (and its engines). */
+std::string
+gatherRequest(const std::string &id, int lastIndex)
+{
+    std::ostringstream os;
+    os << "{\"id\":\"" << id << "\",\"sir\":\""
+       << "program gather\\n"
+       << "array idx 4\\narray x 4\\narray y 4\\nlivein n\\n\\n"
+       << "foreach i = 0 .. n:\\n"
+       << "  j = load idx[i]\\n"
+       << "  v = load x[j]\\n"
+       << "  store y[i] = v\\nend\\n"
+       << "\",\"liveins\":{\"n\":4},"
+       << "\"init\":{\"idx\":[3,1,2," << lastIndex
+       << "],\"x\":[5,6,7,8]}}";
+    return os.str();
+}
+
+TEST(Serve, MemoryFaultAnswersFaultAndTheServerGoesOn)
+{
+    ServeServer server(withJobs(2));
+    // A trip count past the arrays (a different Program from n=4),
+    // then in-bounds requests on the same text.
+    std::string big = scaleRequest("big", 3);
+    big.replace(big.find("\"n\":4"), 5, "\"n\":1000000");
+    const std::string requests[] = {
+        big,
+        scaleRequest("small", 3),
+        // Same Program: fault, clean, fault, clean.
+        gatherRequest("g-bad", 1 << 20),
+        gatherRequest("g-ok", 0),
+        gatherRequest("g-neg", -9),
+        gatherRequest("g-ok2", 2),
+    };
+    const char *want[] = {"fault", "ok", "fault", "ok", "fault", "ok"};
+    for (size_t i = 0; i < std::size(requests); i++) {
+        std::string line =
+            ServeServer::render(server.submit(requests[i]));
+        EXPECT_EQ(line, freshResponse(requests[i]));
+        JsonValue v = parseResponse(line);
+        EXPECT_EQ(field(v, "status"), want[i]) << line;
+        if (std::string(want[i]) == "fault") {
+            EXPECT_NE(field(v, "error").find("memory fault"),
+                      std::string::npos)
+                << line;
+            ASSERT_NE(v.find("fault_address"), nullptr) << line;
+            EXPECT_GE(v.find("fault_node")->asInt(-1), 0) << line;
+            EXPECT_GE(v.find("fault_cycle")->asInt(-1), 0) << line;
+        }
+    }
+    JsonValue bad = parseResponse(
+        ServeServer::render(server.submit(gatherRequest("g", -9))));
+    EXPECT_EQ(bad.find("fault_address")->asInt(), 4 - 9)
+        << "x starts at word 4";
 }
 
 TEST(Serve, MalformedKernelTextIsNotCached)

@@ -185,12 +185,57 @@ TEST(MemSystem, StoresCommitImmediately)
     EXPECT_EQ(mem[5], 123);
 }
 
-TEST(MemSystem, OutOfBoundsDies)
+TEST(MemSystem, OutOfBoundsFaultsTheRun)
 {
+    // The memory system neither reads nor writes outside the image...
     scalar::MemImage mem(8, 0);
     MemSystem sys(mem, 2, 2);
-    EXPECT_DEATH(sys.store(8, 1), "out of bounds");
-    EXPECT_DEATH(sys.issueLoad(0, -1, NoTag, 0), "out of bounds");
+    EXPECT_TRUE(sys.inBounds(7));
+    EXPECT_FALSE(sys.inBounds(8));
+    EXPECT_FALSE(sys.inBounds(-1));
+    sys.store(8, 1);
+    EXPECT_EQ(mem, scalar::MemImage(8, 0));
+    EXPECT_EQ(sys.issueLoad(0, -1, NoTag, 0).data.value, 0);
+
+    // ...and a kernel that indexes past its arrays ends its run with
+    // a fault result, the same under both schedulers, instead of
+    // aborting the process.
+    setQuiet(true);
+    auto kernel = workloads::makeSpmv(8, 0.5, 3);
+    Word xBase = -1;
+    for (const auto &arr : kernel.prog.arrays) {
+        if (arr.name == "colidx")
+            kernel.memory[static_cast<size_t>(arr.base)] = 1 << 20;
+        if (arr.name == "x")
+            xBase = static_cast<Word>(arr.base);
+    }
+    ASSERT_GE(xBase, 0);
+    std::vector<FabricRun> runs;
+    for (auto sched : {SimConfig::Scheduler::DenseScan,
+                       SimConfig::Scheduler::ReadyList}) {
+        RunConfig cfg;
+        cfg.quiet = true;
+        cfg.sim.scheduler = sched;
+        std::string err;
+        FabricRun run = runOnFabric(kernel, cfg, &err);
+        EXPECT_NE(err.find("memory fault"), std::string::npos) << err;
+        EXPECT_TRUE(run.sim.deadlocked);
+        EXPECT_FALSE(run.sim.watchdogExpired);
+        ASSERT_TRUE(run.sim.fault.any());
+        EXPECT_EQ(run.sim.fault.addr, xBase + (1 << 20));
+        EXPECT_EQ(run.compiled().graph.at(run.sim.fault.node).kind,
+                  dfg::NodeKind::Load);
+        EXPECT_EQ(run.sim.stats.cycles, run.sim.fault.cycle + 1)
+            << "the run stops at the end of the faulting cycle";
+        EXPECT_EQ(run.sim.diagnostic,
+                  describeFault(run.compiled().graph, run.sim.fault,
+                                run.memory.size()));
+        runs.push_back(std::move(run));
+    }
+    EXPECT_EQ(runs[0].sim.fault, runs[1].sim.fault);
+    EXPECT_EQ(runs[0].sim.diagnostic, runs[1].sim.diagnostic);
+    EXPECT_TRUE(statsEqual(runs[0].sim.stats, runs[1].sim.stats));
+    EXPECT_EQ(runs[0].memory, runs[1].memory);
 }
 
 TEST(Report, OperatorTableAndHeatMap)
@@ -200,15 +245,15 @@ TEST(Report, OperatorTableAndHeatMap)
     RunConfig cfg;
     auto run = runOnFabric(kernel, cfg);
     std::string table =
-        operatorReport(run.compiled.graph, run.sim.stats, 8);
+        operatorReport(run.compiled().graph, run.sim.stats, 8);
     EXPECT_NE(table.find("Fires"), std::string::npos);
     EXPECT_NE(table.find("stream"), std::string::npos);
     // Capped at 8 rows + header + separator.
     EXPECT_LE(std::count(table.begin(), table.end(), '\n'), 10);
 
     fabric::Fabric fab;
-    std::string map = utilizationMap(run.compiled.graph, fab,
-                                     run.mapping, run.sim.stats);
+    std::string map = utilizationMap(run.compiled().graph, fab,
+                                     run.mapping(), run.sim.stats);
     EXPECT_NE(map.find("utilization"), std::string::npos);
     // One row per fabric row.
     EXPECT_EQ(std::count(map.begin(), map.end(), '\n'), 9);

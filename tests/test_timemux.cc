@@ -75,7 +75,7 @@ TEST(TimeMux, UnrolledDitherMapsAndMatchesGolden)
     // test_unroll); with it, the run must map AND stay correct
     // (golden check inside runOnFabric).
     auto run = runOnFabric(kernel, cfg);
-    EXPECT_TRUE(run.mapping.success);
+    EXPECT_TRUE(run.mapping().success);
     EXPECT_GT(run.sim.stats.muxSwitches, 0);
 }
 
@@ -90,7 +90,7 @@ TEST(TimeMux, SharedPeNeverDoubleFires)
     auto run = runOnFabric(kernel, cfg);
     // Members of one group cannot fire more, in total, than cycles.
     auto groups = compiler::planTimeMultiplexing(
-        run.compiled.graph, fabric::FabricConfig{});
+        run.compiled().graph, fabric::FabricConfig{});
     for (const auto &group : groups) {
         int64_t fires = 0;
         for (auto id : group)

@@ -155,7 +155,7 @@ TEST(Unroll, SmallKernelLanesFitTheFabric)
     cfg.variant = ArchVariant::Pipestitch;
     cfg.unrollFactor = 2;
     auto run = runOnFabric(kernel, cfg);
-    EXPECT_TRUE(run.mapping.success);
+    EXPECT_TRUE(run.mapping().success);
 }
 
 TEST(Unroll, RejectsBadFactors)

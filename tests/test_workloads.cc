@@ -42,7 +42,7 @@ TEST_P(SmallKernels, MatchesGoldenAndMaps)
     // mismatch, so reaching the assertions below is the test.
     FabricRun run = runOnFabric(kernel, cfg);
     EXPECT_GT(run.cycles(), 0);
-    EXPECT_TRUE(run.mapping.success);
+    EXPECT_TRUE(run.mapping().success);
     EXPECT_GT(run.energy.totalPj(), 0.0);
 }
 

@@ -561,18 +561,26 @@ cmdRun(const Options &opts, const ParseResult &parsed)
     std::string err;
     FabricRun run = runOnFabric(kernel, cfg, &err);
     if (!err.empty()) {
+        // A memory fault (the kernel indexed past its arrays) is the
+        // input's doing; it gets its own status and exit code.
+        const sim::MemFault &fault = run.sim.fault;
         if (opts.json) {
             sim::Report r;
             r.add("schema_version", sim::kJsonSchemaVersion)
                 .add("kernel", kernel.name)
-                .add("status", "error")
+                .add("status", fault.any() ? "fault" : "error")
                 .add("error", err);
+            if (fault.any()) {
+                r.add("fault_node", fault.node)
+                    .add("fault_address", fault.addr)
+                    .add("fault_cycle", fault.cycle);
+            }
             std::printf("%s\n", r.toJson().c_str());
         } else {
             std::fprintf(stderr, "%s: %s\n", kernel.name.c_str(),
                          err.c_str());
         }
-        return 1;
+        return fault.any() ? 3 : 1;
     }
 
     if (opts.json) {
@@ -596,9 +604,9 @@ cmdRun(const Options &opts, const ParseResult &parsed)
             .add("buffer_reads", st.bufferReads)
             .add("bank_conflicts", st.bankConflictStalls)
             .add("mux_switches", st.muxSwitches)
-            .add("threaded", run.compiled.threaded)
-            .add("operators", run.compiled.graph.size())
-            .add("avg_hops", run.mapping.avgHops);
+            .add("threaded", run.compiled().threaded)
+            .add("operators", run.compiled().graph.size())
+            .add("avg_hops", run.mapping().avgHops);
         if (cfg.tiled()) {
             r.add("tiles_x", cfg.tilesX)
                 .add("tiles_y", cfg.tilesY)
@@ -623,10 +631,10 @@ cmdRun(const Options &opts, const ParseResult &parsed)
     if (opts.report) {
         fabric::Fabric fab(opts.topo);
         std::printf("\n%s\n%s",
-                    sim::utilizationMap(run.compiled.graph, fab,
-                                        run.mapping, run.sim.stats)
+                    sim::utilizationMap(run.compiled().graph, fab,
+                                        run.mapping(), run.sim.stats)
                         .c_str(),
-                    sim::operatorReport(run.compiled.graph,
+                    sim::operatorReport(run.compiled().graph,
                                         run.sim.stats)
                         .c_str());
     }
@@ -694,6 +702,7 @@ timeEngines(const dfg::Graph &graph,
     p.identical = sim::statsEqual(a.stats, b.stats) &&
                   a.deadlocked == b.deadlocked &&
                   a.watchdogExpired == b.watchdogExpired &&
+                  a.fault == b.fault &&
                   a.diagnostic == b.diagnostic &&
                   p.dense.memory == p.fast.memory;
     return p;
@@ -967,6 +976,7 @@ cmdTrace(const Options &opts, const ParseResult &parsed)
     // distinctly so callers never mistake a slow kernel for a
     // certified deadlock.
     const char *status = !r.deadlocked        ? "ok"
+                         : r.fault.any()     ? "fault"
                          : r.watchdogExpired ? "watchdog"
                                              : "deadlock";
     sim::Report report = sim::reportFor(r.stats);
@@ -974,7 +984,8 @@ cmdTrace(const Options &opts, const ParseResult &parsed)
         .add("spans", chrome.spanCount())
         .add("instants", chrome.instantCount())
         .add("status", status)
-        .add("deadlocked", r.deadlocked && !r.watchdogExpired)
+        .add("deadlocked",
+             r.deadlocked && !r.watchdogExpired && !r.fault.any())
         .add("watchdog_expired", r.watchdogExpired);
     if (opts.json) {
         report.add("schema_version", sim::kJsonSchemaVersion);
@@ -988,9 +999,12 @@ cmdTrace(const Options &opts, const ParseResult &parsed)
                     static_cast<long long>(chrome.instantCount()));
         std::printf("%s", stalls.toString().c_str());
     }
-    // 0 = clean, 1 = quiesced deadlock, 4 = watchdog expiry.
+    // 0 = clean, 1 = quiesced deadlock, 3 = memory fault,
+    // 4 = watchdog expiry.
     if (!r.deadlocked)
         return 0;
+    if (r.fault.any())
+        return 3;
     return r.watchdogExpired ? 4 : 1;
 }
 
@@ -1065,6 +1079,7 @@ cmdLint(const Options &opts, const ParseResult &parsed)
 
     bool simDeadlocked = false;
     bool simWatchdog = false;
+    bool simFault = false;
     bool disagree = false;
     int64_t boundCycles = 0;
     int64_t simCycles = 0;
@@ -1080,9 +1095,11 @@ cmdLint(const Options &opts, const ParseResult &parsed)
         // Watchdog expiry means the fabric was still live —
         // termination is input-dependent, outside what static
         // certification claims — so it is neither a deadlock
-        // verdict nor a disagreement.
+        // verdict nor a disagreement. Nor is a memory fault, which
+        // the input's array bounds decide.
         simWatchdog = r.watchdogExpired;
-        simDeadlocked = r.deadlocked && !r.watchdogExpired;
+        simFault = r.fault.any();
+        simDeadlocked = r.deadlocked && !simWatchdog && !simFault;
         disagree = report.deadlockFree && simDeadlocked;
         if (disagree && !opts.json) {
             std::fprintf(stderr,
@@ -1127,6 +1144,7 @@ cmdLint(const Options &opts, const ParseResult &parsed)
                     "\"operators\":%d,\"crossChecked\":%s,"
                     "\"simDeadlocked\":%s,"
                     "\"simWatchdogExpired\":%s,"
+                    "\"simFault\":%s,"
                     "\"boundCycles\":%lld,\"boundHolds\":%s,"
                     "\"agree\":%s,"
                     "\"analysis\":%s}\n",
@@ -1137,6 +1155,7 @@ cmdLint(const Options &opts, const ParseResult &parsed)
                     opts.crossCheck ? "true" : "false",
                     simDeadlocked ? "true" : "false",
                     simWatchdog ? "true" : "false",
+                    simFault ? "true" : "false",
                     static_cast<long long>(boundCycles),
                     boundHolds ? "true" : "false",
                     disagree ? "false" : "true",
@@ -1149,14 +1168,13 @@ cmdLint(const Options &opts, const ParseResult &parsed)
                     report.toString(res.graph).c_str());
         if (opts.crossCheck) {
             std::printf("cross-check: simulator %s; %s\n",
-                        simDeadlocked
-                            ? "deadlocked"
-                            : simWatchdog
-                                  ? "hit the cycle watchdog"
-                                  : "retired cleanly",
+                        simDeadlocked ? "deadlocked"
+                        : simWatchdog ? "hit the cycle watchdog"
+                        : simFault    ? "hit a memory fault"
+                                      : "retired cleanly",
                         disagree ? "DISAGREES with the analyzer"
                                  : "agrees with the analyzer");
-            if (!simDeadlocked && !simWatchdog) {
+            if (!simDeadlocked && !simWatchdog && !simFault) {
                 std::printf("cross-check: certified bound %lld <= "
                             "simulated %lld cycles: %s\n",
                             static_cast<long long>(boundCycles),
@@ -1208,7 +1226,7 @@ cmdBound(const Options &opts, const ParseResult &parsed)
         return 1;
     }
 
-    const sim::BoundReport &bound = run.bound;
+    const sim::BoundReport &bound = run.bound();
     const sim::BoundReport::Evaluation &ev = run.boundEval;
     const int64_t simCycles = run.cycles();
     const double tightness =
