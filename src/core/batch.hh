@@ -4,11 +4,12 @@
  * shards, streamed through the replicated tiles of a
  * fabric::Topology. Every tile holds the same per-tile placement
  * (prepared once from the first shard), so a shard can run on any
- * tile; shards sit in one shared queue and every tile worker (one
- * thread + one warmed sim::ExecutionState each — the prepare-once /
- * execute-N machinery from core/system.hh) claims the next shard
- * the moment it goes idle, stealing work a slower tile would have
- * owned under a fixed round-robin deal.
+ * tile. Each shard is one executeOnFabric of that shared artifact
+ * (the prepare-once / execute-N machinery from core/system.hh), so
+ * it gets the deadlock and bound cross-checks and golden
+ * verification of a single run. Shards sit in one shared queue and
+ * min(tiles, shards, hardware threads) host workers each claim the
+ * next shard the moment they go idle.
  *
  * The throughput model is deliberately simple: a tile runs its
  * shards back-to-back, and a shard on a remote tile (any tile but
@@ -76,8 +77,10 @@ struct BatchRun
  *
  * Failure contract mirrors runOnFabric: with @p error null any
  * failure is fatal(); otherwise *error and BatchRun::error are set
- * and success stays false. Per-shard golden verification follows
- * config.verifyAgainstGolden.
+ * and success stays false. A failing shard is reported as
+ * "runBatch: shard I (NAME): " followed by executeOnFabric's error;
+ * when several fail, the lowest index is reported. Per-shard golden
+ * verification follows config.verifyAgainstGolden.
  */
 BatchRun runBatch(const std::vector<workloads::KernelInstance> &shards,
                   const RunConfig &config,

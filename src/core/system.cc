@@ -133,9 +133,9 @@ prepareKernel(const workloads::KernelInstance &kernel,
         mopts.boundPruneCycles = config.boundPruneCycles;
         mopts.shareGroups = shareGroups;
         if (prep->tiled) {
-            // Tiled placements bypass the mapping memo — its key and
-            // disk format are per-grid. Whole-artifact prepared
-            // caching still covers them.
+            // Tiled placements bypass the mapping memo, whose key
+            // is per-grid. Whole-artifact prepared caching still
+            // covers them.
             mapper::TiledMapping tm =
                 mapper::mapGraphTiled(graph, prep->topo, mopts);
             prep->mapping = std::move(tm.merged);

@@ -57,9 +57,9 @@ struct RunConfig;
  * mapping, and offers the freshly computed result back after a miss.
  * Implementations own keying and storage — the canonical one is
  * runner::MemoCache, which content-addresses kernels and graphs and
- * can persist mapper placements to disk. Implementations must be
- * thread-safe: sweeps call runOnFabric from many threads against one
- * shared cache.
+ * keeps everything in memory. Implementations must be thread-safe:
+ * sweeps call runOnFabric from many threads against one shared
+ * cache.
  *
  * Both stages are deterministic functions of the arguments the
  * hooks receive, so serving a hit is behavior-preserving by
@@ -179,8 +179,9 @@ struct RunConfig
 
     /** Certified throughput floor handed to the mapper (see
      *  MapperOptions::boundPruneCycles); result-bearing, part of
-     *  cache keys. Set by runner::Sweep::runPruned for candidates
-     *  explored after an incumbent exists; 0 (off) otherwise. */
+     *  cache keys. No caller in src/ sets it; it stays, with its
+     *  cache-key fields, only because the frozen perfbench replay
+     *  copies it into MapperOptions. 0 (off) by default. */
     int64_t boundPruneCycles = 0;
 
     /**

@@ -73,13 +73,12 @@ struct MapperOptions
 
     /**
      * Certified throughput floor in cycles (analysis::computeBound),
-     * or 0 when unknown. A DSE driver (runner::Sweep::runPruned)
-     * sets this to tell the mapper the graph cannot retire faster
-     * than this floor no matter where nodes land: the portfolio
-     * trims to a single seed, because polishing wirelength cannot
-     * buy cycles the recurrence/dispatch structure already forbids.
-     * Default off — standalone mapping quality and the CI mapper
-     * cost baseline are unchanged.
+     * or 0 when unknown. When set, the mapper knows the graph cannot
+     * retire faster than this floor no matter where nodes land, so
+     * the portfolio trims to a single seed. No caller in src/ sets
+     * it; it stays only because the frozen perfbench replay copies
+     * RunConfig::boundPruneCycles here. Default off — standalone
+     * mapping quality and the CI mapper cost baseline are unchanged.
      */
     int64_t boundPruneCycles = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <fstream>
@@ -76,6 +77,30 @@ statusPayload(const char *status, const std::string &error)
     return r.toJson();
 }
 
+/** Read @p v into @p out if it is an integer that fits T, else name
+ *  @p field in @p error: a cast would run on a value never sent. */
+template <typename T>
+bool
+readInteger(const trace::JsonValue &v, const std::string &field,
+            T &out, std::string &error)
+{
+    // T's range is [lo, -lo) for a two's-complement T, and both
+    // bounds are exact doubles.
+    constexpr double lo =
+        static_cast<double>(std::numeric_limits<T>::min());
+    const double x = v.number;
+    if (v.kind != trace::JsonValue::Kind::Number || !(x >= lo) ||
+        !(x < -lo) || std::trunc(x) != x) {
+        error = csprintf(
+            "\"%s\" must be an integer in [%lld, %lld]", field.c_str(),
+            static_cast<long long>(std::numeric_limits<T>::min()),
+            static_cast<long long>(std::numeric_limits<T>::max()));
+        return false;
+    }
+    out = static_cast<T>(x);
+    return true;
+}
+
 /**
  * Parse one request line into @p out. @return false with @p error
  * set on any problem; @p out.id is still filled when the JSON was
@@ -115,23 +140,27 @@ parseRequest(const std::string &line, const RunConfig &base,
     if (const auto *d = v.find("depth")) {
         // Checked here: the Program build treats depth < 1 as an
         // internal invariant and aborts the whole daemon.
-        int64_t depth = d->asInt(0);
-        if (depth < 1 || depth > std::numeric_limits<int>::max()) {
+        if (!readInteger(*d, "depth", cfg.sim.bufferDepth, error))
+            return false;
+        if (cfg.sim.bufferDepth < 1) {
             error = "\"depth\" must be an integer >= 1";
             return false;
         }
-        cfg.sim.bufferDepth = static_cast<int>(depth);
     }
-    if (const auto *u = v.find("unroll"))
-        cfg.unrollFactor = static_cast<int>(u->asInt(1));
+    if (const auto *u = v.find("unroll")) {
+        if (!readInteger(*u, "unroll", cfg.unrollFactor, error))
+            return false;
+    }
     if (const auto *t = v.find("tm"))
         cfg.allowTimeMultiplex = t->asBool();
     if (const auto *m = v.find("map"))
         cfg.map = m->asBool(true);
     if (const auto *g = v.find("verify"))
         cfg.verifyAgainstGolden = g->asBool(true);
-    if (const auto *c = v.find("max_cycles"))
-        cfg.sim.maxCycles = c->asInt(cfg.sim.maxCycles);
+    if (const auto *c = v.find("max_cycles")) {
+        if (!readInteger(*c, "max_cycles", cfg.sim.maxCycles, error))
+            return false;
+    }
     if (const auto *tf = v.find("trace_file"))
         out.traceFile = tf->asString();
     if (const auto *s = v.find("scheduler")) {
@@ -160,7 +189,8 @@ parseRequest(const std::string &line, const RunConfig &base,
         cfg.tilesY = ty;
     }
     if (const auto *b = v.find("batch")) {
-        out.batch = static_cast<int>(b->asInt(1));
+        if (!readInteger(*b, "batch", out.batch, error))
+            return false;
         if (out.batch < 1) {
             error = "\"batch\" must be >= 1";
             return false;
@@ -184,8 +214,10 @@ parseRequest(const std::string &line, const RunConfig &base,
                 kernel.prog.regNames[static_cast<size_t>(r)];
             sir::Word value = 0;
             if (liveins) {
-                if (const auto *x = liveins->find(name))
-                    value = static_cast<sir::Word>(x->asInt());
+                const auto *x = liveins->find(name);
+                if (x && !readInteger(*x, "liveins." + name, value,
+                                      error))
+                    return false;
             }
             kernel.liveIns.push_back(value);
         }
@@ -209,11 +241,12 @@ parseRequest(const std::string &line, const RunConfig &base,
                     error = "init: bad values for '" + name + "'";
                     return false;
                 }
+                const std::string field = "init." + name;
+                sir::Word *words = kernel.memory.data() + arr.base;
                 for (size_t i = 0; i < vals.elems.size(); i++) {
-                    kernel.memory[static_cast<size_t>(arr.base) +
-                                  i] =
-                        static_cast<sir::Word>(
-                            vals.elems[i].asInt());
+                    if (!readInteger(vals.elems[i], field, words[i],
+                                     error))
+                        return false;
                 }
             }
         }

@@ -19,10 +19,10 @@
  *    finish step (finishOnFabric): deadlock and bound cross-checks,
  *    golden verify, and the energy of its own variant.
  *
- * Sweep is the grid layer: add jobs one at a time or as a
- * kernels×configs cross product, then run() them concurrently.
- * Results come back in submission order regardless of completion
- * order, so output is deterministic for any --jobs value.
+ * A grid of runs is a list of enqueue() futures read back in
+ * submission order: results then come out in that order whatever
+ * the completion order, so output is deterministic for any --jobs
+ * value.
  *
  * Enqueue jobs only from outside the pool (enqueue() is not
  * reentrant from a worker): a job that blocked on a nested future
@@ -98,9 +98,6 @@ class Runner
     std::shared_future<FabricRun> enqueue(KernelPtr kernel,
                                           const RunConfig &config);
 
-    /** Convenience: enqueue and wait. */
-    FabricRun run(KernelPtr kernel, const RunConfig &config);
-
     /** Submit an arbitrary job to the pool (see ThreadPool). */
     template <typename F>
     auto
@@ -144,88 +141,6 @@ class Runner
     mutable std::mutex inflightMu;
     std::map<uint64_t, std::shared_future<FabricRun>> inflight;
     int64_t nDedupHits = 0;
-};
-
-/** One grid point plus its future result. */
-struct SweepJob
-{
-    KernelPtr kernel;
-    RunConfig config;
-    std::shared_future<FabricRun> result;
-};
-
-/** One point of a bound-pruned exploration (Sweep::runPruned). */
-struct PrunedRun
-{
-    /** True when the candidate was skipped because its certified
-     *  static bound already met or exceeded the incumbent's
-     *  simulated cycles; `run` is then default-constructed. */
-    bool pruned = false;
-
-    /** The certified cycle floor the decision used: the candidate's
-     *  pre-run bound when one could be evaluated (same compiled
-     *  graph as the reference), otherwise the run's own
-     *  FabricRun::boundCycles (0 with analysis off). */
-    int64_t boundCycles = 0;
-
-    FabricRun run;
-};
-
-class Sweep
-{
-  public:
-    explicit Sweep(Runner &runner) : owner(runner) {}
-
-    /** Add one point; returns its submission index. */
-    size_t add(KernelPtr kernel, const RunConfig &config);
-
-    /** Cross product: every kernel under every config. */
-    void addGrid(const std::vector<KernelPtr> &kernels,
-                 const std::vector<RunConfig> &configs);
-
-    size_t size() const { return jobs.size(); }
-    const SweepJob &job(size_t i) const { return jobs[i]; }
-
-    /** Wait for all points; results in submission order. */
-    std::vector<FabricRun> run();
-
-    /** Record a candidate for runPruned() without enqueuing it
-     *  (add() submits eagerly; pruning decides lazily). Returns the
-     *  candidate's index. */
-    size_t addCandidate(KernelPtr kernel, const RunConfig &config);
-
-    size_t candidateCount() const { return candidates.size(); }
-
-    /**
-     * Bound-guided design-space exploration over the recorded
-     * candidates — the lower-bound pruning consumer of the PS-T
-     * throughput analysis (docs/static-analysis.md).
-     *
-     * Candidates are alternatives for one workload (variants,
-     * unroll factors, buffer depths...). Each is compiled (a memo
-     * hit when cached) and, when an earlier completed run shares
-     * its graph, its certified bound is instantiated with that
-     * run's fire counts — fire counts are a property of the graph
-     * and its inputs, not of placement, buffering, or scheduler,
-     * so the reuse is exact. A candidate whose certified floor
-     * already meets or exceeds the incumbent's simulated cycles
-     * cannot win and is skipped — e.g. an unrolled incumbent's
-     * runtime certifies the plain graph's recurrence floor is too
-     * slow. Everything else runs fully (with the floor forwarded
-     * as RunConfig::boundPruneCycles so the mapper trims its
-     * portfolio) and may become the incumbent. Candidates whose
-     * graph has not been seen always run.
-     *
-     * Runs serially on the calling thread — pruning is inherently
-     * sequential (each decision needs the incumbent so far). Results
-     * are in submission order. Call from outside the pool.
-     */
-    std::vector<PrunedRun> runPruned();
-
-  private:
-    Runner &owner;
-    std::vector<SweepJob> jobs;
-    std::vector<std::pair<KernelPtr, RunConfig>> candidates;
 };
 
 } // namespace pipestitch::runner

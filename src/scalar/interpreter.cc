@@ -69,11 +69,13 @@ class Interp
     memAt(Reg addrReg, Word offset) const
     {
         int64_t addr = int64_t{get(addrReg)} + offset;
-        ps_assert(addr >= 0 &&
-                      addr < static_cast<int64_t>(mem.size()),
-                  "program %s: address %lld out of bounds (%zu words)",
+        // A user-input error (say, a trip count past the arrays),
+        // not a broken invariant.
+        if (addr < 0 || addr >= static_cast<int64_t>(mem.size())) {
+            fatal("program %s: address %lld out of bounds (%zu words)",
                   prog.name.c_str(), static_cast<long long>(addr),
                   mem.size());
+        }
         return static_cast<Word>(addr);
     }
 

@@ -53,6 +53,8 @@ struct RunResult
  * @param liveIns one value per prog.liveIns entry, in order.
  * @param maxSteps safety bound on executed statements; exceeded ⇒
  *        fatal (a non-terminating kernel is a user error).
+ * A load or store outside @p mem is fatal too (a trip count past
+ * the arrays is a user error as well).
  */
 RunResult interpret(const sir::Program &prog, MemImage &mem,
                     const std::vector<sir::Word> &liveIns,

@@ -1,7 +1,6 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -815,15 +814,6 @@ FastEngine::shareAdmits(NodeId id, int sg)
     return true;
 }
 
-void
-FastEngine::traceFire(NodeId id) const
-{
-    const Node &node = prog.graph().at(id);
-    std::fprintf(stderr, "[%6lld] fire n%-3d %-9s %s\n",
-                 static_cast<long long>(cycle), id,
-                 nodeKindName(node.kind), node.name.c_str());
-}
-
 __attribute__((flatten)) void
 FastEngine::commitFire(NodeId id)
 {
@@ -848,8 +838,6 @@ FastEngine::commitFire(NodeId id)
     activeFlag = true;
     if (obs)
         obs->onFire(cycle, id);
-    if (cfg->trace)
-        traceFire(id);
 
     switch (kind) {
       case NodeKind::Trigger: {
@@ -1509,9 +1497,9 @@ FastEngine::census()
 void
 FastEngine::observedCensus()
 {
-    // Observed and traced runs attribute every stall to its node
-    // each cycle, so the census walks every PE as the oracle does
-    // (nothing dorms) and rebuilds the live set from its verdicts.
+    // Observed runs attribute every stall to its node each cycle,
+    // so the census walks every PE as the oracle does (nothing
+    // dorms) and rebuilds the live set from its verdicts.
     for (NodeId id : prog.allSeqNodes) {
         const size_t i = static_cast<size_t>(id);
         bool retain;
@@ -1532,19 +1520,8 @@ FastEngine::observedCensus()
             } else {
                 counted = false;
             }
-            if (counted && obs)
+            if (counted)
                 obs->onStall(cycle, id, reason);
-            if (cfg->trace && why != VIdle && why != VNo) {
-                const Node &node = prog.graph().at(id);
-                std::fprintf(stderr,
-                             "[%6lld] stall n%-3d %-9s %s (%s)\n",
-                             static_cast<long long>(cycle), id,
-                             nodeKindName(node.kind),
-                             node.name.c_str(),
-                             why == VInput   ? "input"
-                             : why == VSpace ? "space"
-                                             : "bank");
-            }
             retain = counted || why == VNo || wokenB[i];
         }
         uint64_t &word = liveBits[i >> 6];
@@ -1714,8 +1691,8 @@ FastEngine::run(MemImage &memImage, const SimConfig &runCfg)
     mem = &memImage;
     cfg = &runCfg;
     obs = runCfg.observer;
-    // Observed and traced runs attribute every stall to its node.
-    const bool observed = obs != nullptr || runCfg.trace;
+    // Observed runs attribute every stall to its node.
+    const bool observed = obs != nullptr;
     resetRun();
     SimResult result;
 

@@ -121,7 +121,6 @@ class FastEngine
      *  conflicts); false when the shared PE is not available. */
     bool shareAdmits(dfg::NodeId id, int sg);
     void commitFire(dfg::NodeId id);
-    void traceFire(dfg::NodeId id) const;
 
     // --- cycle phases -----------------------------------------------
     void drainPhase();

@@ -1,6 +1,5 @@
 #include "sim/execution.hh"
 
-#include <cstdio>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -94,6 +93,15 @@ ExecutionState::run(MemImage &mem, const RunOptions &opts)
     cfg.trace = opts.trace;
     if (opts.maxCycles > 0)
         cfg.maxCycles = opts.maxCycles;
+    // The text trace is one more observer, after the caller's.
+    trace::TextTraceSink text;
+    trace::ObserverList chained;
+    if (opts.trace) {
+        if (opts.observer)
+            chained.add(opts.observer);
+        chained.add(&text);
+        cfg.observer = &chained;
+    }
     obs = cfg.observer;
 
     if (obs)
@@ -734,11 +742,6 @@ ExecutionState::commitFire(NodeId id)
     active = true;
     if (obs)
         obs->onFire(cycle, id);
-    if (cfg.trace) {
-        std::fprintf(stderr, "[%6lld] fire n%-3d %-9s %s\n",
-                     static_cast<long long>(cycle), id,
-                     nodeKindName(node.kind), node.name.c_str());
-    }
 
     switch (node.kind) {
       case NodeKind::Trigger: {
@@ -1009,16 +1012,6 @@ ExecutionState::stallCensus()
                 obs->onStall(cycle, id,
                              trace::StallReason::BankConflict);
             }
-        }
-        if (cfg.trace && why != Blocked::Idle && why != Blocked::No) {
-            std::fprintf(stderr,
-                         "[%6lld] stall n%-3d %-9s %s (%s)\n",
-                         static_cast<long long>(cycle), id,
-                         nodeKindName(graph.at(id).kind),
-                         graph.at(id).name.c_str(),
-                         why == Blocked::Input   ? "input"
-                         : why == Blocked::Space ? "space"
-                                                 : "bank");
         }
     }
 }

@@ -44,7 +44,8 @@ struct RunOptions
 {
     /** Observability hooks; not owned, must outlive the run. */
     trace::SimObserver *observer = nullptr;
-    /** Print every fire to stderr. */
+    /** Print every fire and counted stall to stderr, through a
+     *  trace::TextTraceSink chained after `observer`. */
     bool trace = false;
     /** Watchdog override; 0 = the Program config's maxCycles. */
     int64_t maxCycles = 0;

@@ -103,7 +103,8 @@ struct SimConfig
      */
     bool greedyDispatch = false;
 
-    /** Print every fire to stderr (cycle, node, kind, value). */
+    /** Print every fire and counted stall to stderr (cycle, node,
+     *  kind, name; trace::TextTraceSink). */
     bool trace = false;
 
     /**

@@ -19,8 +19,9 @@
  *
  * Concrete sinks live next to this header: ChromeTraceSink (trace
  * viewer JSON), StallTimelineSink (per-node per-interval stall
- * attribution), RecordingObserver (test replay). Multiple sinks
- * attach through ObserverList.
+ * attribution), RecordingObserver (test replay), and TextTraceSink
+ * below (the stderr text trace). Multiple sinks attach through
+ * ObserverList.
  */
 
 #ifndef PIPESTITCH_TRACE_OBSERVER_HH
@@ -185,6 +186,28 @@ class ObserverList final : public SimObserver
 
   private:
     std::vector<SimObserver *> children;
+};
+
+/**
+ * The text trace behind `RunOptions::trace` (`pstool run --trace`):
+ * one stderr line per fire and per counted stall, as it happens.
+ * ExecutionState::run attaches one when the option is set.
+ */
+class TextTraceSink final : public SimObserver
+{
+  public:
+    void
+    onSimBegin(const dfg::Graph &g, const sim::SimConfig &) override
+    {
+        graph = &g;
+    }
+
+    void onFire(int64_t cycle, dfg::NodeId node) override;
+    void onStall(int64_t cycle, dfg::NodeId node,
+                 StallReason reason) override;
+
+  private:
+    const dfg::Graph *graph = nullptr;
 };
 
 } // namespace pipestitch::trace

@@ -148,7 +148,6 @@ TEST(Analysis, ConcurrentSweepAnalyzesEveryRun)
     runner::RunnerOptions ropts;
     ropts.jobs = 4;
     runner::Runner runner(ropts);
-    runner::Sweep sweep(runner);
 
     std::vector<runner::KernelPtr> kernels;
     kernels.push_back(
@@ -163,11 +162,14 @@ TEST(Analysis, ConcurrentSweepAnalyzesEveryRun)
         cfg.quiet = true;
         configs.push_back(cfg);
     }
-    sweep.addGrid(kernels, configs);
+    std::vector<std::shared_future<FabricRun>> runs;
+    for (const auto &kernel : kernels)
+        for (const auto &cfg : configs)
+            runs.push_back(runner.enqueue(kernel, cfg));
 
-    auto runs = sweep.run();
     ASSERT_EQ(runs.size(), kernels.size() * configs.size());
-    for (const FabricRun &run : runs) {
+    for (const auto &future : runs) {
+        const FabricRun &run = future.get();
         EXPECT_TRUE(run.analysis().ok());
         EXPECT_TRUE(run.analysis().deadlockFree);
         EXPECT_TRUE(run.analysis().placementOk);

@@ -21,10 +21,8 @@
 #include "runner/memo.hh"
 #include "runner/pool.hh"
 #include "runner/sweep.hh"
-#include "scalar/interpreter.hh"
 #include "sim/report.hh"
 #include "sim/stats.hh"
-#include "sir/parser.hh"
 #include "trace/observer.hh"
 #include "workloads/kernels.hh"
 
@@ -48,10 +46,27 @@ runJson(const FabricRun &run)
     return r.toJson();
 }
 
+/** Enqueue every kernel under every config, then read the futures
+ *  back in submission order. */
+std::vector<FabricRun>
+runGrid(runner::Runner &runner,
+        const std::vector<runner::KernelPtr> &kernels,
+        const std::vector<RunConfig> &configs)
+{
+    std::vector<std::shared_future<FabricRun>> futures;
+    for (const auto &kernel : kernels)
+        for (const auto &config : configs)
+            futures.push_back(runner.enqueue(kernel, config));
+    std::vector<FabricRun> runs;
+    for (const auto &future : futures)
+        runs.push_back(future.get());
+    return runs;
+}
+
 /** A small (kernel × variant) grid exercising threaded + spatial
  *  kernels. */
-void
-buildGrid(runner::Sweep &sweep)
+std::vector<std::string>
+sweepJsons(runner::Runner &runner)
 {
     std::vector<runner::KernelPtr> kernels;
     kernels.push_back(
@@ -65,16 +80,8 @@ buildGrid(runner::Sweep &sweep)
         cfg.variant = v;
         configs.push_back(cfg);
     }
-    sweep.addGrid(kernels, configs);
-}
-
-std::vector<std::string>
-sweepJsons(runner::Runner &runner)
-{
-    runner::Sweep sweep(runner);
-    buildGrid(sweep);
     std::vector<std::string> out;
-    for (const FabricRun &run : sweep.run())
+    for (const FabricRun &run : runGrid(runner, kernels, configs))
         out.push_back(runJson(run));
     return out;
 }
@@ -307,8 +314,8 @@ TEST(Runner, SharesMachinesNotCoincidentOutcomes)
     runner::RunnerOptions opts;
     opts.jobs = 1;
     runner::Runner runner(opts);
-    FabricRun r8 = runner.run(kernel, d8);
-    FabricRun r16 = runner.run(kernel, d16);
+    FabricRun r8 = runner.enqueue(kernel, d8).get();
+    FabricRun r16 = runner.enqueue(kernel, d16).get();
     EXPECT_TRUE(sim::statsEqual(r8.sim.stats, r16.sim.stats));
     EXPECT_EQ(r8.memory, r16.memory);
     EXPECT_EQ(runner.simDedupHits(), 0);
@@ -328,10 +335,10 @@ TEST(Runner, NeverSharesAcrossInputsOrObservedRuns)
     runner::RunnerOptions opts;
     opts.jobs = 2;
     runner::Runner runner(opts);
-    FabricRun ra = runner.run(a, pipe);
+    FabricRun ra = runner.enqueue(a, pipe).get();
 
     // Same machine, different input memory.
-    FabricRun rb = runner.run(b, cfin);
+    FabricRun rb = runner.enqueue(b, cfin).get();
     EXPECT_EQ(runner.simDedupHits(), 0);
     EXPECT_NE(ra.memory, rb.memory);
 
@@ -340,17 +347,17 @@ TEST(Runner, NeverSharesAcrossInputsOrObservedRuns)
     FireCounter counter;
     RunConfig observed = cfin;
     observed.sim.observer = &counter;
-    FabricRun ro = runner.run(a, observed);
+    FabricRun ro = runner.enqueue(a, observed).get();
     EXPECT_EQ(runner.simDedupHits(), 0);
     EXPECT_GT(counter.fires, 0);
-    expectSameRun(runner.run(a, cfin), ro, "observed");
+    expectSameRun(runner.enqueue(a, cfin).get(), ro, "observed");
     EXPECT_EQ(runner.simDedupHits(), 1);
 
     // Traced: the fire trace must be printed again.
     RunConfig traced = pipe;
     traced.sim.trace = true;
     testing::internal::CaptureStderr();
-    FabricRun rt = runner.run(a, traced);
+    FabricRun rt = runner.enqueue(a, traced).get();
     std::string trace = testing::internal::GetCapturedStderr();
     EXPECT_NE(trace.find("fire"), std::string::npos);
     EXPECT_EQ(runner.simDedupHits(), 1);
@@ -360,31 +367,26 @@ TEST(Runner, NeverSharesAcrossInputsOrObservedRuns)
 TEST(Sweep, SharedSimulationsIndependentOfJobCount)
 {
     // Every variant of DMM and SpMV: two shared machines each.
-    auto buildShared = [](runner::Sweep &sweep) {
-        auto kernels = workloads::smallKernels(figures::kSeed);
-        std::vector<runner::KernelPtr> ks;
-        ks.push_back(runner::share(std::move(kernels[0])));
-        ks.push_back(runner::share(std::move(kernels[1])));
-        std::vector<RunConfig> configs;
-        for (ArchVariant v :
-             {ArchVariant::RipTide, ArchVariant::Pipestitch,
-              ArchVariant::PipeSB, ArchVariant::PipeCFiN,
-              ArchVariant::PipeCFoP}) {
-            RunConfig cfg;
-            cfg.variant = v;
-            configs.push_back(cfg);
-        }
-        sweep.addGrid(ks, configs);
-    };
+    auto kernels = workloads::smallKernels(figures::kSeed);
+    std::vector<runner::KernelPtr> ks;
+    ks.push_back(runner::share(std::move(kernels[0])));
+    ks.push_back(runner::share(std::move(kernels[1])));
+    std::vector<RunConfig> configs;
+    for (ArchVariant v :
+         {ArchVariant::RipTide, ArchVariant::Pipestitch,
+          ArchVariant::PipeSB, ArchVariant::PipeCFiN,
+          ArchVariant::PipeCFoP}) {
+        RunConfig cfg;
+        cfg.variant = v;
+        configs.push_back(cfg);
+    }
     auto jsonsAt = [&](int jobs, bool memoize, int64_t wantShared) {
         runner::RunnerOptions opts;
         opts.jobs = jobs;
         opts.memoize = memoize;
         runner::Runner runner(opts);
-        runner::Sweep sweep(runner);
-        buildShared(sweep);
         std::vector<std::string> out;
-        for (const FabricRun &run : sweep.run())
+        for (const FabricRun &run : runGrid(runner, ks, configs))
             out.push_back(runJson(run));
         EXPECT_EQ(runner.simDedupHits(), wantShared) << jobs;
         return out;
@@ -447,122 +449,6 @@ TEST(Sweep, ResultsIndependentOfCacheTemperature)
     ASSERT_EQ(cold.size(), 4u);
     EXPECT_EQ(cold, warm);
     EXPECT_EQ(cold, noMemo);
-}
-
-namespace {
-
-/**
- * A serial loop-carried dependence chain (kernels/loop_chain.sir):
- * the recurrence bound is tight on it, which makes it the seed for
- * bound-pruning tests — its certified floor really does exceed a
- * faster design's runtime.
- */
-runner::KernelPtr
-makeLoopChainKernel()
-{
-    static const char *kSrc = R"(
-program loop_chain
-array x 32
-array out 1
-livein n
-livein scale
-
-i = const 0
-acc = const 0
-while:
-  alive = lt i n
-cond alive
-do:
-  v = load x[i]
-  t1 = mul acc scale
-  t2 = add t1 v
-  t3 = xor t2 5
-  t4 = add t3 1
-  t5 = mul t4 3
-  acc = add t5 0
-  i = add i 1
-end
-store out[0] = acc
-)";
-    sir::ParseResult parsed = sir::parseSir(kSrc, "<loop_chain>");
-    workloads::KernelInstance kernel;
-    kernel.name = parsed.program.name;
-    kernel.prog = std::move(parsed.program);
-    kernel.liveIns = {16, 3}; // n, scale — declaration order
-    kernel.memory = scalar::makeMemory(kernel.prog);
-    const auto &x = kernel.prog.array(parsed.arrays.at("x"));
-    for (int i = 0; i < 16; i++)
-        kernel.memory[static_cast<size_t>(x.base) + i] = i + 1;
-    return runner::share(std::move(kernel));
-}
-
-} // namespace
-
-TEST(Sweep, RunPrunedSkipsCandidatesBelowTheCertifiedFloor)
-{
-    runner::RunnerOptions opts;
-    opts.jobs = 1;
-    runner::Runner runner(opts);
-    runner::Sweep sweep(runner);
-
-    auto chain = makeLoopChainKernel();
-    auto fast =
-        runner::share(workloads::makeSpmv(4, 0.8, figures::kSeed));
-    RunConfig base;
-
-    // Candidate 0 registers the chain graph's fire counts and an
-    // incumbent; candidate 1 beats it; candidate 2 recompiles the
-    // chain graph (memo hit), whose certified recurrence floor now
-    // exceeds the incumbent — it must be pruned without running.
-    sweep.addCandidate(chain, base);
-    sweep.addCandidate(fast, base);
-    RunConfig reseeded = base;
-    reseeded.mapperSeed = 7;
-    sweep.addCandidate(chain, reseeded);
-    ASSERT_EQ(sweep.candidateCount(), 3u);
-
-    std::vector<runner::PrunedRun> res = sweep.runPruned();
-    ASSERT_EQ(res.size(), 3u);
-
-    EXPECT_FALSE(res[0].pruned);
-    EXPECT_GT(res[0].run.cycles(), 0);
-    EXPECT_GT(res[0].boundCycles, 0);
-    EXPECT_FALSE(res[1].pruned);
-    EXPECT_LT(res[1].run.cycles(), res[0].run.cycles());
-
-    EXPECT_TRUE(res[2].pruned);
-    EXPECT_EQ(res[2].run.cycles(), 0) << "pruned points must not run";
-    // The floor that justified the prune meets or beats the
-    // incumbent, and the bound is sound: candidate 0 actually ran
-    // this graph and could not beat its own floor.
-    EXPECT_GE(res[2].boundCycles, res[1].run.cycles());
-    EXPECT_LE(res[2].boundCycles, res[0].run.cycles());
-}
-
-TEST(Sweep, RunPrunedMatchesUnprunedResults)
-{
-    // Pruning must never change what the surviving points compute:
-    // a candidate that runs returns the same run a plain sweep
-    // would (boundPruneCycles trims the mapper portfolio, which is
-    // result-bearing, so compare against a sweep with the same
-    // floor applied — and cycles, which placement cannot change on
-    // a single-tile fabric, against a default run).
-    auto chain = makeLoopChainKernel();
-    RunConfig base;
-    runner::RunnerOptions opts;
-    opts.jobs = 1;
-    runner::Runner runner(opts);
-
-    runner::Sweep sweep(runner);
-    sweep.addCandidate(chain, base);
-    std::vector<runner::PrunedRun> res = sweep.runPruned();
-    ASSERT_EQ(res.size(), 1u);
-    ASSERT_FALSE(res[0].pruned);
-
-    FabricRun direct = runOnFabric(*chain, base);
-    EXPECT_EQ(res[0].run.cycles(), direct.cycles());
-    EXPECT_EQ(res[0].boundCycles, direct.boundCycles);
-    EXPECT_EQ(res[0].run.memory, direct.memory);
 }
 
 TEST(Figures, SmokeRenderIndependentOfJobsAndCache)

@@ -314,6 +314,54 @@ TEST(Serve, DepthBelowOneIsAnErrorNotAnAbort)
     EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
 }
 
+TEST(Serve, NumbersThatAreNotIntegersOfTheirFieldAreErrors)
+{
+    ServeServer server(withJobs(1));
+    // Each field once per value: none is an integer that fits the
+    // field (a live-in and an init word are 32-bit, unroll and
+    // batch are int, max_cycles is 64-bit).
+    struct Field
+    {
+        std::string name; ///< as the error names it
+        std::string json; ///< JSON text with VALUE in place
+    };
+    const std::vector<Field> fields = {
+        {"liveins.n", "\"liveins\":{\"n\":VALUE}"},
+        {"init.x", "\"init\":{\"x\":[1,VALUE]}"},
+        {"unroll", "\"unroll\":VALUE"},
+        {"batch", "\"batch\":VALUE"},
+        {"max_cycles", "\"max_cycles\":VALUE"},
+    };
+    int64_t bad = 0;
+    for (const char *value : {"1e999", "4294967300", "1.5", "-1e30"}) {
+        for (const auto &f : fields) {
+            if (f.name == "max_cycles" &&
+                std::string(value) == "4294967300")
+                continue; // fits int64_t
+            std::string json = f.json;
+            json.replace(json.find("VALUE"), 5, value);
+            // Later keys win, so this overrides scaleRequest's own.
+            std::string req = scaleRequest("v", 3);
+            req.insert(req.size() - 1, "," + json);
+            JsonValue v =
+                parseResponse(ServeServer::render(server.submit(req)));
+            EXPECT_EQ(field(v, "status"), "error")
+                << f.name << "=" << value;
+            EXPECT_NE(field(v, "error").find("\"" + f.name + "\""),
+                      std::string::npos)
+                << field(v, "error");
+            bad++;
+        }
+    }
+    EXPECT_EQ(server.stats().badRequests, bad);
+
+    // In-range integers, even written with an exponent, still run.
+    std::string req = scaleRequest("ok", 3);
+    req.insert(req.size() - 1, ",\"unroll\":2e0,\"max_cycles\":1e6");
+    JsonValue v = parseResponse(ServeServer::render(server.submit(req)));
+    EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
+}
+
 TEST(Serve, ContentIdenticalRequestsShareOneExecution)
 {
     ServeServer server(withJobs(2));

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include "analysis/placement.hh"
 #include "base/logging.hh"
@@ -23,6 +24,7 @@
 #include "core/system.hh"
 #include "mapper/tiled.hh"
 #include "scalar/interpreter.hh"
+#include "sim/program.hh"
 #include "sir/parser.hh"
 #include "workloads/kernels.hh"
 
@@ -313,6 +315,60 @@ TEST(BatchRun, QuadTileSpmvShardsReachTargetSpeedup)
     EXPECT_EQ(serial.totalCycles, batch.totalCycles);
 }
 
+TEST(BatchRun, ShardCyclesMatchSingleExecutions)
+{
+    setQuiet(true);
+    auto shards = workloads::makeSpmvShards(64, 0.2, 1, 8);
+    RunConfig cfg;
+    cfg.quiet = true;
+    cfg.tilesX = 2;
+    cfg.tilesY = 2;
+    std::string err;
+    BatchRun batch = runBatch(shards, cfg, &err);
+    ASSERT_TRUE(batch.success) << err;
+
+    // One engine per worker at most, and never more workers than
+    // tiles, shards or hardware threads.
+    const size_t workers = std::min<size_t>(
+        {4, shards.size(),
+         std::max(1u, std::thread::hardware_concurrency())});
+    EXPECT_GE(batch.prepared->program->idleEngines(), 1u);
+    EXPECT_LE(batch.prepared->program->idleEngines(), workers);
+
+    // Each shard is one execution of the shared single-tile
+    // artifact.
+    RunConfig tileCfg = cfg;
+    tileCfg.tilesX = 1;
+    tileCfg.tilesY = 1;
+    for (size_t i = 0; i < shards.size(); i++) {
+        FabricRun run =
+            executeOnFabric(*batch.prepared, shards[i], tileCfg, &err);
+        ASSERT_TRUE(err.empty()) << err;
+        EXPECT_EQ(batch.shardCycles[i], run.cycles()) << i;
+    }
+}
+
+TEST(BatchRun, ShardPastItsArraysFailsWithAMemoryFault)
+{
+    setQuiet(true);
+    std::vector<workloads::KernelInstance> shards;
+    for (int i = 0; i < 3; i++) {
+        shards.push_back(makeTinyScale(4));
+        shards.back().liveIns = {100}; // n past the 8-word arrays
+    }
+    RunConfig cfg;
+    cfg.quiet = true;
+    cfg.tilesX = 2;
+    std::string err;
+    BatchRun batch = runBatch(shards, cfg, &err);
+    EXPECT_FALSE(batch.success);
+    EXPECT_EQ(batch.error, err);
+    // Every shard faults; the lowest index is the one reported.
+    EXPECT_NE(err.find("shard 0 (tiny_scale)"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("memory fault"), std::string::npos) << err;
+}
+
 TEST(BatchRun, RejectsEmptyAndIncompatibleShards)
 {
     setQuiet(true);
@@ -331,6 +387,15 @@ TEST(BatchRun, RejectsEmptyAndIncompatibleShards)
     BatchRun bad = runBatch(mixed, cfg, &err);
     EXPECT_FALSE(bad.success);
     EXPECT_FALSE(err.empty());
+
+    // A tile count past int is refused before anything runs.
+    RunConfig huge = cfg;
+    huge.tilesX = 65536;
+    huge.tilesY = 65536;
+    err.clear();
+    BatchRun overflow = runBatch(mixed, huge, &err);
+    EXPECT_FALSE(overflow.success);
+    EXPECT_NE(err.find("tile count"), std::string::npos) << err;
 }
 
 } // namespace

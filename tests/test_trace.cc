@@ -11,7 +11,9 @@
  *   - the Chrome-trace sink writes syntactically valid JSON whose
  *     span/instant counts reconcile with SimStats;
  *   - the stall-timeline sink's totals and per-interval buckets
- *     reconcile with SimStats.
+ *     reconcile with SimStats;
+ *   - the stderr text trace (RunOptions::trace) is the same under
+ *     both schedulers and lists every counted fire and stall.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 
 #include "base/logging.hh"
 #include "compiler/compile.hh"
+#include "compiler/timemux.hh"
 #include "sim/simulator.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/observer.hh"
@@ -460,4 +463,75 @@ TEST(TraceSinks, ObserverListFansOutToAllSinks)
     EXPECT_EQ(a.syncPlaneCycles, b.syncPlaneCycles);
     EXPECT_TRUE(a.simEnded);
     EXPECT_TRUE(b.simEnded);
+}
+
+namespace {
+
+/** Count the lines of @p text that contain @p what. */
+int64_t
+countLines(const std::string &text, const char *what)
+{
+    int64_t n = 0;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        n += line.find(what) != std::string::npos;
+    return n;
+}
+
+} // namespace
+
+TEST(TraceSinks, TextTraceMatchesAcrossEnginesAndCountsEveryFire)
+{
+    setQuiet(true);
+    struct Case
+    {
+        std::string tag;
+        workloads::KernelInstance kernel;
+        int unroll;
+        bool timeMultiplex;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"spmv", spmvKernel(), 1, false});
+    cases.push_back(
+        {"dither/tm", workloads::makeDither(16, 8, 2), 2, true});
+    for (const auto &c : cases) {
+        compiler::CompileOptions opts;
+        opts.unrollFactor = c.unroll;
+        auto res = compiler::compileProgram(c.kernel.prog,
+                                            c.kernel.liveIns, opts);
+        auto cfg = res.simConfig;
+        cfg.maxCycles = 500000;
+        cfg.trace = true;
+        if (c.timeMultiplex) {
+            auto groups = compiler::planTimeMultiplexing(
+                res.graph, fabric::FabricConfig{});
+            ASSERT_FALSE(groups.empty()) << c.tag;
+            for (const auto &group : groups)
+                cfg.shareGroups.emplace_back(group.begin(),
+                                             group.end());
+        }
+        std::string text[2];
+        sim::SimResult result[2];
+        int k = 0;
+        for (auto sched : {SimConfig::Scheduler::DenseScan,
+                           SimConfig::Scheduler::ReadyList}) {
+            cfg.scheduler = sched;
+            scalar::MemImage mem = c.kernel.memory;
+            mem.resize(static_cast<size_t>(c.kernel.prog.memWords));
+            testing::internal::CaptureStderr();
+            result[k] = sim::simulate(res.graph, mem, cfg);
+            text[k] = testing::internal::GetCapturedStderr();
+            k++;
+        }
+        ASSERT_FALSE(result[1].deadlocked) << c.tag;
+        EXPECT_TRUE(sim::statsEqual(result[0].stats, result[1].stats))
+            << c.tag;
+        EXPECT_EQ(text[0], text[1]) << c.tag;
+        const auto &s = result[1].stats;
+        EXPECT_EQ(countLines(text[1], "] fire "), sumFires(s)) << c.tag;
+        EXPECT_EQ(countLines(text[1], "] stall "),
+                  s.stallNoInput + s.stallNoSpace +
+                      s.bankConflictStalls)
+            << c.tag;
+    }
 }
