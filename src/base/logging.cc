@@ -111,12 +111,6 @@ setQuiet(bool quiet)
     quietMode.store(quiet, std::memory_order_relaxed);
 }
 
-bool
-isQuiet()
-{
-    return quietNow();
-}
-
 ScopedQuiet::ScopedQuiet(bool enable) : active(enable)
 {
     if (active)

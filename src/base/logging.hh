@@ -45,9 +45,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
  */
 void setQuiet(bool quiet);
 
-/** True if warn()/inform() are currently silenced on this thread. */
-bool isQuiet();
-
 /**
  * RAII per-thread silencer: warn()/inform() emitted by the current
  * thread are suppressed while any ScopedQuiet is alive, without

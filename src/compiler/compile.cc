@@ -1,5 +1,7 @@
 #include "compiler/compile.hh"
 
+#include <cctype>
+
 #include "base/logging.hh"
 #include "compiler/threading.hh"
 #include "compiler/unroll.hh"
@@ -21,10 +23,22 @@ archVariantName(ArchVariant variant)
     return "?";
 }
 
-std::set<int>
-threadingCandidates(const sir::Program &prog)
+bool
+parseArchVariant(const std::string &name, ArchVariant &out)
 {
-    return findThreadingCandidates(prog);
+    for (ArchVariant v :
+         {ArchVariant::RipTide, ArchVariant::Pipestitch,
+          ArchVariant::PipeSB, ArchVariant::PipeCFiN,
+          ArchVariant::PipeCFoP}) {
+        std::string lower = archVariantName(v);
+        for (char &c : lower)
+            c = static_cast<char>(std::tolower(c));
+        if (lower == name) {
+            out = v;
+            return true;
+        }
+    }
+    return false;
 }
 
 CompileResult

@@ -40,6 +40,11 @@ enum class ArchVariant { RipTide, Pipestitch, PipeSB, PipeCFiN,
 
 const char *archVariantName(ArchVariant variant);
 
+/** The variant whose archVariantName() lowercased is @p name
+ *  ("riptide", "pipestitch", "pipesb", "pipecfin", "pipecfop");
+ *  false, leaving @p out alone, for any other name. */
+bool parseArchVariant(const std::string &name, ArchVariant &out);
+
 struct CompileOptions
 {
     ArchVariant variant = ArchVariant::Pipestitch;
@@ -88,13 +93,6 @@ struct CompileResult
 CompileResult compileProgram(const sir::Program &prog,
                              const std::vector<sir::Word> &liveIns,
                              const CompileOptions &options);
-
-/**
- * Threading candidates: loops directly nested in a foreach loop
- * (their iterations are whole-thread bodies). Exposed for tests.
- * Returned ids use the lowering's pre-order numbering.
- */
-std::set<int> threadingCandidates(const sir::Program &prog);
 
 /**
  * CF placement (Sec. 4.8): mark control-flow nodes `cfInNoc`

@@ -26,6 +26,21 @@ reportFailure(std::string *error, std::string msg)
 
 } // namespace
 
+compiler::CompileResult
+compileKernel(const workloads::KernelInstance &kernel,
+              const compiler::CompileOptions &opts,
+              PipelineCache *cache)
+{
+    compiler::CompileResult compiled;
+    if (cache && cache->lookupCompile(kernel, opts, compiled))
+        return compiled;
+    compiled =
+        compiler::compileProgram(kernel.prog, kernel.liveIns, opts);
+    if (cache)
+        cache->storeCompile(kernel, opts, compiled);
+    return compiled;
+}
+
 PreparedPtr
 prepareKernel(const workloads::KernelInstance &kernel,
               const RunConfig &config, std::string *error)
@@ -44,16 +59,8 @@ prepareKernel(const workloads::KernelInstance &kernel,
     copts.useStreams = config.useStreams;
     copts.bufferDepth = config.sim.bufferDepth;
     copts.unrollFactor = config.unrollFactor;
-    compiler::CompileResult compiled;
-    if (!config.cache ||
-        !config.cache->lookupCompile(kernel, copts, compiled)) {
-        compiled = compiler::compileProgram(kernel.prog,
-                                            kernel.liveIns, copts);
-        if (config.cache)
-            config.cache->storeCompile(kernel, copts, compiled);
-    }
     prep->compiled = std::make_shared<const compiler::CompileResult>(
-        std::move(compiled));
+        compileKernel(kernel, copts, config.cache));
     const dfg::Graph &graph = prep->compiled->graph;
 
     if (config.analyze) {
@@ -273,6 +280,43 @@ simulateOnFabric(const PreparedKernel &prepared,
     return out;
 }
 
+CrossCheck
+crossCheck(const analysis::AnalysisReport &analysis,
+           const sim::BoundReport &bound, const sim::SimResult &sim)
+{
+    CrossCheck out;
+    if (sim.deadlocked) {
+        // Every quiescence deadlock of a certified graph contradicts
+        // the analyzer (its errors fail the prepare).
+        if (analysis.deadlockFree && !sim.watchdogExpired &&
+            !sim.fault.any()) {
+            out.disagreement =
+                "static analyzer certified the graph deadlock-free "
+                "but the simulator deadlocked — analyzer and "
+                "simulator disagree:\n" +
+                sim.diagnostic;
+        }
+        return out;
+    }
+    // The bound's terms are provable cycle floors, so a run that
+    // beats it means the two disagree about the timing model.
+    out.boundEval = bound.evaluate(sim.stats);
+    if (!out.boundEval.holds(sim.stats.cycles)) {
+        const int binding = out.boundEval.binding;
+        out.disagreement = csprintf(
+            "simulated %lld cycles beats the certified static bound "
+            "of %lld cycles (binding term: %s) — analyzer and "
+            "simulator disagree",
+            static_cast<long long>(sim.stats.cycles),
+            static_cast<long long>(out.boundEval.certifiedCycles),
+            binding >= 0
+                ? sim::boundTermKindName(
+                      bound.terms[static_cast<size_t>(binding)].kind)
+                : "?");
+    }
+    return out;
+}
+
 FabricRun
 finishOnFabric(const PreparedKernel &prepared,
                const workloads::KernelInstance &kernel,
@@ -295,27 +339,22 @@ finishOnFabric(const PreparedKernel &prepared,
                      run.sim.diagnostic.c_str()));
         return run;
     }
-    if (run.sim.deadlocked) {
-        // Cross-check: every quiescence deadlock reaching this
-        // point contradicts the analyzer (errors already failed the
-        // prepare above), so name the disagreement — one of the two
-        // models is wrong, which is a different bug than a bad
-        // kernel. Watchdog expiry is exempt: the fabric was still
-        // making progress, and termination is input-dependent —
-        // outside what static certification claims.
-        if (config.analyze && prepared.analysis.deadlockFree &&
-            !run.sim.watchdogExpired) {
+    std::string disagreement;
+    if (config.analyze) {
+        CrossCheck check =
+            crossCheck(prepared.analysis, prepared.bound, run.sim);
+        run.boundCycles = check.boundEval.certifiedCycles;
+        run.boundEval = check.boundEval;
+        disagreement = std::move(check.disagreement);
+        if (!disagreement.empty()) {
             reportFailure(
                 error,
-                csprintf(
-                    "kernel %s on %s: static analyzer certified the "
-                    "graph deadlock-free but the simulator "
-                    "deadlocked — analyzer and simulator disagree:"
-                    "\n%s",
-                    kernel.name.c_str(),
-                    compiler::archVariantName(config.variant),
-                    run.sim.diagnostic.c_str()));
+                csprintf("kernel %s on %s: %s", kernel.name.c_str(),
+                         compiler::archVariantName(config.variant),
+                         disagreement.c_str()));
         }
+    }
+    if (run.sim.deadlocked) {
         reportFailure(
             error,
             csprintf("kernel %s %s on %s:\n%s", kernel.name.c_str(),
@@ -326,40 +365,8 @@ finishOnFabric(const PreparedKernel &prepared,
                      run.sim.diagnostic.c_str()));
         return run;
     }
-
-    if (config.analyze) {
-        // Cross-check the certified throughput bound, mirroring the
-        // deadlock-certification check above: the bound's terms are
-        // provable cycle floors, so a run that beats it means the
-        // analyzer and the simulator disagree about the timing
-        // model — a toolchain bug, not a kernel property.
-        sim::BoundReport::Evaluation ev =
-            prepared.bound.evaluate(run.sim.stats);
-        run.boundCycles = ev.certifiedCycles;
-        run.boundEval = ev;
-        if (!ev.holds(run.sim.stats.cycles)) {
-            const char *binding =
-                ev.binding >= 0
-                    ? sim::boundTermKindName(
-                          prepared.bound
-                              .terms[static_cast<size_t>(ev.binding)]
-                              .kind)
-                    : "?";
-            reportFailure(
-                error,
-                csprintf(
-                    "kernel %s on %s: simulated %lld cycles beats "
-                    "the certified static bound of %lld cycles "
-                    "(binding term: %s) — analyzer and simulator "
-                    "disagree",
-                    kernel.name.c_str(),
-                    compiler::archVariantName(config.variant),
-                    static_cast<long long>(run.sim.stats.cycles),
-                    static_cast<long long>(ev.certifiedCycles),
-                    binding));
-            return run;
-        }
-    }
+    if (!disagreement.empty())
+        return run;
 
     if (config.verifyAgainstGolden) {
         scalar::MemImage golden = kernel.memory;

@@ -315,6 +315,15 @@ struct FabricRun
 };
 
 /**
+ * The compile stage of prepareKernel: @p kernel compiled under
+ * @p opts, looked up in and stored back to @p cache when non-null.
+ */
+compiler::CompileResult
+compileKernel(const workloads::KernelInstance &kernel,
+              const compiler::CompileOptions &opts,
+              PipelineCache *cache);
+
+/**
  * Run the prepare pipeline (or fetch the whole artifact from
  * config.cache). Failure contract: with @p error null any failure is
  * fatal() — the legacy batch behavior; with @p error non-null the
@@ -345,6 +354,28 @@ struct SimOutcome
 SimOutcome simulateOnFabric(const PreparedKernel &prepared,
                             const workloads::KernelInstance &kernel,
                             const RunConfig &config);
+
+/** The verdict of crossCheck on one simulation. */
+struct CrossCheck
+{
+    /** The bound evaluated on the run's stats (zero unless the run
+     *  retired). */
+    sim::BoundReport::Evaluation boundEval;
+    std::string disagreement; ///< empty when the models agree
+};
+
+/**
+ * The analyzer ↔ simulator cross-checks of one simulation, shared by
+ * finishOnFabric, `pstool lint --cross-check` and `pstool bench-sim`:
+ * a quiescence deadlock of a graph @p analysis certified
+ * deadlock-free, or a clean retire that beats the certified cycle
+ * floor of @p bound, means one of the two models is wrong. A
+ * watchdog expiry or memory fault is no deadlock verdict: whether a
+ * run ends, and in bounds, depends on its input.
+ */
+CrossCheck crossCheck(const analysis::AnalysisReport &analysis,
+                      const sim::BoundReport &bound,
+                      const sim::SimResult &sim);
 
 /**
  * The finish step of executeOnFabric, for one PreparedKernel and

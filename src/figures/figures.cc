@@ -1,6 +1,7 @@
 #include "figures/figures.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "base/logging.hh"
 #include "base/table.hh"
@@ -66,14 +67,7 @@ FigureSet::compile(const runner::KernelPtr &kernel,
         owner.options().memoize ? &owner.cache() : nullptr;
     return owner
         .submit([kernel, copts, cache] {
-            compiler::CompileResult res;
-            if (cache && cache->lookupCompile(*kernel, copts, res))
-                return res;
-            res = compiler::compileProgram(kernel->prog,
-                                           kernel->liveIns, copts);
-            if (cache)
-                cache->storeCompile(*kernel, copts, res);
-            return res;
+            return compileKernel(*kernel, copts, cache);
         })
         .share();
 }
@@ -151,22 +145,38 @@ FigureSet::prefetch()
 
 namespace {
 
-std::string
-fig01(FigureSet &f)
+/** The DNN inference on each platform of Figs. 1 and 3: Cortex-M33,
+ *  RipTide, Pipestitch. */
+std::array<harvest::Platform, 3>
+dnnPlatforms(FigureSet &f)
 {
     auto rip = f.dnnFabric(ArchVariant::RipTide);
     auto pipe = f.dnnFabric(ArchVariant::Pipestitch);
     const auto &m33 = f.dnnScalar(scalar::cortexM33Profile());
-    auto ripRun = rip.get();
-    auto pipeRun = pipe.get();
-
-    harvest::Platform platforms[] = {
+    const auto &ripRun = rip.get();
+    const auto &pipeRun = pipe.get();
+    return {{
         {"Cortex-M33", m33.seconds, m33.energy.totalPj() * 1e-12},
-        {"RipTide", ripRun.seconds,
-         ripRun.energy.totalPj() * 1e-12},
+        {"RipTide", ripRun.seconds, ripRun.energy.totalPj() * 1e-12},
         {"Pipestitch", pipeRun.seconds,
          pipeRun.energy.totalPj() * 1e-12},
-    };
+    }};
+}
+
+/** One run of every kernel on @p variant, in kernel order. */
+std::vector<std::shared_future<FabricRun>>
+runAll(FigureSet &f, ArchVariant variant)
+{
+    std::vector<std::shared_future<FabricRun>> runs;
+    for (const auto &k : f.kernels())
+        runs.push_back(f.run(k, variant));
+    return runs;
+}
+
+std::string
+fig01(FigureSet &f)
+{
+    const auto platforms = dnnPlatforms(f);
 
     std::string out =
         "Fig. 1: End-to-end inference rate vs harvested "
@@ -192,8 +202,8 @@ fig01(FigureSet &f)
     }
     out += csprintf("\n%s\n", t.render().c_str());
 
-    double ratio =
-        (1.0 / pipeRun.seconds) / (1.0 / ripRun.seconds);
+    double ratio = (1.0 / platforms[2].inferenceSeconds) /
+                   (1.0 / platforms[1].inferenceSeconds);
     out += csprintf(
         "Peak-rate gain Pipestitch/RipTide: %.2fx (paper: "
         "up to ~3x); Pipestitch converts energy to frames "
@@ -207,19 +217,7 @@ fig01(FigureSet &f)
 std::string
 fig03(FigureSet &f)
 {
-    auto rip = f.dnnFabric(ArchVariant::RipTide);
-    auto pipe = f.dnnFabric(ArchVariant::Pipestitch);
-    const auto &m33 = f.dnnScalar(scalar::cortexM33Profile());
-    auto ripRun = rip.get();
-    auto pipeRun = pipe.get();
-
-    harvest::Platform platforms[] = {
-        {"Cortex-M33", m33.seconds, m33.energy.totalPj() * 1e-12},
-        {"RipTide", ripRun.seconds,
-         ripRun.energy.totalPj() * 1e-12},
-        {"Pipestitch", pipeRun.seconds,
-         pipeRun.energy.totalPj() * 1e-12},
-    };
+    const auto platforms = dnnPlatforms(f);
 
     Table t({"Rate (Hz)", "Cortex-M33 (y)", "RipTide (y)",
              "Pipestitch (y)"});
@@ -303,11 +301,8 @@ std::string
 fig13(FigureSet &f)
 {
     const auto &ks = f.kernels();
-    std::vector<std::shared_future<FabricRun>> rips, pipes;
-    for (const auto &k : ks) {
-        rips.push_back(f.run(k, ArchVariant::RipTide));
-        pipes.push_back(f.run(k, ArchVariant::Pipestitch));
-    }
+    auto rips = runAll(f, ArchVariant::RipTide);
+    auto pipes = runAll(f, ArchVariant::Pipestitch);
     auto dnnRipFut = f.dnnFabric(ArchVariant::RipTide);
     auto dnnPipeFut = f.dnnFabric(ArchVariant::Pipestitch);
 
@@ -378,11 +373,8 @@ std::string
 fig14(FigureSet &f)
 {
     const auto &ks = f.kernels();
-    std::vector<std::shared_future<FabricRun>> rips, pipes;
-    for (const auto &k : ks) {
-        rips.push_back(f.run(k, ArchVariant::RipTide));
-        pipes.push_back(f.run(k, ArchVariant::Pipestitch));
-    }
+    auto rips = runAll(f, ArchVariant::RipTide);
+    auto pipes = runAll(f, ArchVariant::Pipestitch);
     auto dnnRipFut = f.dnnFabric(ArchVariant::RipTide);
     auto dnnPipeFut = f.dnnFabric(ArchVariant::Pipestitch);
 
@@ -433,11 +425,8 @@ std::string
 fig15(FigureSet &f)
 {
     const auto &ks = f.kernels();
-    std::vector<std::shared_future<FabricRun>> rips, pipes;
-    for (const auto &k : ks) {
-        rips.push_back(f.run(k, ArchVariant::RipTide));
-        pipes.push_back(f.run(k, ArchVariant::Pipestitch));
-    }
+    auto rips = runAll(f, ArchVariant::RipTide);
+    auto pipes = runAll(f, ArchVariant::Pipestitch);
     auto dnnRipFut = f.dnnFabric(ArchVariant::RipTide);
     auto dnnPipeFut = f.dnnFabric(ArchVariant::Pipestitch);
 
@@ -521,11 +510,8 @@ std::string
 fig17(FigureSet &f)
 {
     const auto &ks = f.kernels();
-    std::vector<std::shared_future<FabricRun>> rips, pipes;
-    for (const auto &k : ks) {
-        rips.push_back(f.run(k, ArchVariant::RipTide));
-        pipes.push_back(f.run(k, ArchVariant::Pipestitch));
-    }
+    auto rips = runAll(f, ArchVariant::RipTide);
+    auto pipes = runAll(f, ArchVariant::Pipestitch);
 
     Table t({"Benchmark", "RipTide IPC", "Pipestitch IPC", "Gain"});
     std::vector<double> gainsAll, gainsThreaded;
@@ -554,11 +540,8 @@ std::string
 fig18(FigureSet &f)
 {
     const auto &ks = f.kernels();
-    std::vector<std::shared_future<FabricRun>> rips, pipes;
-    for (const auto &k : ks) {
-        rips.push_back(f.run(k, ArchVariant::RipTide));
-        pipes.push_back(f.run(k, ArchVariant::Pipestitch));
-    }
+    auto rips = runAll(f, ArchVariant::RipTide);
+    auto pipes = runAll(f, ArchVariant::Pipestitch);
 
     Table t({"Benchmark", "System", "Inner/unit", "Outer/unit",
              "Inner PEs", "Outer PEs"});
@@ -604,14 +587,10 @@ std::string
 fig19(FigureSet &f)
 {
     const auto &ks = f.kernels();
-    std::vector<std::shared_future<FabricRun>> rips, sbs, cfins,
-        cfops;
-    for (const auto &k : ks) {
-        rips.push_back(f.run(k, ArchVariant::RipTide));
-        sbs.push_back(f.run(k, ArchVariant::PipeSB));
-        cfins.push_back(f.run(k, ArchVariant::PipeCFiN));
-        cfops.push_back(f.run(k, ArchVariant::PipeCFoP));
-    }
+    auto rips = runAll(f, ArchVariant::RipTide);
+    auto sbs = runAll(f, ArchVariant::PipeSB);
+    auto cfins = runAll(f, ArchVariant::PipeCFiN);
+    auto cfops = runAll(f, ArchVariant::PipeCFoP);
 
     Table t({"Benchmark", "RipTide", "PipeSB", "PipeCFiN",
              "PipeCFoP"});

@@ -16,7 +16,6 @@
 #include "core/batch.hh"
 #include "core/system.hh"
 #include "runner/sweep.hh"
-#include "scalar/interpreter.hh"
 #include "sim/report.hh"
 #include "sir/parser.hh"
 #include "trace/chrome_trace.hh"
@@ -46,25 +45,6 @@ struct ParsedRequest
     int batch = 1; ///< shard count (>1 runs the batched path)
     uint64_t key = 0; ///< content key (kernel + config + trace file)
 };
-
-bool
-variantFromName(const std::string &name,
-                compiler::ArchVariant &out)
-{
-    if (name == "riptide")
-        out = compiler::ArchVariant::RipTide;
-    else if (name == "pipestitch")
-        out = compiler::ArchVariant::Pipestitch;
-    else if (name == "pipesb")
-        out = compiler::ArchVariant::PipeSB;
-    else if (name == "pipecfin")
-        out = compiler::ArchVariant::PipeCFiN;
-    else if (name == "pipecfop")
-        out = compiler::ArchVariant::PipeCFoP;
-    else
-        return false;
-    return true;
-}
 
 std::string
 statusPayload(const char *status, const std::string &error)
@@ -132,7 +112,7 @@ parseRequest(const std::string &line, const RunConfig &base,
 
     RunConfig cfg = base;
     if (const auto *s = v.find("variant")) {
-        if (!variantFromName(s->asString(), cfg.variant)) {
+        if (!compiler::parseArchVariant(s->asString(), cfg.variant)) {
             error = "unknown variant '" + s->asString() + "'";
             return false;
         }
@@ -151,12 +131,18 @@ parseRequest(const std::string &line, const RunConfig &base,
         if (!readInteger(*u, "unroll", cfg.unrollFactor, error))
             return false;
     }
-    if (const auto *t = v.find("tm"))
-        cfg.allowTimeMultiplex = t->asBool();
-    if (const auto *m = v.find("map"))
-        cfg.map = m->asBool(true);
-    if (const auto *g = v.find("verify"))
-        cfg.verifyAgainstGolden = g->asBool(true);
+    for (auto [name, flag] :
+         {std::pair{"tm", &cfg.allowTimeMultiplex},
+          std::pair{"map", &cfg.map},
+          std::pair{"verify", &cfg.verifyAgainstGolden}}) {
+        if (const auto *b = v.find(name)) {
+            if (b->kind != trace::JsonValue::Kind::Bool) {
+                error = csprintf("\"%s\" must be true or false", name);
+                return false;
+            }
+            *flag = b->boolean;
+        }
+    }
     if (const auto *c = v.find("max_cycles")) {
         if (!readInteger(*c, "max_cycles", cfg.sim.maxCycles, error))
             return false;
@@ -197,59 +183,54 @@ parseRequest(const std::string &line, const RunConfig &base,
         }
     }
 
-    // The SIR parser and memory binding below were written for batch
-    // tools and fatal() on user error; trap that into a response.
+    // Every value is checked before the kernel binder sees it; the
+    // binder rejects names the kernel does not declare.
+    workloads::NamedWords liveIns;
+    if (const auto *l = v.find("liveins")) {
+        if (!l->isObject()) {
+            error = "\"liveins\" must be an object";
+            return false;
+        }
+        for (const auto &[name, x] : l->members) {
+            sir::Word value = 0;
+            if (!readInteger(x, "liveins." + name, value, error))
+                return false;
+            liveIns.emplace_back(name, value);
+        }
+    }
+    workloads::NamedArrays inits;
+    if (const auto *init = v.find("init")) {
+        if (!init->isObject()) {
+            error = "\"init\" must be an object";
+            return false;
+        }
+        for (const auto &[name, vals] : init->members) {
+            const std::string field = "init." + name;
+            if (!vals.isArray()) {
+                error = "\"" + field + "\" must be an array";
+                return false;
+            }
+            std::vector<sir::Word> words(vals.elems.size());
+            for (size_t i = 0; i < words.size(); i++) {
+                if (!readInteger(vals.elems[i], field, words[i],
+                                 error))
+                    return false;
+            }
+            inits.emplace_back(name, std::move(words));
+        }
+    }
+
+    // The SIR parser was written for batch tools and fatal()s on
+    // user error; trap that into a response.
     try {
         ScopedFatalTrap trap;
         ScopedQuiet quiet(true);
         std::shared_ptr<const sir::ParseResult> parsed =
             kernels.get(sirText->str);
         workloads::KernelInstance kernel;
-        kernel.name = parsed->program.name;
-        kernel.prog = sir::cloneProgram(parsed->program);
-
-        const auto *liveins = v.find("liveins");
-        for (sir::Reg r : kernel.prog.liveIns) {
-            const std::string &name =
-                kernel.prog.regNames[static_cast<size_t>(r)];
-            sir::Word value = 0;
-            if (liveins) {
-                const auto *x = liveins->find(name);
-                if (x && !readInteger(*x, "liveins." + name, value,
-                                      error))
-                    return false;
-            }
-            kernel.liveIns.push_back(value);
-        }
-
-        kernel.memory = scalar::makeMemory(kernel.prog);
-        if (const auto *init = v.find("init")) {
-            if (!init->isObject()) {
-                error = "\"init\" must be an object";
-                return false;
-            }
-            for (const auto &[name, vals] : init->members) {
-                auto it = parsed->arrays.find(name);
-                if (it == parsed->arrays.end()) {
-                    error = "init: no array '" + name + "'";
-                    return false;
-                }
-                const auto &arr = kernel.prog.array(it->second);
-                if (!vals.isArray() ||
-                    static_cast<int64_t>(vals.elems.size()) >
-                        arr.words) {
-                    error = "init: bad values for '" + name + "'";
-                    return false;
-                }
-                const std::string field = "init." + name;
-                sir::Word *words = kernel.memory.data() + arr.base;
-                for (size_t i = 0; i < vals.elems.size(); i++) {
-                    if (!readInteger(vals.elems[i], field, words[i],
-                                     error))
-                        return false;
-                }
-            }
-        }
+        if (!workloads::bindKernel(*parsed, liveIns, inits, kernel,
+                                   error))
+            return false;
         out.kernel =
             std::make_shared<const workloads::KernelInstance>(
                 std::move(kernel));
@@ -267,19 +248,6 @@ parseRequest(const std::string &line, const RunConfig &base,
     return true;
 }
 
-/** Deep-copy a kernel instance (sir::Program bodies are move-only,
- *  so shard replication clones via cloneProgram). */
-workloads::KernelInstance
-cloneKernel(const workloads::KernelInstance &k)
-{
-    workloads::KernelInstance out;
-    out.name = k.name;
-    out.prog = sir::cloneProgram(k.prog);
-    out.liveIns = k.liveIns;
-    out.memory = k.memory;
-    return out;
-}
-
 /** The batched path: @p req.batch shards of the request's kernel
  *  dealt across the topology's tiles (core/batch.hh). */
 std::string
@@ -287,8 +255,10 @@ runServeBatch(const ParsedRequest &req)
 {
     std::vector<workloads::KernelInstance> shards;
     shards.reserve(static_cast<size_t>(req.batch));
-    for (int i = 0; i < req.batch; i++)
-        shards.push_back(cloneKernel(*req.kernel));
+    const workloads::KernelInstance &k = *req.kernel;
+    for (int i = 0; i < req.batch; i++) // Programs are move-only
+        shards.push_back({k.name, sir::cloneProgram(k.prog), k.liveIns,
+                          k.memory});
     std::string err;
     BatchRun batch = runBatch(shards, req.cfg, &err);
     if (!batch.success)

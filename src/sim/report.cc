@@ -180,42 +180,6 @@ operatorReport(const dfg::Graph &graph, const SimStats &stats,
 }
 
 std::string
-operatorReportJson(const dfg::Graph &graph, const SimStats &stats)
-{
-    std::vector<dfg::NodeId> order(
-        static_cast<size_t>(graph.size()));
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](dfg::NodeId a, dfg::NodeId b) {
-                  return stats.nodeFires[static_cast<size_t>(a)] >
-                         stats.nodeFires[static_cast<size_t>(b)];
-              });
-
-    std::ostringstream out;
-    trace::JsonWriter w(out);
-    double cycles = std::max<double>(1, stats.cycles);
-    w.beginArray();
-    for (dfg::NodeId id : order) {
-        const auto &n = graph.at(id);
-        w.beginObject();
-        w.key("id").value(id);
-        w.key("kind").value(dfg::nodeKindName(n.kind));
-        w.key("name").value(n.name);
-        w.key("loop").value(n.loopId);
-        w.key("where").value(n.kind == dfg::NodeKind::Trigger
-                                 ? "core"
-                                 : (n.cfInNoc ? "noc" : "pe"));
-        w.key("fires").value(
-            stats.nodeFires[static_cast<size_t>(id)]);
-        w.key("util").value(
-            stats.nodeFires[static_cast<size_t>(id)] / cycles);
-        w.endObject();
-    }
-    w.endArray();
-    return out.str();
-}
-
-std::string
 utilizationMap(const dfg::Graph &graph,
                const fabric::Fabric &fabric,
                const mapper::Mapping &mapping, const SimStats &stats)

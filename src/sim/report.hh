@@ -98,14 +98,6 @@ std::string operatorReport(const dfg::Graph &graph,
                            const SimStats &stats, int maxRows = 24);
 
 /**
- * Machine-readable form of the per-operator table: a JSON array of
- * {id, kind, name, loop, where, fires, util} objects covering every
- * node (no row cap), in descending fire order.
- */
-std::string operatorReportJson(const dfg::Graph &graph,
-                               const SimStats &stats);
-
-/**
  * ASCII heat map of the fabric: one cell per PE showing its class
  * letter and utilization decile (0-9, '.' for idle, space for
  * unused).

@@ -80,6 +80,48 @@ sparseOut(const sir::Program &prog, const scalar::MemImage &mem,
     return v;
 }
 
+/** Add one kernel run's cycles, time and energy to @p total. */
+void
+accumulate(DnnInference &total, double cycles, double seconds,
+           const energy::EnergyBreakdown &e)
+{
+    total.cycles += cycles;
+    total.seconds += seconds;
+    total.energy.cgraPj += e.cgraPj;
+    total.energy.memPj += e.memPj;
+    total.energy.scalarPj += e.scalarPj;
+    total.energy.otherPj += e.otherPj;
+}
+
+/**
+ * The inference loop both targets share: each layer's SpMSpVd, then
+ * (between layers) the sparsify kernel. @p run executes one kernel,
+ * accumulates it into the total and returns its final memory image,
+ * so every sum runs in layer order on either target.
+ */
+template <typename RunKernel>
+DnnInference
+runDnn(const DnnModel &model, std::string system, RunKernel run)
+{
+    DnnInference total;
+    total.system = std::move(system);
+    SparseVec act = model.input;
+    const size_t layers = model.weights.size();
+    for (size_t l = 0; l < layers; l++) {
+        const Csr &w = model.weights[l];
+        auto layer =
+            makeSpMSpVdFrom(w, act, csprintf("dnn_layer%zu", l));
+        auto dense = denseOut(layer.prog, run(layer, total), w.rows);
+        if (l + 1 == layers) {
+            total.logits = dense;
+            break;
+        }
+        auto sparsify = makeSparsify(dense);
+        act = sparseOut(sparsify.prog, run(sparsify, total), w.rows);
+    }
+    return total;
+}
+
 } // namespace
 
 DnnInference
@@ -95,74 +137,25 @@ runDnnOnFabric(const DnnModel &model, compiler::ArchVariant variant,
 DnnInference
 runDnnOnFabric(const DnnModel &model, const RunConfig &cfg)
 {
-    DnnInference total;
-    total.system = compiler::archVariantName(cfg.variant);
-
-    SparseVec act = model.input;
-    const size_t layers = model.weights.size();
-    for (size_t l = 0; l < layers; l++) {
-        const Csr &w = model.weights[l];
-        auto layerKernel = makeSpMSpVdFrom(
-            w, act, csprintf("dnn_layer%zu", l));
-        FabricRun run = runOnFabric(layerKernel, cfg);
-        total.cycles += static_cast<double>(run.cycles());
-        total.seconds += run.seconds;
-        total.energy.cgraPj += run.energy.cgraPj;
-        total.energy.memPj += run.energy.memPj;
-        total.energy.scalarPj += run.energy.scalarPj;
-        total.energy.otherPj += run.energy.otherPj;
-        auto dense = denseOut(layerKernel.prog, run.memory, w.rows);
-
-        if (l + 1 == layers) {
-            total.logits = dense;
-            break;
-        }
-        auto sparsifyKernel = makeSparsify(dense);
-        FabricRun srun = runOnFabric(sparsifyKernel, cfg);
-        total.cycles += static_cast<double>(srun.cycles());
-        total.seconds += srun.seconds;
-        total.energy.cgraPj += srun.energy.cgraPj;
-        total.energy.memPj += srun.energy.memPj;
-        total.energy.scalarPj += srun.energy.scalarPj;
-        total.energy.otherPj += srun.energy.otherPj;
-        act = sparseOut(sparsifyKernel.prog, srun.memory, w.rows);
-    }
-    return total;
+    return runDnn(model, compiler::archVariantName(cfg.variant),
+                  [&](const KernelInstance &k, DnnInference &total) {
+                      FabricRun r = runOnFabric(k, cfg);
+                      accumulate(total, static_cast<double>(r.cycles()),
+                                 r.seconds, r.energy);
+                      return std::move(r.memory);
+                  });
 }
 
 DnnInference
 runDnnOnScalar(const DnnModel &model,
                const scalar::ScalarProfile &profile)
 {
-    DnnInference total;
-    total.system = profile.name;
-
-    SparseVec act = model.input;
-    const size_t layers = model.weights.size();
-    for (size_t l = 0; l < layers; l++) {
-        const Csr &w = model.weights[l];
-        auto layerKernel = makeSpMSpVdFrom(
-            w, act, csprintf("dnn_layer%zu", l));
-        ScalarRun run = runOnScalar(layerKernel, profile);
-        total.cycles += run.cycles;
-        total.seconds += run.seconds;
-        total.energy.memPj += run.energy.memPj;
-        total.energy.scalarPj += run.energy.scalarPj;
-        auto dense = denseOut(layerKernel.prog, run.memory, w.rows);
-
-        if (l + 1 == layers) {
-            total.logits = dense;
-            break;
-        }
-        auto sparsifyKernel = makeSparsify(dense);
-        ScalarRun srun = runOnScalar(sparsifyKernel, profile);
-        total.cycles += srun.cycles;
-        total.seconds += srun.seconds;
-        total.energy.memPj += srun.energy.memPj;
-        total.energy.scalarPj += srun.energy.scalarPj;
-        act = sparseOut(sparsifyKernel.prog, srun.memory, w.rows);
-    }
-    return total;
+    return runDnn(model, profile.name,
+                  [&](const KernelInstance &k, DnnInference &total) {
+                      ScalarRun r = runOnScalar(k, profile);
+                      accumulate(total, r.cycles, r.seconds, r.energy);
+                      return std::move(r.memory);
+                  });
 }
 
 } // namespace pipestitch::workloads

@@ -1,5 +1,7 @@
 #include "workloads/kernels.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "sir/builder.hh"
 
@@ -70,6 +72,61 @@ emitMergeDot(Builder &b, Reg ka0, Reg kaEnd, Reg kb0, Reg kbEnd,
 }
 
 } // namespace
+
+bool
+bindKernel(const sir::ParseResult &parsed, const NamedWords &liveIns,
+           const NamedArrays &inits, KernelInstance &out,
+           std::string &error, std::vector<std::string> *unbound)
+{
+    const sir::Program &prog = parsed.program;
+    auto nameOf = [&](sir::Reg r) -> const std::string & {
+        return prog.regNames[static_cast<size_t>(r)];
+    };
+    out.liveIns.assign(prog.liveIns.size(), 0);
+    std::vector<bool> bound(prog.liveIns.size(), false);
+    for (const auto &[name, value] : liveIns) {
+        auto it = std::find_if(
+            prog.liveIns.begin(), prog.liveIns.end(),
+            [&](sir::Reg r) { return nameOf(r) == name; });
+        if (it == prog.liveIns.end()) {
+            error = csprintf("\"liveins.%s\": kernel %s declares "
+                             "no such live-in",
+                             name.c_str(), prog.name.c_str());
+            return false;
+        }
+        size_t i = static_cast<size_t>(it - prog.liveIns.begin());
+        out.liveIns[i] = value;
+        bound[i] = true;
+    }
+    for (size_t i = 0; unbound && i < bound.size(); i++) {
+        if (!bound[i])
+            unbound->push_back(nameOf(prog.liveIns[i]));
+    }
+
+    out.memory = scalar::makeMemory(prog);
+    for (const auto &[name, values] : inits) {
+        auto it = parsed.arrays.find(name);
+        if (it == parsed.arrays.end()) {
+            error = csprintf("\"init.%s\": kernel %s declares no "
+                             "such array",
+                             name.c_str(), prog.name.c_str());
+            return false;
+        }
+        const sir::Array &arr = prog.array(it->second);
+        if (static_cast<int64_t>(values.size()) > arr.words) {
+            error = csprintf("\"init.%s\": %zu values exceed its "
+                             "%lld words",
+                             name.c_str(), values.size(),
+                             static_cast<long long>(arr.words));
+            return false;
+        }
+        std::copy(values.begin(), values.end(),
+                  out.memory.begin() + arr.base);
+    }
+    out.name = prog.name;
+    out.prog = sir::cloneProgram(prog);
+    return true;
+}
 
 KernelInstance
 makeDmm(int n, uint64_t seed)

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "scalar/interpreter.hh"
+#include "sir/parser.hh"
 #include "sir/program.hh"
 #include "workloads/matrix.hh"
 
@@ -35,6 +36,27 @@ struct KernelInstance
     std::vector<Word> liveIns;
     scalar::MemImage memory;
 };
+
+/** Live-in values and initial array contents, keyed by SIR name. */
+using NamedWords = std::vector<std::pair<std::string, Word>>;
+using NamedArrays =
+    std::vector<std::pair<std::string, std::vector<Word>>>;
+
+/**
+ * Bind a parsed SIR kernel to named live-in values and initial array
+ * contents — the one binder behind `pstool --livein/--init` and the
+ * serve daemon's "liveins"/"init". A later binding of a name wins
+ * over an earlier one. An unbound live-in is 0, and its name is
+ * appended to @p unbound when that is non-null. @return false with
+ * @p error set (and @p out unspecified) for a live-in or array the
+ * kernel does not declare, or more values than an array holds; the
+ * error names the binding as the serve daemon's request fields do
+ * ("liveins.NAME", "init.NAME").
+ */
+bool bindKernel(const sir::ParseResult &parsed,
+                const NamedWords &liveIns, const NamedArrays &inits,
+                KernelInstance &out, std::string &error,
+                std::vector<std::string> *unbound = nullptr);
 
 /** Dense n×n matrix multiply (n power of two). */
 KernelInstance makeDmm(int n, uint64_t seed);

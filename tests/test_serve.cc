@@ -362,6 +362,50 @@ TEST(Serve, NumbersThatAreNotIntegersOfTheirFieldAreErrors)
     EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
 }
 
+TEST(Serve, BindingsAndFlagsTheKernelCannotTakeAreErrors)
+{
+    ServeServer server(withJobs(1));
+    // Each would otherwise run on a value the client never sent:
+    // n = 0, an ignored live-in or array, a truncated input, or
+    // time multiplexing silently off.
+    struct Case
+    {
+        std::string name; ///< as the error names it
+        std::string json; ///< appended to a good request
+    };
+    const std::vector<Case> cases = {
+        {"liveins", "\"liveins\":5"},
+        {"liveins.m", "\"liveins\":{\"m\":3}"},
+        {"init.nope", "\"init\":{\"nope\":[1]}"},
+        {"init.x", "\"init\":{\"x\":[1,2,3,4,5]}"},
+        {"init.x", "\"init\":{\"x\":7}"},
+        {"tm", "\"tm\":\"yes\""},
+        {"map", "\"map\":1"},
+        {"verify", "\"verify\":null"},
+    };
+    for (const auto &c : cases) {
+        std::string req = scaleRequest("b", 3);
+        req.insert(req.size() - 1, "," + c.json);
+        JsonValue v =
+            parseResponse(ServeServer::render(server.submit(req)));
+        EXPECT_EQ(field(v, "id"), "b");
+        EXPECT_EQ(field(v, "status"), "error") << c.json;
+        EXPECT_NE(field(v, "error").find("\"" + c.name + "\""),
+                  std::string::npos)
+            << c.json << ": " << field(v, "error");
+    }
+    EXPECT_EQ(server.stats().badRequests,
+              static_cast<int64_t>(cases.size()));
+
+    // JSON booleans and a short init still run.
+    std::string req = scaleRequest("ok", 3);
+    req.insert(req.size() - 1,
+               ",\"tm\":true,\"map\":false,\"verify\":true,"
+               "\"init\":{\"x\":[1,2]}");
+    JsonValue v = parseResponse(ServeServer::render(server.submit(req)));
+    EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
+}
+
 TEST(Serve, ContentIdenticalRequestsShareOneExecution)
 {
     ServeServer server(withJobs(2));

@@ -119,9 +119,8 @@ struct Options
     std::string out;          ///< trace: output file
     std::string stallsOut;    ///< trace: stall-timeline JSON file
     int interval = 256;       ///< trace: stall bucket width
-    std::vector<std::pair<std::string, sir::Word>> liveIns;
-    std::vector<std::pair<std::string, std::vector<sir::Word>>>
-        inits;
+    workloads::NamedWords liveIns;
+    workloads::NamedArrays inits;
     std::vector<std::string> dumps;
 };
 
@@ -155,13 +154,15 @@ constexpr Command kCommands[] = {
      cmdRun},
     {"scalar", "", "run the sequential interpreter only",
      cmdScalar},
-    {"bench-sim", "[--variant=V --depth=N --unroll=N --tm]",
+    {"bench-sim",
+     "[--variant=V --depth=N --unroll=N --tm --fabric=S "
+     "--tiles=TXxTY]",
      "time the fast engine against the dense-scan oracle; exits "
      "nonzero unless the runs are bit-identical",
      cmdBenchSim},
     {"trace",
-     "[--variant=V --depth=N --unroll=N --out=F --stalls=F "
-     "--interval=N]",
+     "[--variant=V --depth=N --unroll=N --tm --fabric=S "
+     "--tiles=TXxTY --out=F --stalls=F --interval=N]",
      "simulate under observation; write Chrome-trace JSON and "
      "stall attribution",
      cmdTrace},
@@ -288,6 +289,20 @@ applyFabric(const fabric::Topology &topo, RunConfig &cfg)
     cfg.interTileCapacity = topo.interTileCapacity;
 }
 
+/** The RunConfig every command that prepares the kernel starts
+ *  from: variant, depth, unroll, time multiplexing and fabric. */
+RunConfig
+runConfig(const Options &opts)
+{
+    RunConfig cfg;
+    cfg.variant = opts.variant;
+    cfg.sim.bufferDepth = opts.depth;
+    cfg.unrollFactor = opts.unroll;
+    cfg.allowTimeMultiplex = opts.timeMultiplex;
+    applyFabric(opts.topo, cfg);
+    return cfg;
+}
+
 /** `--depth=N`: a buffer depth of at least 1, else a usage error
  *  (the simulator treats depth < 1 as an internal invariant). */
 int
@@ -305,22 +320,6 @@ parseDepthArg(const std::string &spec)
     return static_cast<int>(depth);
 }
 
-compiler::ArchVariant
-parseVariant(const std::string &name)
-{
-    if (name == "riptide")
-        return compiler::ArchVariant::RipTide;
-    if (name == "pipestitch")
-        return compiler::ArchVariant::Pipestitch;
-    if (name == "pipesb")
-        return compiler::ArchVariant::PipeSB;
-    if (name == "pipecfin")
-        return compiler::ArchVariant::PipeCFiN;
-    if (name == "pipecfop")
-        return compiler::ArchVariant::PipeCFoP;
-    fatal("unknown variant '%s'", name.c_str());
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
@@ -335,7 +334,10 @@ parseArgs(int argc, char **argv)
             return arg.substr(std::strlen(prefix));
         };
         if (arg.rfind("--variant=", 0) == 0) {
-            opts.variant = parseVariant(value("--variant="));
+            if (!compiler::parseArchVariant(value("--variant="),
+                                            opts.variant))
+                fatal("unknown variant '%s'",
+                      value("--variant=").c_str());
         } else if (arg.rfind("--depth=", 0) == 0) {
             opts.depth = parseDepthArg(value("--depth="));
         } else if (arg.rfind("--unroll=", 0) == 0) {
@@ -417,44 +419,20 @@ readFile(const std::string &path)
     return ss.str();
 }
 
+/** Bind --livein/--init to the parsed kernel; an unknown name or an
+ *  over-long --init is fatal (exit 1). */
 workloads::KernelInstance
-buildKernel(const Options &opts, const ParseResult &parsed)
+buildKernel(const Options &opts, const ParseResult &parsed,
+            bool warnUnbound = true)
 {
     workloads::KernelInstance kernel;
-    kernel.name = parsed.program.name;
-    kernel.prog = sir::cloneProgram(parsed.program);
-
-    // Bind live-ins by name, defaulting to 0 with a warning.
-    for (sir::Reg r : kernel.prog.liveIns) {
-        const std::string &name =
-            kernel.prog.regNames[static_cast<size_t>(r)];
-        sir::Word value = 0;
-        bool found = false;
-        for (const auto &[n, v] : opts.liveIns) {
-            if (n == name) {
-                value = v;
-                found = true;
-            }
-        }
-        if (!found)
-            warn("live-in '%s' not bound; using 0", name.c_str());
-        kernel.liveIns.push_back(value);
-    }
-
-    kernel.memory = scalar::makeMemory(kernel.prog);
-    for (const auto &[name, values] : opts.inits) {
-        auto it = parsed.arrays.find(name);
-        if (it == parsed.arrays.end())
-            fatal("--init: no array '%s'", name.c_str());
-        const auto &arr = kernel.prog.array(it->second);
-        if (static_cast<int64_t>(values.size()) > arr.words)
-            fatal("--init: %zu values exceed %s[%lld]",
-                  values.size(), name.c_str(),
-                  static_cast<long long>(arr.words));
-        for (size_t i = 0; i < values.size(); i++)
-            kernel.memory[static_cast<size_t>(arr.base) + i] =
-                values[i];
-    }
+    std::vector<std::string> unbound;
+    std::string err;
+    if (!workloads::bindKernel(parsed, opts.liveIns, opts.inits, kernel,
+                               err, warnUnbound ? &unbound : nullptr))
+        fatal("%s", err.c_str());
+    for (const auto &name : unbound)
+        warn("live-in '%s' not bound; using 0", name.c_str());
     return kernel;
 }
 
@@ -476,39 +454,43 @@ dumpArrays(const Options &opts, const ParseResult &parsed,
     }
 }
 
-/** Compile the parsed kernel the way bench-sim and trace need it:
- *  no mapping, recommended sim config with the CLI's depth. */
-compiler::CompileResult
-compileForSim(const Options &opts,
-              const workloads::KernelInstance &kernel)
+/**
+ * Report a failed run and return its exit status: one JSON object
+ * under --json, else "kernel: error" on stderr. A memory fault (the
+ * kernel indexed past its arrays) is the input's doing; it gets its
+ * own status, its location and exit status 3.
+ */
+int
+reportError(const Options &opts, const std::string &kernel,
+            const std::string &err, const sim::MemFault &fault = {})
 {
-    compiler::CompileOptions copts;
-    copts.variant = opts.variant;
-    copts.unrollFactor = opts.unroll;
-    copts.bufferDepth = opts.depth;
-    return compiler::compileProgram(kernel.prog, kernel.liveIns,
-                                    copts);
+    if (opts.json) {
+        sim::Report r;
+        r.add("schema_version", sim::kJsonSchemaVersion)
+            .add("kernel", kernel)
+            .add("status", fault.any() ? "fault" : "error")
+            .add("error", err);
+        if (fault.any()) {
+            r.add("fault_node", fault.node)
+                .add("fault_address", fault.addr)
+                .add("fault_cycle", fault.cycle);
+        }
+        std::printf("%s\n", r.toJson().c_str());
+    } else {
+        std::fprintf(stderr, "%s: %s\n", kernel.c_str(), err.c_str());
+    }
+    return fault.any() ? 3 : 1;
 }
 
 int
 cmdCompile(const Options &opts, const ParseResult &parsed)
 {
+    // Live-ins default to 0 for a structure-only compile.
+    auto kernel = buildKernel(opts, parsed, /*warnUnbound=*/false);
     compiler::CompileOptions copts;
     copts.variant = opts.variant;
     copts.unrollFactor = opts.unroll;
-    // Live-ins default to 0 for a structure-only compile.
-    std::vector<sir::Word> liveIns(parsed.program.liveIns.size(),
-                                   0);
-    for (size_t i = 0; i < parsed.program.liveIns.size(); i++) {
-        const std::string &name =
-            parsed.program.regNames[static_cast<size_t>(
-                parsed.program.liveIns[i])];
-        for (const auto &[n, v] : opts.liveIns) {
-            if (n == name)
-                liveIns[i] = v;
-        }
-    }
-    auto res = compiler::compileProgram(parsed.program, liveIns,
+    auto res = compiler::compileProgram(kernel.prog, kernel.liveIns,
                                         copts);
     if (opts.dot) {
         std::printf("%s", dfg::toDot(res.graph).c_str());
@@ -545,12 +527,7 @@ int
 cmdRun(const Options &opts, const ParseResult &parsed)
 {
     auto kernel = buildKernel(opts, parsed);
-    RunConfig cfg;
-    cfg.variant = opts.variant;
-    cfg.sim.bufferDepth = opts.depth;
-    cfg.unrollFactor = opts.unroll;
-    cfg.allowTimeMultiplex = opts.timeMultiplex;
-    applyFabric(opts.topo, cfg);
+    RunConfig cfg = runConfig(opts);
     if (opts.trace) {
         // Trace implies an unmapped functional run to keep output
         // readable; the stderr dump flows straight through the
@@ -560,28 +537,8 @@ cmdRun(const Options &opts, const ParseResult &parsed)
     }
     std::string err;
     FabricRun run = runOnFabric(kernel, cfg, &err);
-    if (!err.empty()) {
-        // A memory fault (the kernel indexed past its arrays) is the
-        // input's doing; it gets its own status and exit code.
-        const sim::MemFault &fault = run.sim.fault;
-        if (opts.json) {
-            sim::Report r;
-            r.add("schema_version", sim::kJsonSchemaVersion)
-                .add("kernel", kernel.name)
-                .add("status", fault.any() ? "fault" : "error")
-                .add("error", err);
-            if (fault.any()) {
-                r.add("fault_node", fault.node)
-                    .add("fault_address", fault.addr)
-                    .add("fault_cycle", fault.cycle);
-            }
-            std::printf("%s\n", r.toJson().c_str());
-        } else {
-            std::fprintf(stderr, "%s: %s\n", kernel.name.c_str(),
-                         err.c_str());
-        }
-        return fault.any() ? 3 : 1;
-    }
+    if (!err.empty())
+        return reportError(opts, kernel.name, err, run.sim.fault);
 
     if (opts.json) {
         const auto &st = run.sim.stats;
@@ -712,45 +669,41 @@ int
 cmdBenchSim(const Options &opts, const ParseResult &parsed)
 {
     auto kernel = buildKernel(opts, parsed);
-    auto res = compileForSim(opts, kernel);
-    auto cfg = res.simConfig;
-    cfg.bufferDepth = opts.depth;
-    if (opts.timeMultiplex) {
-        for (const auto &group : compiler::planTimeMultiplexing(
-                 res.graph, opts.topo.globalConfig()))
-            cfg.shareGroups.emplace_back(group.begin(), group.end());
-    }
-    EnginePair p = timeEngines(res.graph, kernel, cfg, /*reps=*/3);
+    RunConfig cfg = runConfig(opts);
+    // Placement changes the simulated machine only through a tiled
+    // fabric's inter-tile channels, and unmapped single-grid
+    // configurations may exceed the fabric.
+    cfg.map = cfg.tiled();
+    std::string err;
+    PreparedPtr prepared = prepareKernel(kernel, cfg, &err);
+    if (!prepared)
+        return reportError(opts, kernel.name, err);
+    const sim::Program &program = *prepared->program;
+    EnginePair p = timeEngines(program.graph(), kernel, program.config(),
+                               /*reps=*/3);
     if (!p.identical)
         fatal("fast engine diverges from the DenseScan oracle on %s",
               kernel.name.c_str());
     const sim::SimResult &run = p.fast.result;
 
-    // The certified static bound must hold — the same gate
-    // executeOnFabric applies to mapped runs, here covering the
-    // unmapped bench configs (both engines at once, by identity).
-    std::shared_ptr<const dfg::Graph> hold(
-        std::shared_ptr<const dfg::Graph>(), &res.graph);
-    sim::Program boundProg(hold, cfg);
-    sim::BoundReport::Evaluation boundEval =
-        analysis::computeBound(boundProg).evaluate(run.stats);
-    if (!run.deadlocked && !boundEval.holds(run.stats.cycles))
-        fatal("%s: simulated %lld cycles beats the certified "
-              "static bound of %lld cycles — analyzer and "
-              "simulator disagree",
-              kernel.name.c_str(),
-              static_cast<long long>(run.stats.cycles),
-              static_cast<long long>(boundEval.certifiedCycles));
+    // The same analyzer/simulator cross-check executeOnFabric
+    // applies (both engines at once, by identity).
+    CrossCheck check =
+        crossCheck(prepared->analysis, prepared->bound, run);
+    if (!check.disagreement.empty())
+        fatal("%s: %s", kernel.name.c_str(),
+              check.disagreement.c_str());
 
     if (opts.json) {
         sim::Report r;
         r.add("schema_version", sim::kJsonSchemaVersion)
             .add("kernel", kernel.name)
-            .add("nodes", res.graph.size())
+            .add("nodes", program.graph().size())
             .add("share_groups",
-                 static_cast<int64_t>(cfg.shareGroups.size()))
+                 static_cast<int64_t>(
+                     program.config().shareGroups.size()))
             .add("cycles", run.stats.cycles)
-            .add("bound_cycles", boundEval.certifiedCycles)
+            .add("bound_cycles", check.boundEval.certifiedCycles)
             .add("dense_ms", p.dense.ms)
             .add("ready_ms", p.fast.ms)
             .add("speedup", p.speedup())
@@ -761,7 +714,7 @@ cmdBenchSim(const Options &opts, const ParseResult &parsed)
                     "  dense-scan  %9.3f ms\n"
                     "  fast        %9.3f ms  (%.2fx speedup, "
                     "bit-identical)\n",
-                    kernel.name.c_str(), res.graph.size(),
+                    kernel.name.c_str(), program.graph().size(),
                     static_cast<long long>(run.stats.cycles),
                     p.dense.ms, p.fast.ms, p.speedup());
     }
@@ -915,20 +868,24 @@ int
 cmdTrace(const Options &opts, const ParseResult &parsed)
 {
     auto kernel = buildKernel(opts, parsed);
-    auto res = compileForSim(opts, kernel);
-    auto cfg = res.simConfig;
-    cfg.bufferDepth = opts.depth;
+    RunConfig cfg = runConfig(opts);
+    cfg.map = cfg.tiled(); // as bench-sim
+    // Unanalyzed, so that a graph the analyzer rejects — a
+    // deadlocking one above all — can still be traced.
+    cfg.analyze = false;
+    std::string err;
+    PreparedPtr prepared = prepareKernel(kernel, cfg, &err);
+    if (!prepared)
+        return reportError(opts, kernel.name, err);
 
     trace::ChromeTraceSink chrome;
     trace::StallTimelineSink stalls(opts.interval);
     trace::ObserverList sinks;
     sinks.add(&chrome);
     sinks.add(&stalls);
-    cfg.observer = &sinks;
-
-    auto mem = kernel.memory;
-    mem.resize(static_cast<size_t>(kernel.prog.memWords));
-    auto r = sim::simulate(res.graph, mem, cfg);
+    cfg.sim.observer = &sinks;
+    const sim::SimResult r =
+        simulateOnFabric(*prepared, kernel, cfg).sim;
     if (r.deadlocked) {
         // Still write the trace — it is exactly what you want for
         // diagnosing the deadlock — but fail the invocation.
@@ -1009,72 +966,41 @@ cmdTrace(const Options &opts, const ParseResult &parsed)
 }
 
 /**
- * `pstool lint` — the static analyzer as a standalone gate. Compiles
- * the kernel, runs the graph passes (PS-S/D/B rules), maps it and
- * runs the placement rules (PS-P, unless --no-map), and prints every
- * diagnostic plus the verdict summary. With --cross-check it also
- * simulates: a graph the analyzer certified deadlock-free must
- * retire cleanly, or the invocation fails with a disagreement
- * diagnosis. Exit status is 0 only when the report is clean (and,
- * when cross-checking, the models agree).
+ * `pstool lint` — the static analyzer as a standalone gate. Prepares
+ * the kernel as `pstool run` does (unmapped under --no-map), runs
+ * the graph passes (PS-S/D/B/T rules) and, when placed, the
+ * placement rules (PS-P), and prints every diagnostic plus the
+ * verdict summary. With --cross-check it also simulates the prepared
+ * machine and applies crossCheck: a graph the analyzer certified
+ * deadlock-free must retire cleanly, above the certified bound, or
+ * the invocation fails with a disagreement diagnosis. Exit status is
+ * 0 only when the report is clean (and, when cross-checking, the
+ * models agree).
  */
 int
 cmdLint(const Options &opts, const ParseResult &parsed)
 {
     auto kernel = buildKernel(opts, parsed);
-    compiler::CompileOptions copts;
-    copts.variant = opts.variant;
-    copts.unrollFactor = opts.unroll;
-    copts.bufferDepth = opts.depth;
-    auto res = compiler::compileProgram(kernel.prog, kernel.liveIns,
-                                        copts);
+    RunConfig cfg = runConfig(opts);
+    cfg.map = !opts.noMap;
+    // Unanalyzed, so that every diagnostic is reported below whatever
+    // the verdict.
+    cfg.analyze = false;
+    std::string err;
+    PreparedPtr prepared = prepareKernel(kernel, cfg, &err);
+    if (!prepared)
+        return reportError(opts, kernel.name, err);
+    const dfg::Graph &graph = prepared->compiled->graph;
 
     analysis::AnalysisOptions aopts;
     aopts.bufferDepth = opts.depth;
     analysis::AnalysisReport report =
-        analysis::analyzeGraph(res.graph, aopts);
-
-    fabric::Fabric fab(opts.topo);
-    if (!opts.noMap) {
-        compiler::ShareGroups shareGroups;
-        if (opts.timeMultiplex) {
-            shareGroups = compiler::planTimeMultiplexing(
-                res.graph, fab.config());
-        }
-        mapper::MapperOptions mopts;
-        mopts.shareGroups = shareGroups;
-        mapper::Mapping mapping;
-        if (opts.topo.singleTile()) {
-            mapping = mapper::mapGraph(res.graph, fab, mopts);
-        } else {
-            mapper::TiledMapping tm = mapper::mapGraphTiled(
-                res.graph, opts.topo, mopts);
-            mapping = std::move(tm.merged);
-        }
-        if (!mapping.success) {
-            if (opts.json) {
-                sim::Report r;
-                r.add("schema_version", sim::kJsonSchemaVersion)
-                    .add("kernel", kernel.name)
-                    .add("variant",
-                         compiler::archVariantName(opts.variant))
-                    .add("status", "error")
-                    .add("error", mapping.error);
-                std::printf("%s\n", r.toJson().c_str());
-            } else {
-                std::fprintf(
-                    stderr,
-                    "%s does not map onto the fabric (%s): %s\n",
-                    kernel.name.c_str(),
-                    compiler::archVariantName(opts.variant),
-                    mapping.error.c_str());
-            }
-            return 1;
-        }
+        analysis::analyzeGraph(graph, aopts);
+    if (prepared->mapped) {
         analysis::PlacementLintOptions popts;
-        popts.shareGroups = shareGroups;
-        analysis::lintPlacement(res.graph, fab, mapping, report,
-                                popts);
+        popts.shareGroups = prepared->simCfg.shareGroups;
+        analysis::lintPlacement(graph, fabric::Fabric(prepared->topo),
+                                prepared->mapping, report, popts);
     }
 
     bool simDeadlocked = false;
@@ -1085,87 +1011,47 @@ cmdLint(const Options &opts, const ParseResult &parsed)
     int64_t simCycles = 0;
     bool boundHolds = true;
     if (opts.crossCheck) {
-        auto cfg = res.simConfig;
-        cfg.bufferDepth = opts.depth;
-        auto mem = kernel.memory;
-        mem.resize(std::max(
-            mem.size(),
-            static_cast<size_t>(kernel.prog.memWords)));
-        auto r = sim::simulate(res.graph, mem, cfg);
-        // Watchdog expiry means the fabric was still live —
-        // termination is input-dependent, outside what static
-        // certification claims — so it is neither a deadlock
-        // verdict nor a disagreement. Nor is a memory fault, which
-        // the input's array bounds decide.
+        // The machine `pstool run` simulates: time-multiplexed,
+        // mapped and tiled as prepared.
+        const sim::SimResult r =
+            simulateOnFabric(*prepared, kernel, cfg).sim;
+        CrossCheck check = crossCheck(
+            report, analysis::computeBound(*prepared->program), r);
         simWatchdog = r.watchdogExpired;
         simFault = r.fault.any();
         simDeadlocked = r.deadlocked && !simWatchdog && !simFault;
-        disagree = report.deadlockFree && simDeadlocked;
+        disagree = !check.disagreement.empty();
+        boundCycles = check.boundEval.certifiedCycles;
+        simCycles = r.stats.cycles;
+        boundHolds = check.boundEval.holds(simCycles);
         if (disagree && !opts.json) {
-            std::fprintf(stderr,
-                         "cross-check: analyzer certified the graph "
-                         "deadlock-free but the simulator "
-                         "deadlocked:\n%s\n",
-                         r.diagnostic.c_str());
-        }
-        // The certified throughput bound rides the same
-        // cross-check: a clean retire must never beat the static
-        // cycle floor. (A deadlocked or watchdogged run stopped
-        // before completion, so the completion bound says nothing
-        // about its cycle count.)
-        if (!r.deadlocked) {
-            std::shared_ptr<const dfg::Graph> hold(
-                std::shared_ptr<const dfg::Graph>(), &res.graph);
-            sim::Program boundProg(hold, cfg);
-            sim::BoundReport::Evaluation bev =
-                analysis::computeBound(boundProg)
-                    .evaluate(r.stats);
-            boundCycles = bev.certifiedCycles;
-            simCycles = r.stats.cycles;
-            boundHolds = bev.holds(r.stats.cycles);
-            if (!boundHolds) {
-                disagree = true;
-                if (!opts.json) {
-                    std::fprintf(
-                        stderr,
-                        "cross-check: simulated %lld cycles beats "
-                        "the certified static bound of %lld "
-                        "cycles\n",
-                        static_cast<long long>(r.stats.cycles),
-                        static_cast<long long>(boundCycles));
-                }
-            }
+            std::fprintf(stderr, "cross-check: %s\n",
+                         check.disagreement.c_str());
         }
     }
 
     if (opts.json) {
-        std::printf("{\"schema_version\":%d,"
-                    "\"kernel\":\"%s\",\"variant\":\"%s\","
-                    "\"operators\":%d,\"crossChecked\":%s,"
-                    "\"simDeadlocked\":%s,"
-                    "\"simWatchdogExpired\":%s,"
-                    "\"simFault\":%s,"
-                    "\"boundCycles\":%lld,\"boundHolds\":%s,"
-                    "\"agree\":%s,"
-                    "\"analysis\":%s}\n",
-                    sim::kJsonSchemaVersion,
-                    kernel.name.c_str(),
-                    compiler::archVariantName(opts.variant),
-                    res.graph.size(),
-                    opts.crossCheck ? "true" : "false",
-                    simDeadlocked ? "true" : "false",
-                    simWatchdog ? "true" : "false",
-                    simFault ? "true" : "false",
-                    static_cast<long long>(boundCycles),
-                    boundHolds ? "true" : "false",
-                    disagree ? "false" : "true",
-                    report.toJson(res.graph).c_str());
+        sim::Report r;
+        r.add("schema_version", sim::kJsonSchemaVersion)
+            .add("kernel", kernel.name)
+            .add("variant", compiler::archVariantName(opts.variant))
+            .add("operators", graph.size())
+            .add("crossChecked", opts.crossCheck)
+            .add("simDeadlocked", simDeadlocked)
+            .add("simWatchdogExpired", simWatchdog)
+            .add("simFault", simFault)
+            .add("boundCycles", boundCycles)
+            .add("boundHolds", boundHolds)
+            .add("agree", !disagree);
+        std::string json = r.toJson();
+        json.insert(json.size() - 1,
+                    ",\"analysis\":" + report.toJson(graph));
+        std::printf("%s\n", json.c_str());
     } else {
         std::printf("%s on %s: %d operator(s)\n%s\n",
                     kernel.name.c_str(),
                     compiler::archVariantName(opts.variant),
-                    res.graph.size(),
-                    report.toString(res.graph).c_str());
+                    graph.size(), report.toString(graph).c_str());
         if (opts.crossCheck) {
             std::printf("cross-check: simulator %s; %s\n",
                         simDeadlocked ? "deadlocked"
@@ -1203,28 +1089,11 @@ int
 cmdBound(const Options &opts, const ParseResult &parsed)
 {
     auto kernel = buildKernel(opts, parsed);
-    RunConfig cfg;
-    cfg.variant = opts.variant;
-    cfg.sim.bufferDepth = opts.depth;
-    cfg.unrollFactor = opts.unroll;
-    cfg.allowTimeMultiplex = opts.timeMultiplex;
-    applyFabric(opts.topo, cfg);
+    RunConfig cfg = runConfig(opts);
     std::string err;
     FabricRun run = runOnFabric(kernel, cfg, &err);
-    if (!err.empty()) {
-        if (opts.json) {
-            sim::Report r;
-            r.add("schema_version", sim::kJsonSchemaVersion)
-                .add("kernel", kernel.name)
-                .add("status", "error")
-                .add("error", err);
-            std::printf("%s\n", r.toJson().c_str());
-        } else {
-            std::fprintf(stderr, "%s: %s\n", kernel.name.c_str(),
-                         err.c_str());
-        }
-        return 1;
-    }
+    if (!err.empty())
+        return reportError(opts, kernel.name, err);
 
     const sim::BoundReport &bound = run.bound();
     const sim::BoundReport::Evaluation &ev = run.boundEval;
