@@ -1,10 +1,31 @@
 #include "compiler/unroll.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "base/logging.hh"
 
 namespace pipestitch::compiler {
 
 using namespace sir;
+
+bool
+checkUnrollFactor(int factor, const fabric::Topology &topo,
+                  std::string &error)
+{
+    // Saturated at INT_MAX, which no int factor exceeds, so that no
+    // product of request-sized dimensions overflows.
+    constexpr int64_t kMax = std::numeric_limits<int>::max();
+    int64_t pes = int64_t{topo.tile.width} * topo.tile.height;
+    for (int64_t tiles : {topo.tilesX, topo.tilesY})
+        pes = std::min(kMax, pes * tiles);
+    if (factor >= 1 && factor <= pes && (factor & (factor - 1)) == 0)
+        return true;
+    error = csprintf("unroll %d: expected a power of two in [1, %lld], "
+                     "the fabric's PE count",
+                     factor, static_cast<long long>(pes));
+    return false;
+}
 
 namespace {
 

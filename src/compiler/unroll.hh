@@ -25,9 +25,22 @@
 #ifndef PIPESTITCH_COMPILER_UNROLL_HH
 #define PIPESTITCH_COMPILER_UNROLL_HH
 
+#include <string>
+
+#include "fabric/fabric.hh"
 #include "sir/program.hh"
 
 namespace pipestitch::compiler {
+
+/**
+ * The unroll rule, checked before anything compiles: each lane is
+ * one copy of the loop body on its own PEs, so @p factor must be a
+ * power of two in [1, the PE count of every tile of @p topo] (64 on
+ * the paper's 8×8 grid, 256 on 2×2 tiles of it). Returns false with
+ * a message naming `unroll` in @p error otherwise.
+ */
+bool checkUnrollFactor(int factor, const fabric::Topology &topo,
+                       std::string &error);
 
 /**
  * Return a copy of @p prog with every step-1 foreach loop spatially

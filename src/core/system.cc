@@ -4,6 +4,7 @@
 #include "analysis/throughput.hh"
 #include "base/logging.hh"
 #include "compiler/timemux.hh"
+#include "compiler/unroll.hh"
 #include "mapper/tiled.hh"
 #include "scalar/interpreter.hh"
 #include "sim/execution.hh"
@@ -46,6 +47,14 @@ prepareKernel(const workloads::KernelInstance &kernel,
               const RunConfig &config, std::string *error)
 {
     ScopedQuiet scopedQuiet(config.quiet);
+    std::string unrollError;
+    if (!compiler::checkUnrollFactor(config.unrollFactor,
+                                     config.topology(), unrollError)) {
+        reportFailure(error, csprintf("kernel %s: %s",
+                                      kernel.name.c_str(),
+                                      unrollError.c_str()));
+        return nullptr;
+    }
     if (config.cache) {
         if (auto hit = config.cache->lookupPrepared(kernel, config))
             return hit;

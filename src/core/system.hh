@@ -325,7 +325,9 @@ compileKernel(const workloads::KernelInstance &kernel,
 
 /**
  * Run the prepare pipeline (or fetch the whole artifact from
- * config.cache). Failure contract: with @p error null any failure is
+ * config.cache). An unroll factor that breaks
+ * compiler::checkUnrollFactor's rule fails before anything compiles.
+ * Failure contract: with @p error null any failure is
  * fatal() — the legacy batch behavior; with @p error non-null the
  * function returns nullptr and fills *error instead, so long-lived
  * callers (the serve daemon) survive bad requests.

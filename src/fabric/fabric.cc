@@ -1,10 +1,10 @@
 #include "fabric/fabric.hh"
 
-#include <cctype>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "base/logging.hh"
+#include "base/parse.hh"
 
 namespace pipestitch::fabric {
 
@@ -115,32 +115,19 @@ Topology::validate(std::string *error) const
 
 namespace {
 
+/** One integer field of a fabric spec, in [@p lo, INT_MAX]. */
 bool
-parseIntField(const std::string &s, const char *what, int &out,
+parseIntField(const std::string &s, const char *what, int lo, int &out,
               std::string *error)
 {
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos) {
-        fail(error, csprintf("fabric spec: bad %s '%s' (expected a "
-                             "positive integer)", what, s.c_str()));
-        return false;
-    }
-    out = std::atoi(s.c_str());
+    constexpr int hi = std::numeric_limits<int>::max();
+    int64_t v = 0;
+    if (!parseInteger(s, lo, hi, v))
+        return fail(error, csprintf("bad %s '%s' (expected an integer "
+                                    "in [%d, %d])",
+                                    what, s.c_str(), lo, hi));
+    out = static_cast<int>(v);
     return true;
-}
-
-bool
-parseDims(const std::string &s, const char *what, int &w, int &h,
-          std::string *error)
-{
-    size_t x = s.find('x');
-    if (x == std::string::npos || x == 0 || x + 1 == s.size()) {
-        fail(error, csprintf("fabric spec: bad %s '%s' (expected "
-                             "WxH)", what, s.c_str()));
-        return false;
-    }
-    return parseIntField(s.substr(0, x), what, w, error) &&
-           parseIntField(s.substr(x + 1), what, h, error);
 }
 
 std::vector<std::string>
@@ -159,6 +146,18 @@ splitOn(const std::string &s, char sep)
 }
 
 } // namespace
+
+bool
+parseDims(const std::string &s, const char *what, int &w, int &h,
+          std::string *error)
+{
+    size_t x = s.find('x');
+    if (x == std::string::npos)
+        return fail(error, csprintf("bad %s '%s' (expected WxH)", what,
+                                    s.c_str()));
+    return parseIntField(s.substr(0, x), what, 1, w, error) &&
+           parseIntField(s.substr(x + 1), what, 1, h, error);
+}
 
 bool
 parseFabricSpec(const std::string &spec, Topology &out,
@@ -184,11 +183,11 @@ parseFabricSpec(const std::string &spec, Topology &out,
                            error))
                 return false;
         } else if (key == "cap") {
-            if (!parseIntField(val, "cap", topo.interTileCapacity,
+            if (!parseIntField(val, "cap", 1, topo.interTileCapacity,
                                error))
                 return false;
         } else if (key == "lat") {
-            if (!parseIntField(val, "lat", topo.interTileLatency,
+            if (!parseIntField(val, "lat", 1, topo.interTileLatency,
                                error))
                 return false;
         } else if (key == "mix") {
@@ -201,7 +200,7 @@ parseFabricSpec(const std::string &spec, Topology &out,
                                      val.c_str(), fields.size()));
             topo.tile.peMix.assign(5, 0);
             for (size_t f = 0; f < 5; f++) {
-                if (!parseIntField(fields[f], "mix",
+                if (!parseIntField(fields[f], "mix", 0,
                                    topo.tile.peMix[f], error))
                     return false;
             }

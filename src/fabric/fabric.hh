@@ -131,6 +131,14 @@ bool parseFabricSpec(const std::string &spec, Topology &out,
                      std::string *error);
 
 /**
+ * Parse "WxH" (both integers in [1, INT_MAX]) into @p w and @p h: a
+ * spec's grid and `tiles=`, pstool's `--tiles=` and serve's "tiles".
+ * Returns false with @p error naming @p what on anything else.
+ */
+bool parseDims(const std::string &s, const char *what, int &w, int &h,
+               std::string *error);
+
+/**
  * A concrete fabric: PE classes assigned to grid positions.
  *
  * Memory PEs sit on the left columns (near the SRAM macros), stream

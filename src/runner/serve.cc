@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <istream>
@@ -163,16 +162,9 @@ parseRequest(const std::string &line, const RunConfig &base,
     }
     if (const auto *t = v.find("tiles")) {
         // "TXxTY" overriding the server-default tile arrangement.
-        int tx = 0, ty = 0;
-        char junk;
-        if (std::sscanf(t->asString().c_str(), "%dx%d%c", &tx, &ty,
-                        &junk) != 2 ||
-            tx < 1 || ty < 1) {
-            error = "\"tiles\" must be \"TXxTY\" (e.g. \"2x2\")";
+        if (!fabric::parseDims(t->asString(), "\"tiles\"", cfg.tilesX,
+                               cfg.tilesY, &error))
             return false;
-        }
-        cfg.tilesX = tx;
-        cfg.tilesY = ty;
     }
     if (const auto *b = v.find("batch")) {
         if (!readInteger(*b, "batch", out.batch, error))
@@ -506,6 +498,11 @@ ServeServer::submit(const std::string &line)
             })
             .share();
     byContent.emplace(req.key, std::make_pair(payload, doneNs));
+    contentOrder.push_back(req.key);
+    if (contentOrder.size() > kMaxResponses) {
+        byContent.erase(contentOrder.front());
+        contentOrder.pop_front();
+    }
     return Response{req.id, payload, doneNs};
 }
 

@@ -127,6 +127,11 @@ class ParsedKernelCache
 class ServeServer
 {
   public:
+    /** Responses kept for content dedup, oldest evicted first; a
+     *  duplicate of an evicted request runs again and answers the
+     *  same bytes. */
+    static constexpr size_t kMaxResponses = 1024;
+
     explicit ServeServer(const ServeOptions &options = {});
     ~ServeServer();
 
@@ -174,6 +179,8 @@ class ServeServer
         uint64_t, std::pair<std::shared_future<std::string>,
                             std::shared_ptr<std::atomic<int64_t>>>>
         byContent;
+    /** Keys of byContent, oldest first. */
+    std::deque<uint64_t> contentOrder;
 
     std::atomic<int64_t> nReceived{0};
     std::atomic<int64_t> nAccepted{0};

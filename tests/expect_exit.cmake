@@ -1,6 +1,7 @@
-# Run a command and pass only if it exits with status EXPECT:
+# Run a command and pass only if it exits with status EXPECT (and,
+# when STDERR is given, its stderr matches that regular expression):
 #
-#   cmake -DEXPECT=2 -P expect_exit.cmake <command> [args...]
+#   cmake -DEXPECT=2 [-DSTDERR=regex] -P expect_exit.cmake <command> [args...]
 #
 # CTest's WILL_FAIL accepts any nonzero exit; this pins the exact
 # code, so a usage error (2) is told apart from a crash or a fatal().
@@ -14,8 +15,13 @@ foreach (i RANGE ${last})
         math(EXPR script_at "${i} + 1")
     endif ()
 endforeach ()
-execute_process(COMMAND ${cmd} RESULT_VARIABLE status)
+execute_process(COMMAND ${cmd} RESULT_VARIABLE status
+                ERROR_VARIABLE err)
 if (NOT "${status}" STREQUAL "${EXPECT}")
     message(FATAL_ERROR "expected exit status ${EXPECT}, got "
-                        "'${status}': ${cmd}")
+                        "'${status}': ${cmd}\n${err}")
+endif ()
+if (DEFINED STDERR AND NOT "${err}" MATCHES "${STDERR}")
+    message(FATAL_ERROR "stderr does not match '${STDERR}': ${cmd}\n"
+                        "${err}")
 endif ()

@@ -406,6 +406,51 @@ TEST(Serve, BindingsAndFlagsTheKernelCannotTakeAreErrors)
     EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
 }
 
+TEST(Serve, UnrollOutsideThePowersOfTwoThatFitIsAnError)
+{
+    // Each once aborted the daemon in the compiler, ran as unroll 1,
+    // or (128 lanes on 64 PEs) could never map. A good request
+    // follows each on the same server.
+    ServeServer server(withJobs(2));
+    for (const char *unroll : {"3", "-5", "0", "128"}) {
+        std::string req = scaleRequest("u", 3);
+        req.insert(req.size() - 1, std::string(",\"unroll\":") + unroll);
+        JsonValue v =
+            parseResponse(ServeServer::render(server.submit(req)));
+        EXPECT_EQ(field(v, "status"), "error") << unroll;
+        EXPECT_NE(field(v, "error").find("unroll"), std::string::npos)
+            << field(v, "error");
+
+        req = scaleRequest("ok", 3);
+        req.insert(req.size() - 1, ",\"unroll\":2");
+        v = parseResponse(ServeServer::render(server.submit(req)));
+        EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
+    }
+}
+
+TEST(Serve, ResponseMemoEvictsOldestFirst)
+{
+    ServeServer server(withJobs(2));
+    const int n = static_cast<int>(ServeServer::kMaxResponses) + 1;
+    std::vector<std::string> rendered;
+    for (int i = 0; i < n; i++)
+        rendered.push_back(
+            ServeServer::render(server.submit(sameTextRequest(i))));
+    EXPECT_EQ(field(parseResponse(rendered.front()), "status"), "ok")
+        << rendered.front();
+    EXPECT_EQ(server.stats().dedupHits, 0);
+
+    // The first was evicted: it runs again and answers the same
+    // bytes. The last is still held.
+    EXPECT_EQ(ServeServer::render(server.submit(sameTextRequest(0))),
+              rendered.front());
+    EXPECT_EQ(server.stats().dedupHits, 0);
+    EXPECT_EQ(ServeServer::render(server.submit(sameTextRequest(n - 1))),
+              rendered.back());
+    EXPECT_EQ(server.stats().dedupHits, 1);
+    EXPECT_EQ(server.stats().completed, n + 1);
+}
+
 TEST(Serve, ContentIdenticalRequestsShareOneExecution)
 {
     ServeServer server(withJobs(2));

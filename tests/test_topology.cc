@@ -149,6 +149,25 @@ TEST(ParseFabricSpec, RejectsMalformedAndInvalid)
                                          &err));
 }
 
+TEST(ParseFabricSpec, OverflowingIntegerIsAnError)
+{
+    // 4294967304 wraps to 8 in a 32-bit int.
+    Topology topo;
+    std::string err;
+    EXPECT_FALSE(fabric::parseFabricSpec("4294967304x8", topo, &err));
+    EXPECT_NE(err.find("4294967304"), std::string::npos) << err;
+    EXPECT_FALSE(fabric::parseFabricSpec("4x4,tiles=1x4294967297", topo,
+                                         &err));
+    EXPECT_EQ(topo, Topology{}) << "a failed parse leaves out alone";
+
+    int w = 0, h = 0;
+    EXPECT_TRUE(fabric::parseDims("2x3", "tiles", w, h, &err));
+    EXPECT_EQ(w, 2);
+    EXPECT_EQ(h, 3);
+    for (const char *bad : {"2x", "x2", "2", "0x2", "2x-1", "2x2x"})
+        EXPECT_FALSE(fabric::parseDims(bad, "tiles", w, h, &err)) << bad;
+}
+
 void
 expectRoundTrips(const Fabric &fab)
 {

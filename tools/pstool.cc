@@ -2,72 +2,34 @@
  * @file
  * pstool — the command-line driver for the Pipestitch toolchain.
  *
- * Subcommands are self-registering entries in kCommands (name →
- * handler + help); `pstool help` prints the generated synopsis.
- * The global `--json` flag switches every command's primary output
- * to machine-readable JSON.
- *
- *   pstool compile <file.sir>   compile and report fit/threading
- *   pstool run <file.sir>       compile, map, simulate, verify
- *   pstool scalar <file.sir>    sequential interpreter only
- *   pstool bench-sim <file.sir> time the fast engine against the
- *                               dense-scan oracle (bit-identity
- *                               checked)
- *   pstool bench-sim --suite    the same on paper-scale kernels;
- *                               writes BENCH_sim_sched.json
- *   pstool trace <file.sir>     simulate under observation; write a
- *                               Chrome-trace JSON (chrome://tracing
- *                               or https://ui.perfetto.dev) and a
- *                               stall-attribution breakdown
- *   pstool lint <file.sir>      static analysis only: deadlock,
- *                               token-balance, and placement rules
- *                               (docs/static-analysis.md); with
- *                               --cross-check also simulates and
- *                               fails on analyzer/simulator
- *                               disagreement (deadlock verdict and
- *                               the certified throughput bound)
- *   pstool bound <file.sir>     certified static throughput bound
- *                               (PS-T analysis) vs the simulated
- *                               cycle count: every bound term, the
- *                               binding constraint, and its fix
- *                               hint; nonzero exit when the
- *                               simulation beats the bound
- *   pstool map <file.sir>       run the portfolio mapper alone and
- *                               report placement quality (cost,
- *                               wirelength, congestion, winning
- *                               seed) plus wall-clock; nonzero exit
- *                               if the kernel does not map or the
- *                               emitted placement fails lint
- *   pstool figures              reproduce every paper figure in one
- *                               process, concurrently (takes no
- *                               .sir file; see --jobs/--smoke/
- *                               --no-memo/--out-dir/--only)
- *   pstool bench-tiles          batched data-parallel SpMV shards
- *                               across tile arrangements; writes the
- *                               scaling curve to BENCH_tiles.json
- *
- * Variants: riptide, pipestitch (default), pipesb, pipecfin,
- * pipecfop. The fabric defaults to the paper's single 8×8 grid;
- * `--fabric=WxH[,tiles=TXxTY,...]` (docs/fabric.md) retargets any
- * subcommand that maps or simulates.
+ * Every command is one kCommands entry and every flag one kFlags
+ * entry; one loop reads argv against the two, and `pstool help`
+ * prints the usage generated from them. A bad value, an unknown flag
+ * or a flag the command does not read exits 2 with one line naming
+ * the flag. The fabric defaults to the paper's single 8×8 grid;
+ * `--fabric=` (docs/fabric.md) retargets any command that maps or
+ * simulates.
  */
 
 #include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 #include "analysis/placement.hh"
 #include "analysis/throughput.hh"
 #include "base/logging.hh"
+#include "base/parse.hh"
 #include "compiler/timemux.hh"
+#include "compiler/unroll.hh"
 #include "core/batch.hh"
 #include "core/system.hh"
 #include "dfg/dot.hh"
@@ -94,203 +56,147 @@ using namespace pipestitch;
 
 namespace {
 
+/** Everything a command line sets; each command reads its share. */
 struct Options
 {
-    std::string command;
     std::string file;
     compiler::ArchVariant variant =
         compiler::ArchVariant::Pipestitch;
+    /** From --fabric= and the --tiles= shorthand, in argv order. */
+    fabric::Topology topo;
     int depth = 4;
     int unroll = 1;
-    bool dot = false;
-    bool report = false;
-    bool trace = false;
     bool timeMultiplex = false;
     bool json = false;
-    bool noMap = false;     ///< lint: skip mapping + placement rules
-    bool crossCheck = false; ///< lint: simulate and compare verdicts
-    int seeds = 4;            ///< map: portfolio restarts
-    int jobs = 1;             ///< map: tile worker threads (tiled fabrics)
-    uint64_t seed = 1;        ///< map: base RNG seed
-    int iterations = 20000;   ///< map: total anneal budget
-    /** Fabric topology from --fabric=WxH[,tiles=TXxTY,...] and the
-     *  --tiles=TXxTY shorthand; defaults to the single 8×8 grid. */
-    fabric::Topology topo;
-    std::string out;          ///< trace: output file
-    std::string stallsOut;    ///< trace: stall-timeline JSON file
-    int interval = 256;       ///< trace: stall bucket width
     workloads::NamedWords liveIns;
     workloads::NamedArrays inits;
     std::vector<std::string> dumps;
+    bool dot = false;
+    bool report = false;
+    bool trace = false;
+    bool noMap = false;
+    bool crossCheck = false;
+    std::string out; ///< empty: the command's default file
+    std::string stallsOut;
+    int interval = 256;
+    int seeds = 4;
+    int jobs = -1; ///< -1: 1 for map, every hardware thread otherwise
+    int64_t seed = 1;
+    int iterations = 20000;
+    bool smoke = false;
+    bool noMemo = false;
+    std::string outDir;
+    std::vector<std::string> only;
+    int queue = runner::ServeOptions{}.maxQueue;
+    int bench = 0; ///< 0: serve stdin instead of the load generator
+    int benchUnique = runner::ServeBenchOptions{}.unique;
+    std::string benchOut = "BENCH_serve.json";
+    int shards = 8;
+    int n = 64;
+    double sparsity = 0.2;
+    int reps = 2;
+};
+
+/** A flag whose value needs more than a range check: false with
+ *  @p error on a bad value. */
+using Reader = bool (*)(const std::string &value, Options &opts,
+                        std::string &error);
+
+/**
+ * The field a flag sets; its type is the flag's kind: a switch
+ * (bool), an integer or a real in [lo, hi], a string, a list
+ * (comma-separated strings, appended), or name=value (one integer
+ * for NamedWords, a comma-separated list of them for NamedArrays).
+ */
+using Field =
+    std::variant<bool Options::*, int Options::*, int64_t Options::*,
+                 double Options::*, std::string Options::*,
+                 std::vector<std::string> Options::*,
+                 workloads::NamedWords Options::*,
+                 workloads::NamedArrays Options::*, Reader>;
+
+struct Flag
+{
+    const char *name;
+    /** How the value is written after `--name`: "=N" for
+     *  `--name=N`, " arr" for the next argument; "" for a switch. */
+    const char *arg;
+    Field field;
+    const char *help;
+    /** Accepted range of a number (unused when lo == hi). */
+    int64_t lo = 0;
+    int64_t hi = 0;
+};
+
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr int64_t kWordMin = std::numeric_limits<sir::Word>::min();
+constexpr int64_t kWordMax = std::numeric_limits<sir::Word>::max();
+
+const Flag kFlags[] = {
+    {"variant", "=V",
+     [](const std::string &v, Options &o, std::string &error) {
+         error = "expected riptide, pipestitch, pipesb, pipecfin or "
+                 "pipecfop";
+         return compiler::parseArchVariant(v, o.variant);
+     },
+     "riptide|pipestitch|pipesb|pipecfin|pipecfop"},
+    {"fabric", "=S",
+     [](const std::string &v, Options &o, std::string &error) {
+         return fabric::parseFabricSpec(v, o.topo, &error);
+     },
+     "WxH[,tiles=TXxTY][,cap=N][,lat=N][,mix=a:m:c:me:s]"},
+    {"tiles", "=TXxTY",
+     [](const std::string &v, Options &o, std::string &error) {
+         return fabric::parseDims(v, "tiles", o.topo.tilesX,
+                                  o.topo.tilesY, &error);
+     },
+     "tile arrangement shorthand"},
+    {"depth", "=N", &Options::depth, "buffer depth", 1, kIntMax},
+    {"unroll", "=N", &Options::unroll,
+     "spatial unroll: a power of two up to the PE count", 1, kIntMax},
+    {"tm", "", &Options::timeMultiplex, "time-multiplex cold operators"},
+    {"livein", " name=value", &Options::liveIns, "bind a live-in",
+     kWordMin, kWordMax},
+    {"init", " arr=v0,v1,...", &Options::inits, "initialize an array",
+     kWordMin, kWordMax},
+    {"dump", " arr", &Options::dumps, "print an array after the run"},
+    {"json", "", &Options::json, "machine-readable primary output"},
+    {"dot", "", &Options::dot, "print the graph as GraphViz"},
+    {"report", "", &Options::report, "per-PE utilization and operators"},
+    {"trace", "", &Options::trace, "unmapped run, cycle trace on stderr"},
+    {"no-map", "", &Options::noMap, "skip mapping and placement rules"},
+    {"cross-check", "", &Options::crossCheck,
+     "also simulate; fail if the simulator disagrees"},
+    {"out", "=F", &Options::out, "output file"},
+    {"stalls", "=F", &Options::stallsOut, "stall-timeline JSON file"},
+    {"interval", "=N", &Options::interval, "stall bucket width, cycles",
+     1, kIntMax},
+    {"seeds", "=N", &Options::seeds, "portfolio restarts", 1, kIntMax},
+    {"jobs", "=N", &Options::jobs, "threads, 0: all hardware", 0, 256},
+    {"seed", "=N", &Options::seed, "base RNG seed", 0, INT64_MAX},
+    {"iters", "=N", &Options::iterations, "anneal budget", 1, kIntMax},
+    {"smoke", "", &Options::smoke, "tiny inputs, for CI"},
+    {"no-memo", "", &Options::noMemo, "recompute, share nothing"},
+    {"out-dir", "=D", &Options::outDir, "also write D/<id>.out"},
+    {"only", "=id,id", &Options::only, "render only these figures"},
+    {"queue", "=N", &Options::queue, "requests queued or running", 1,
+     kIntMax},
+    {"bench", "=N", &Options::bench, "N generated requests, not stdin",
+     1, 1000000},
+    {"bench-unique", "=N", &Options::benchUnique,
+     "distinct generated requests", 1, 1000000},
+    {"bench-out", "=F", &Options::benchOut,
+     "bench record (BENCH_serve.json)"},
+    {"shards", "=N", &Options::shards, "SpMV shards", 1, 1024},
+    {"n", "=N", &Options::n, "SpMV matrix size", 1, 1024},
+    {"sparsity", "=X", &Options::sparsity, "SpMV sparsity", 0, 1},
+    {"reps", "=N", &Options::reps, "timed runs, best of", 1, 1000},
 };
 
 using ParseResult = sir::ParseResult;
 
-struct Command
-{
-    const char *name;
-    const char *synopsis; ///< command-specific options
-    const char *help;     ///< one-line description
-    int (*handler)(const Options &, const ParseResult &);
-};
-
-int cmdCompile(const Options &, const ParseResult &);
-int cmdRun(const Options &, const ParseResult &);
-int cmdScalar(const Options &, const ParseResult &);
-int cmdBenchSim(const Options &, const ParseResult &);
-int cmdTrace(const Options &, const ParseResult &);
-int cmdLint(const Options &, const ParseResult &);
-int cmdBound(const Options &, const ParseResult &);
-int cmdMap(const Options &, const ParseResult &);
-
-constexpr Command kCommands[] = {
-    {"compile", "[--variant=V --unroll=N --dot]",
-     "compile and report threading/II/operator-count/fabric fit",
-     cmdCompile},
-    {"run",
-     "[--variant=V --depth=N --unroll=N --tm --report --trace "
-     "--fabric=S --tiles=TXxTY]",
-     "compile, map, simulate, verify against the interpreter",
-     cmdRun},
-    {"scalar", "", "run the sequential interpreter only",
-     cmdScalar},
-    {"bench-sim",
-     "[--variant=V --depth=N --unroll=N --tm --fabric=S "
-     "--tiles=TXxTY]",
-     "time the fast engine against the dense-scan oracle; exits "
-     "nonzero unless the runs are bit-identical",
-     cmdBenchSim},
-    {"trace",
-     "[--variant=V --depth=N --unroll=N --tm --fabric=S "
-     "--tiles=TXxTY --out=F --stalls=F --interval=N]",
-     "simulate under observation; write Chrome-trace JSON and "
-     "stall attribution",
-     cmdTrace},
-    {"lint",
-     "[--variant=V --depth=N --unroll=N --tm --no-map "
-     "--cross-check --fabric=S --tiles=TXxTY]",
-     "run the static analyzer (deadlock/balance/placement rules); "
-     "nonzero exit on any error diagnostic",
-     cmdLint},
-    {"bound",
-     "[--variant=V --depth=N --unroll=N --tm --fabric=S "
-     "--tiles=TXxTY]",
-     "report the certified static throughput bound against the "
-     "simulated run: every term, the binding constraint, and its "
-     "fix hint; nonzero exit if the simulation beats the bound",
-     cmdBound},
-    {"map",
-     "[--variant=V --unroll=N --tm --seeds=N --jobs=N --seed=N "
-     "--iters=N --fabric=S --tiles=TXxTY]",
-     "run the portfolio mapper alone; report placement quality and "
-     "wall-clock, nonzero exit on failure or dirty placement lint",
-     cmdMap},
-};
-
-[[noreturn]] void
-usage()
-{
-    std::fprintf(stderr, "usage: pstool <command> <file.sir> "
-                         "[options]\n\ncommands:\n");
-    for (const Command &c : kCommands) {
-        std::fprintf(stderr, "  %-10s %s\n             %s %s\n",
-                     c.name, c.help, c.synopsis,
-                     *c.synopsis ? "" : "(no extra options)");
-    }
-    std::fprintf(
-        stderr,
-        "  %-10s %s\n             %s\n", "figures",
-        "reproduce every paper figure in one process "
-        "(takes no .sir file)",
-        "[--jobs=N --smoke --no-memo --out-dir=D "
-        "--only=id,id --json]");
-    std::fprintf(
-        stderr,
-        "  %-10s %s\n             %s\n", "serve",
-        "resident simulation daemon: newline-delimited JSON "
-        "requests on stdin, responses on stdout (no .sir file; "
-        "see docs/serve.md)",
-        "[--jobs=N --queue=N --fabric=S --bench=N "
-        "--bench-unique=N --bench-out=F]");
-    std::fprintf(
-        stderr,
-        "  %-10s %s\n             %s\n", "bench-tiles",
-        "batched SpMV shards across 1x1/1x2/2x2 tile arrangements "
-        "(no .sir file); writes the scaling curve JSON",
-        "[--shards=N --n=N --seed=N --fabric=S "
-        "--out=BENCH_tiles.json]");
-    std::fprintf(
-        stderr,
-        "  %-10s %s\n             %s\n", "bench-sim --suite",
-        "fast engine vs dense-scan oracle on paper-scale kernels, "
-        "Pipestitch and RipTide (no .sir file); bit-identity "
-        "checked on every row",
-        "[--smoke --reps=N --out=BENCH_sim_sched.json]");
-    std::fprintf(
-        stderr,
-        "\ncommon options:\n"
-        "  --variant=riptide|pipestitch|pipesb|pipecfin|pipecfop\n"
-        "  --fabric=WxH[,tiles=TXxTY][,cap=N][,lat=N]"
-        "[,mix=a:m:c:me:s]\n"
-        "                          fabric topology (docs/fabric.md)\n"
-        "  --tiles=TXxTY           tile arrangement shorthand\n"
-        "  --json                  machine-readable primary output\n"
-        "  --livein name=value     bind a kernel parameter\n"
-        "  --init arr=v0,v1,...    initialize array contents\n"
-        "  --dump arr              print an array after the run\n");
-    std::exit(2);
-}
-
-/**
- * The one shared CLI → fabric::Topology path: `--fabric=` takes the
- * full spec grammar (`WxH[,tiles=TXxTY][,cap=N][,lat=N][,mix=...]`,
- * see fabric::parseFabricSpec), `--tiles=` is the shorthand that
- * only changes the tile arrangement. Validation — including the
- * peMix-sum-matches-grid check — happens in Topology::validate, so
- * every subcommand rejects a bad fabric with the same structured
- * error.
- */
-void
-parseFabricArg(const std::string &spec, fabric::Topology &topo)
-{
-    std::string err;
-    if (!fabric::parseFabricSpec(spec, topo, &err)) {
-        std::fprintf(stderr, "--fabric=%s: %s\n", spec.c_str(),
-                     err.c_str());
-        std::exit(2);
-    }
-}
-
-void
-parseTilesArg(const std::string &spec, fabric::Topology &topo)
-{
-    int tx = 0, ty = 0;
-    char junk;
-    if (std::sscanf(spec.c_str(), "%dx%d%c", &tx, &ty, &junk) != 2 ||
-        tx < 1 || ty < 1) {
-        std::fprintf(stderr,
-                     "--tiles=%s: expected TXxTY (e.g. 2x2)\n",
-                     spec.c_str());
-        std::exit(2);
-    }
-    topo.tilesX = tx;
-    topo.tilesY = ty;
-}
-
-/** Copy the CLI topology into a RunConfig (fabric = per-tile grid,
- *  tile arrangement + inter-tile link model alongside). */
-void
-applyFabric(const fabric::Topology &topo, RunConfig &cfg)
-{
-    cfg.fabric = topo.tile;
-    cfg.tilesX = topo.tilesX;
-    cfg.tilesY = topo.tilesY;
-    cfg.interTileLatency = topo.interTileLatency;
-    cfg.interTileCapacity = topo.interTileCapacity;
-}
-
-/** The RunConfig every command that prepares the kernel starts
- *  from: variant, depth, unroll, time multiplexing and fabric. */
+/** The RunConfig every command that prepares a kernel starts from:
+ *  variant, depth, unroll, time multiplexing and fabric. */
 RunConfig
 runConfig(const Options &opts)
 {
@@ -299,113 +205,12 @@ runConfig(const Options &opts)
     cfg.sim.bufferDepth = opts.depth;
     cfg.unrollFactor = opts.unroll;
     cfg.allowTimeMultiplex = opts.timeMultiplex;
-    applyFabric(opts.topo, cfg);
+    cfg.fabric = opts.topo.tile; // per tile; the arrangement alongside
+    cfg.tilesX = opts.topo.tilesX;
+    cfg.tilesY = opts.topo.tilesY;
+    cfg.interTileLatency = opts.topo.interTileLatency;
+    cfg.interTileCapacity = opts.topo.interTileCapacity;
     return cfg;
-}
-
-/** `--depth=N`: a buffer depth of at least 1, else a usage error
- *  (the simulator treats depth < 1 as an internal invariant). */
-int
-parseDepthArg(const std::string &spec)
-{
-    char *end = nullptr;
-    long depth = std::strtol(spec.c_str(), &end, 10);
-    if (spec.empty() || *end != '\0' || depth < 1 ||
-        depth > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr,
-                     "--depth=%s: expected an integer >= 1\n",
-                     spec.c_str());
-        std::exit(2);
-    }
-    return static_cast<int>(depth);
-}
-
-Options
-parseArgs(int argc, char **argv)
-{
-    if (argc < 3)
-        usage();
-    Options opts;
-    opts.command = argv[1];
-    opts.file = argv[2];
-    for (int i = 3; i < argc; i++) {
-        std::string arg = argv[i];
-        auto value = [&](const char *prefix) {
-            return arg.substr(std::strlen(prefix));
-        };
-        if (arg.rfind("--variant=", 0) == 0) {
-            if (!compiler::parseArchVariant(value("--variant="),
-                                            opts.variant))
-                fatal("unknown variant '%s'",
-                      value("--variant=").c_str());
-        } else if (arg.rfind("--depth=", 0) == 0) {
-            opts.depth = parseDepthArg(value("--depth="));
-        } else if (arg.rfind("--unroll=", 0) == 0) {
-            opts.unroll = std::atoi(value("--unroll=").c_str());
-        } else if (arg.rfind("--out=", 0) == 0) {
-            opts.out = value("--out=");
-        } else if (arg.rfind("--stalls=", 0) == 0) {
-            opts.stallsOut = value("--stalls=");
-        } else if (arg.rfind("--interval=", 0) == 0) {
-            opts.interval =
-                std::atoi(value("--interval=").c_str());
-        } else if (arg.rfind("--seeds=", 0) == 0) {
-            opts.seeds = std::atoi(value("--seeds=").c_str());
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            opts.jobs = std::atoi(value("--jobs=").c_str());
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            opts.seed = static_cast<uint64_t>(
-                std::atoll(value("--seed=").c_str()));
-        } else if (arg.rfind("--iters=", 0) == 0) {
-            opts.iterations =
-                std::atoi(value("--iters=").c_str());
-        } else if (arg.rfind("--fabric=", 0) == 0) {
-            parseFabricArg(value("--fabric="), opts.topo);
-        } else if (arg.rfind("--tiles=", 0) == 0) {
-            parseTilesArg(value("--tiles="), opts.topo);
-        } else if (arg == "--tm") {
-            opts.timeMultiplex = true;
-        } else if (arg == "--no-map") {
-            opts.noMap = true;
-        } else if (arg == "--cross-check") {
-            opts.crossCheck = true;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "--dot") {
-            opts.dot = true;
-        } else if (arg == "--report") {
-            opts.report = true;
-        } else if (arg == "--trace") {
-            opts.trace = true;
-        } else if (arg == "--livein" && i + 1 < argc) {
-            std::string spec = argv[++i];
-            size_t eq = spec.find('=');
-            if (eq == std::string::npos)
-                usage();
-            opts.liveIns.emplace_back(
-                spec.substr(0, eq),
-                static_cast<sir::Word>(
-                    std::atoll(spec.c_str() + eq + 1)));
-        } else if (arg == "--init" && i + 1 < argc) {
-            std::string spec = argv[++i];
-            size_t eq = spec.find('=');
-            if (eq == std::string::npos)
-                usage();
-            std::vector<sir::Word> values;
-            std::stringstream ss(spec.substr(eq + 1));
-            std::string item;
-            while (std::getline(ss, item, ','))
-                values.push_back(static_cast<sir::Word>(
-                    std::atoll(item.c_str())));
-            opts.inits.emplace_back(spec.substr(0, eq),
-                                    std::move(values));
-        } else if (arg == "--dump" && i + 1 < argc) {
-            opts.dumps.push_back(argv[++i]);
-        } else {
-            usage();
-        }
-    }
-    return opts;
 }
 
 std::string
@@ -434,6 +239,17 @@ buildKernel(const Options &opts, const ParseResult &parsed,
     for (const auto &name : unbound)
         warn("live-in '%s' not bound; using 0", name.c_str());
     return kernel;
+}
+
+/** A benchmark record: written to @p path and echoed on stdout. */
+void
+writeRecord(const std::string &path, const std::string &json)
+{
+    std::ofstream f(path);
+    if (!f)
+        fatal("cannot write '%s'", path.c_str());
+    f << json << "\n";
+    std::printf("%s\n", json.c_str());
 }
 
 void
@@ -487,6 +303,9 @@ cmdCompile(const Options &opts, const ParseResult &parsed)
 {
     // Live-ins default to 0 for a structure-only compile.
     auto kernel = buildKernel(opts, parsed, /*warnUnbound=*/false);
+    std::string err;
+    if (!compiler::checkUnrollFactor(opts.unroll, opts.topo, err))
+        return reportError(opts, kernel.name, err);
     compiler::CompileOptions copts;
     copts.variant = opts.variant;
     copts.unrollFactor = opts.unroll;
@@ -749,25 +568,9 @@ gitDescribe()
  * BENCH_sim_sched.json. Exit is nonzero on any divergence.
  */
 int
-cmdBenchSimSuite(int argc, char **argv)
+cmdBenchSimSuite(const Options &opts, const ParseResult &)
 {
-    bool smoke = false;
-    int reps = 2;
-    std::string outFile = "BENCH_sim_sched.json";
-    for (int i = 2; i < argc; i++) {
-        std::string arg = argv[i];
-        if (arg == "--suite") {
-            continue;
-        } else if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--reps=", 0) == 0) {
-            reps = std::atoi(arg.c_str() + 7);
-        } else if (arg.rfind("--out=", 0) == 0) {
-            outFile = arg.substr(6);
-        } else {
-            usage();
-        }
-    }
+    const int reps = opts.smoke ? 1 : opts.reps;
     setQuiet(true);
 
     struct Case
@@ -781,7 +584,7 @@ cmdBenchSimSuite(int argc, char **argv)
     // kernels do. The DNN's widest layer (784×512 at 97% weight
     // sparsity) is the largest workload in the paper's evaluation.
     std::vector<Case> cases;
-    if (smoke) {
+    if (opts.smoke) {
         cases.push_back(
             {"spmv_u8", workloads::makeSpmv(64, 0.90, 2), 8});
         cases.push_back(
@@ -803,9 +606,6 @@ cmdBenchSimSuite(int argc, char **argv)
                                         "dnn_layer0"),
              8});
     }
-    if (smoke)
-        reps = 1;
-
     bool allIdentical = true;
     std::ostringstream out;
     trace::JsonWriter w(out);
@@ -856,11 +656,8 @@ cmdBenchSimSuite(int argc, char **argv)
     w.key("all_identical").value(allIdentical);
     w.endObject();
 
-    std::ofstream f(outFile);
-    if (!f)
-        fatal("cannot write '%s'", outFile.c_str());
-    f << out.str() << "\n";
-    std::printf("%s\n", out.str().c_str());
+    writeRecord(opts.out.empty() ? "BENCH_sim_sched.json" : opts.out,
+                out.str());
     return allIdentical ? 0 : 1;
 }
 
@@ -1189,6 +986,10 @@ int
 cmdMap(const Options &opts, const ParseResult &parsed)
 {
     auto kernel = buildKernel(opts, parsed);
+    fabric::Fabric fab(opts.topo);
+    std::string err;
+    if (!compiler::checkUnrollFactor(opts.unroll, opts.topo, err))
+        return reportError(opts, kernel.name, err);
     compiler::CompileOptions copts;
     copts.variant = opts.variant;
     copts.unrollFactor = opts.unroll;
@@ -1196,17 +997,17 @@ cmdMap(const Options &opts, const ParseResult &parsed)
     auto res = compiler::compileProgram(kernel.prog, kernel.liveIns,
                                         copts);
 
-    fabric::Fabric fab(opts.topo);
     compiler::ShareGroups shareGroups;
     if (opts.timeMultiplex) {
         shareGroups =
             compiler::planTimeMultiplexing(res.graph, fab.config());
     }
 
+    const int jobs = opts.jobs < 0 ? 1 : opts.jobs;
     mapper::MapperOptions mopts;
-    mopts.rngSeed = opts.seed;
+    mopts.rngSeed = static_cast<uint64_t>(opts.seed);
     mopts.portfolioSeeds = opts.seeds;
-    mopts.jobs = opts.jobs;
+    mopts.jobs = jobs;
     mopts.annealIterations = opts.iterations;
     mopts.shareGroups = shareGroups;
 
@@ -1250,7 +1051,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
             .add("variant", compiler::archVariantName(opts.variant))
             .add("operators", res.graph.size())
             .add("seeds", opts.seeds)
-            .add("jobs", opts.jobs)
+            .add("jobs", jobs)
             .add("success", mapping.success)
             .add("lint_clean", lintClean)
             .add("cost", mapping.cost)
@@ -1286,7 +1087,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
             "  placement lint: %s\n",
             kernel.name.c_str(),
             compiler::archVariantName(opts.variant),
-            res.graph.size(), opts.seeds, opts.jobs, mapping.cost,
+            res.graph.size(), opts.seeds, jobs, mapping.cost,
             static_cast<long long>(mapping.totalWireLength),
             static_cast<long long>(mapping.congestionOverflow),
             mapping.maxLinkLoad, fab.config().linkCapacity,
@@ -1325,43 +1126,23 @@ cmdMap(const Options &opts, const ParseResult &parsed)
  * byte-identical for every job count, subset and `--no-memo`.
  */
 int
-cmdFigures(int argc, char **argv)
+cmdFigures(const Options &opts, const ParseResult &)
 {
     runner::RunnerOptions ropts;
+    ropts.jobs = opts.jobs;
+    ropts.memoize = !opts.noMemo;
     figures::FigureOptions fopts;
-    std::string outDir;
-    std::vector<std::string> only;
-    bool json = false;
-    for (int i = 2; i < argc; i++) {
-        std::string arg = argv[i];
-        if (arg.rfind("--jobs=", 0) == 0) {
-            ropts.jobs = std::atoi(arg.c_str() + 7);
-        } else if (arg == "--smoke") {
-            fopts.smoke = true;
-        } else if (arg.rfind("--out-dir=", 0) == 0) {
-            outDir = arg.substr(10);
-        } else if (arg.rfind("--only=", 0) == 0) {
-            std::stringstream ss(arg.substr(7));
-            std::string id;
-            while (std::getline(ss, id, ','))
-                only.push_back(id);
-        } else if (arg == "--no-memo") {
-            ropts.memoize = false;
-        } else if (arg == "--json") {
-            json = true;
-        } else {
-            usage();
-        }
-    }
+    fopts.smoke = opts.smoke;
+    const std::vector<std::string> &only = opts.only;
     for (const auto &id : only) {
         if (!figures::findFigure(id))
             fatal("unknown figure '%s'", id.c_str());
     }
-    if (!outDir.empty()) {
+    if (!opts.outDir.empty()) {
         std::error_code ec;
-        std::filesystem::create_directories(outDir, ec);
+        std::filesystem::create_directories(opts.outDir, ec);
         if (ec)
-            fatal("cannot create '%s': %s", outDir.c_str(),
+            fatal("cannot create '%s': %s", opts.outDir.c_str(),
                   ec.message().c_str());
     }
 
@@ -1383,13 +1164,13 @@ cmdFigures(int argc, char **argv)
             continue;
         }
         std::string text = fig.render(set);
-        if (!json) {
+        if (!opts.json) {
             if (rendered > 0)
                 std::printf("\n");
             std::fputs(text.c_str(), stdout);
         }
-        if (!outDir.empty()) {
-            std::string path = outDir + "/" + fig.id + ".out";
+        if (!opts.outDir.empty()) {
+            std::string path = opts.outDir + "/" + fig.id + ".out";
             std::ofstream f(path);
             if (!f)
                 fatal("cannot write '%s'", path.c_str());
@@ -1402,7 +1183,7 @@ cmdFigures(int argc, char **argv)
                         .count();
 
     auto stats = runner.cache().stats();
-    if (json) {
+    if (opts.json) {
         sim::Report r;
         r.add("schema_version", sim::kJsonSchemaVersion)
             .add("figures", rendered)
@@ -1449,39 +1230,13 @@ cmdFigures(int argc, char **argv)
  * since per-shard cycles are arrangement-invariant.
  */
 int
-cmdBenchTiles(int argc, char **argv)
+cmdBenchTiles(const Options &opts, const ParseResult &)
 {
-    fabric::Topology base;
-    int shards = 8;
-    int size = 64;
-    double sparsity = 0.2;
-    uint64_t seed = 1;
-    std::string outFile = "BENCH_tiles.json";
-    for (int i = 2; i < argc; i++) {
-        std::string arg = argv[i];
-        if (arg.rfind("--fabric=", 0) == 0) {
-            parseFabricArg(arg.substr(9), base);
-        } else if (arg.rfind("--shards=", 0) == 0) {
-            shards = std::atoi(arg.c_str() + 9);
-        } else if (arg.rfind("--n=", 0) == 0) {
-            size = std::atoi(arg.c_str() + 4);
-        } else if (arg.rfind("--sparsity=", 0) == 0) {
-            sparsity = std::atof(arg.c_str() + 11);
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            seed = static_cast<uint64_t>(
-                std::atoll(arg.c_str() + 7));
-        } else if (arg.rfind("--out=", 0) == 0) {
-            outFile = arg.substr(6);
-        } else {
-            usage();
-        }
-    }
-    if (shards < 1)
-        fatal("bench-tiles: --shards must be >= 1");
-
     setQuiet(true);
     auto shardSet =
-        workloads::makeSpmvShards(size, sparsity, seed, shards);
+        workloads::makeSpmvShards(opts.n, opts.sparsity,
+                                  static_cast<uint64_t>(opts.seed),
+                                  opts.shards);
 
     struct Arrangement
     {
@@ -1496,18 +1251,16 @@ cmdBenchTiles(int argc, char **argv)
     w.beginObject();
     w.key("schema_version").value(sim::kJsonSchemaVersion);
     w.key("kernel").value(shardSet.front().name);
-    w.key("shards").value(shards);
-    w.key("tile_width").value(base.tile.width);
-    w.key("tile_height").value(base.tile.height);
-    w.key("inter_tile_latency").value(base.interTileLatency);
+    w.key("shards").value(opts.shards);
+    w.key("tile_width").value(opts.topo.tile.width);
+    w.key("tile_height").value(opts.topo.tile.height);
+    w.key("inter_tile_latency").value(opts.topo.interTileLatency);
     w.key("configs");
     w.beginArray();
     for (const Arrangement &a : kArrangements) {
-        fabric::Topology topo = base;
-        topo.tilesX = a.tx;
-        topo.tilesY = a.ty;
-        RunConfig cfg;
-        applyFabric(topo, cfg);
+        RunConfig cfg = runConfig(opts); // bench-tiles reads only --fabric
+        cfg.tilesX = a.tx;
+        cfg.tilesY = a.ty;
         cfg.quiet = true;
         std::string err;
         BatchRun batch = runBatch(shardSet, cfg, &err);
@@ -1529,18 +1282,15 @@ cmdBenchTiles(int argc, char **argv)
         std::fprintf(stderr,
                      "bench-tiles %dx%d: %lld shard(s), makespan "
                      "%lld cycles, %.2fx\n",
-                     a.tx, a.ty, static_cast<long long>(shards),
+                     a.tx, a.ty, static_cast<long long>(opts.shards),
                      static_cast<long long>(batch.makespanCycles),
                      batch.modeledSpeedup);
     }
     w.endArray();
     w.endObject();
 
-    std::ofstream f(outFile);
-    if (!f)
-        fatal("cannot write '%s'", outFile.c_str());
-    f << out.str() << "\n";
-    std::printf("%s\n", out.str().c_str());
+    writeRecord(opts.out.empty() ? "BENCH_tiles.json" : opts.out,
+                out.str());
     return 0;
 }
 
@@ -1554,37 +1304,13 @@ cmdBenchTiles(int argc, char **argv)
  * record to --bench-out (default BENCH_serve.json).
  */
 int
-cmdServe(int argc, char **argv)
+cmdServe(const Options &opts, const ParseResult &)
 {
-    runner::ServeOptions sopts;
-    runner::ServeBenchOptions bench;
-    bench.requests = 0;
-    std::string benchOut = "BENCH_serve.json";
-    for (int i = 2; i < argc; i++) {
-        std::string arg = argv[i];
-        if (arg.rfind("--jobs=", 0) == 0) {
-            sopts.jobs = std::atoi(arg.c_str() + 7);
-        } else if (arg.rfind("--queue=", 0) == 0) {
-            sopts.maxQueue = std::atoi(arg.c_str() + 8);
-        } else if (arg.rfind("--fabric=", 0) == 0) {
-            parseFabricArg(arg.substr(9), sopts.topology);
-        } else if (arg.rfind("--bench=", 0) == 0) {
-            bench.requests = std::atoi(arg.c_str() + 8);
-        } else if (arg.rfind("--bench-unique=", 0) == 0) {
-            bench.unique = std::atoi(arg.c_str() + 15);
-        } else if (arg.rfind("--bench-out=", 0) == 0) {
-            benchOut = arg.substr(12);
-        } else {
-            usage();
-        }
-    }
-    if (bench.requests > 0) {
-        std::string json = runner::runServeBench(sopts, bench);
-        std::ofstream f(benchOut);
-        if (!f)
-            fatal("cannot write '%s'", benchOut.c_str());
-        f << json << "\n";
-        std::printf("%s\n", json.c_str());
+    const runner::ServeOptions sopts{opts.jobs, opts.queue, opts.topo};
+    if (opts.bench > 0) {
+        writeRecord(opts.benchOut,
+                    runner::runServeBench(
+                        sopts, {opts.bench, opts.benchUnique}));
         return 0;
     }
     runner::ServeServer server(sopts);
@@ -1620,27 +1346,288 @@ cmdScalar(const Options &opts, const ParseResult &parsed)
     return 0;
 }
 
+struct Command
+{
+    /** argv[1], or argv[1] and argv[2] ("bench-sim --suite", so
+     *  listed before "bench-sim"). */
+    const char *name;
+    bool takesFile;
+    /** The flags the handler reads, by name. */
+    const char *flags;
+    const char *help;
+    int (*handler)(const Options &, const ParseResult &);
+};
+
+/** The flags of every command that prepares a kernel. */
+#define PREPARE_FLAGS "variant depth unroll tm fabric tiles livein init json "
+
+const Command kCommands[] = {
+    {"compile", true, "variant unroll fabric tiles livein init dot",
+     "compile and report threading/II/operator-count/fabric fit",
+     cmdCompile},
+    {"run", true, PREPARE_FLAGS "report trace dump",
+     "compile, map, simulate, verify against the interpreter", cmdRun},
+    {"scalar", true, "livein init dump",
+     "run the sequential interpreter only", cmdScalar},
+    {"bench-sim --suite", false, "smoke reps out",
+     "fast engine vs dense-scan oracle on paper-scale kernels, "
+     "bit-identity checked (default BENCH_sim_sched.json)",
+     cmdBenchSimSuite},
+    {"bench-sim", true, PREPARE_FLAGS,
+     "time the fast engine against the dense-scan oracle; exits "
+     "nonzero unless the runs are bit-identical",
+     cmdBenchSim},
+    {"trace", true, PREPARE_FLAGS "out stalls interval",
+     "simulate under observation; write Chrome-trace JSON and stall "
+     "attribution",
+     cmdTrace},
+    {"lint", true, PREPARE_FLAGS "no-map cross-check",
+     "run the static analyzer (deadlock/balance/placement rules); "
+     "nonzero exit on any error diagnostic",
+     cmdLint},
+    {"bound", true, PREPARE_FLAGS,
+     "the certified throughput bound against the simulated run, its "
+     "terms and fix hint; nonzero exit if the simulation beats it",
+     cmdBound},
+    {"map", true, PREPARE_FLAGS "seeds jobs seed iters",
+     "run the portfolio mapper alone; report placement quality and "
+     "wall-clock, nonzero exit on failure or dirty placement lint",
+     cmdMap},
+    {"figures", false, "jobs smoke no-memo out-dir only json",
+     "reproduce every paper figure in one process", cmdFigures},
+    {"serve", false, "jobs queue fabric bench bench-unique bench-out",
+     "resident simulation daemon: JSON requests on stdin, responses "
+     "on stdout (docs/serve.md)",
+     cmdServe},
+    {"bench-tiles", false, "shards n sparsity seed fabric out",
+     "batched SpMV shards on 1x1/1x2/2x2 tiles; writes the scaling "
+     "curve (default BENCH_tiles.json)",
+     cmdBenchTiles},
+};
+
+/** The words of a space-separated table string. */
+std::vector<std::string>
+words(const char *text)
+{
+    std::istringstream in(text);
+    std::vector<std::string> out;
+    for (std::string w; in >> w;)
+        out.push_back(w);
+    return out;
+}
+
+/** " [lo, hi]" for a number flag, else "". */
+std::string
+range(const Flag &f)
+{
+    return f.lo == f.hi ? ""
+                        : csprintf(" [%lld, %lld]",
+                                   static_cast<long long>(f.lo),
+                                   static_cast<long long>(f.hi));
+}
+
+const Flag *
+findFlag(const std::string &name)
+{
+    for (const Flag &f : kFlags) {
+        if (name == f.name)
+            return &f;
+    }
+    return nullptr;
+}
+
+/** @p tokens appended to @p out, space-separated and broken into
+ *  lines before column 76, continuation lines indented by @p indent. */
+void
+appendWrapped(std::string &out, const std::vector<std::string> &tokens,
+              size_t indent)
+{
+    size_t column = out.size() - out.rfind('\n') - 1;
+    for (const std::string &t : tokens) {
+        if (column + 1 + t.size() > 76 && column > indent) {
+            out += "\n" + std::string(indent, ' ');
+            column = indent;
+        } else if (column > 0 && out.back() != ' ') {
+            out += ' ';
+            column++;
+        }
+        out += t;
+        column += t.size();
+    }
+}
+
+[[noreturn]] void
+usage()
+{
+    std::string text = "usage: pstool <command> [<file.sir>] [options]"
+                       "\n\ncommands:\n";
+    for (const Command &c : kCommands) {
+        std::vector<std::string> synopsis;
+        if (c.takesFile)
+            synopsis.push_back("<file.sir>");
+        for (const std::string &name : words(c.flags))
+            synopsis.push_back("[--" + name + findFlag(name)->arg + "]");
+        text += std::string("  ") + c.name;
+        appendWrapped(text, synopsis, 6);
+        text += "\n      ";
+        appendWrapped(text, words(c.help), 6);
+        text += "\n";
+    }
+    text += "\noptions:\n";
+    for (const Flag &f : kFlags) {
+        text += csprintf("  %-22s%s%s\n",
+                         (std::string("--") + f.name + f.arg).c_str(),
+                         f.help, range(f).c_str());
+    }
+    std::fputs(text.c_str(), stderr);
+    std::exit(2);
+}
+
+/** A command-line error: one line on stderr, exit status 2. */
+[[noreturn]] void
+badArgs(const Command &c, const std::string &msg)
+{
+    std::fprintf(stderr, "pstool %s: %s\n", c.name, msg.c_str());
+    std::exit(2);
+}
+
+/** Comma-separated items, as std::getline splits them. */
+std::vector<std::string>
+splitList(const std::string &text)
+{
+    std::vector<std::string> items;
+    std::stringstream ss(text);
+    for (std::string item; std::getline(ss, item, ',');)
+        items.push_back(item);
+    return items;
+}
+
+/** Store @p value into the field @p f sets. A number must parse
+ *  whole and lie in [f.lo, f.hi]. */
+bool
+setFlag(const Flag &f, const std::string &value, Options &opts,
+        std::string &error)
+{
+    auto number = [&](const std::string &text, auto &out) {
+        using T = std::remove_reference_t<decltype(out)>;
+        int64_t v = 0;
+        if constexpr (std::is_floating_point_v<T>)
+            return parseReal(text, static_cast<double>(f.lo),
+                             static_cast<double>(f.hi), out);
+        if (!parseInteger(text, f.lo, f.hi, v))
+            return false;
+        out = static_cast<T>(v);
+        return true;
+    };
+    return std::visit(
+        [&](auto field) {
+            if constexpr (std::is_same_v<decltype(field), Reader>) {
+                return field(value, opts, error);
+            } else {
+                auto &dst = opts.*field;
+                using T = std::remove_reference_t<decltype(dst)>;
+                if constexpr (std::is_same_v<T, bool>) {
+                    dst = true;
+                } else if constexpr (std::is_arithmetic_v<T>) {
+                    return number(value, dst);
+                } else if constexpr (std::is_same_v<T, std::string>) {
+                    dst = value;
+                } else if constexpr (std::is_same_v<
+                                         T, std::vector<std::string>>) {
+                    for (std::string &item : splitList(value))
+                        dst.push_back(std::move(item));
+                } else { // name=value: one integer or a list of them
+                    const size_t eq = value.find('=');
+                    typename T::value_type named{value.substr(0, eq), {}};
+                    if (eq == 0 || eq == std::string::npos)
+                        return false;
+                    const std::string rest = value.substr(eq + 1);
+                    if constexpr (std::is_same_v<T,
+                                                 workloads::NamedWords>) {
+                        if (!number(rest, named.second))
+                            return false;
+                    } else {
+                        for (const std::string &item : splitList(rest)) {
+                            if (!number(item, named.second.emplace_back()))
+                                return false;
+                        }
+                    }
+                    dst.push_back(std::move(named));
+                }
+                return true;
+            }
+        },
+        f.field);
+}
+
+/** The first kCommands entry whose words match argv[1..]; @p next
+ *  is set to the argument after them. */
+const Command *
+findCommand(int argc, char **argv, int &next)
+{
+    for (const Command &c : kCommands) {
+        bool match = true;
+        next = 1;
+        for (const std::string &w : words(c.name))
+            match = match && next < argc && w == argv[next++];
+        if (match)
+            return &c;
+    }
+    return nullptr;
+}
+
+/** Read argv[@p first..] against @p c's flags; any error exits 2. */
+Options
+parseArgs(const Command &c, int first, int argc, char **argv)
+{
+    Options opts;
+    const std::vector<std::string> reads = words(c.flags);
+    for (int i = first; i < argc; i++) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0) {
+            if (!c.takesFile || !opts.file.empty())
+                badArgs(c, "unexpected argument '" + arg + "'");
+            opts.file = arg;
+            continue;
+        }
+        const size_t eq = arg.find('=');
+        const std::string name = arg.substr(2, eq - 2);
+        const Flag *f = findFlag(name);
+        if (!f || std::find(reads.begin(), reads.end(), name) == reads.end())
+            badArgs(c, "takes no --" + name);
+        // "=N" is written --name=N, " arr" as the next argument.
+        const std::string spelling = std::string("--") + name + f->arg;
+        const bool next = f->arg[0] == ' ';
+        if ((eq != std::string::npos) != (f->arg[0] == '=') ||
+            (next && i + 1 >= argc))
+            badArgs(c, "expected " + spelling);
+        const std::string value =
+            next ? argv[++i] : arg.substr(std::min(eq + 1, arg.size()));
+        std::string error;
+        if (!setFlag(*f, value, opts, error)) {
+            if (error.empty())
+                error = "expected " + spelling + range(*f);
+            badArgs(c, csprintf("--%s%c%s: %s", name.c_str(), f->arg[0],
+                                value.c_str(), error.c_str()));
+        }
+    }
+    if (c.takesFile && opts.file.empty())
+        badArgs(c, "expected a .sir file");
+    return opts;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // `figures`, `serve`, `bench-tiles`, and `bench-sim --suite`
-    // take no .sir file; dispatch before parseArgs.
-    if (argc >= 2 && std::string(argv[1]) == "figures")
-        return cmdFigures(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "serve")
-        return cmdServe(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "bench-tiles")
-        return cmdBenchTiles(argc, argv);
-    if (argc >= 3 && std::string(argv[1]) == "bench-sim" &&
-        std::string(argv[2]) == "--suite")
-        return cmdBenchSimSuite(argc, argv);
-    Options opts = parseArgs(argc, argv);
-    auto parsed = sir::parseSir(readFile(opts.file), opts.file);
-    for (const Command &c : kCommands) {
-        if (opts.command == c.name)
-            return c.handler(opts, parsed);
-    }
-    usage();
+    int next = 0;
+    const Command *c = findCommand(argc, argv, next);
+    if (!c)
+        usage();
+    Options opts = parseArgs(*c, next, argc, argv);
+    ParseResult parsed;
+    if (c->takesFile)
+        parsed = sir::parseSir(readFile(opts.file), opts.file);
+    return c->handler(opts, parsed);
 }
