@@ -146,11 +146,10 @@ BM_SimulateObserver(benchmark::State &state)
 BENCHMARK(BM_SimulateObserver)->Arg(0)->Arg(1);
 
 /**
- * The simulator's hottest data structure: one TokenFifo per
- * buffered port, pushed and popped on every fire. Arg is the
- * configured depth — 4/8/16 exercise the inline ring (the paper's
- * depths), 32 the heap fallback. The fill/drain pattern mirrors a
- * producer bursting into a consumer.
+ * The DenseScan oracle's token buffer: one TokenFifo per buffered
+ * port, pushed and popped on every fire. Arg is the configured
+ * depth (4/8/16 are the paper's depths). The fill/drain pattern
+ * mirrors a producer bursting into a consumer.
  */
 void
 BM_TokenFifo(benchmark::State &state)
@@ -173,25 +172,6 @@ BM_TokenFifo(benchmark::State &state)
         static_cast<double>(tokens), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TokenFifo)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-/**
- * Construction cost: the simulator allocates one FIFO per buffered
- * input/output port at startup (hundreds per kernel). std::deque
- * paid a ~512-byte block allocation per instance up front; the
- * inline ring pays nothing for depth <= 16.
- */
-void
-BM_TokenFifoConstruct(benchmark::State &state)
-{
-    constexpr int kPorts = 512;
-    for (auto _ : state) {
-        std::vector<sim::TokenFifo> ports(kPorts,
-                                          sim::TokenFifo(4));
-        benchmark::DoNotOptimize(ports.data());
-    }
-    state.SetItemsProcessed(state.iterations() * kPorts);
-}
-BENCHMARK(BM_TokenFifoConstruct);
 
 void
 BM_ScalarInterp(benchmark::State &state)

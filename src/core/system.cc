@@ -55,6 +55,17 @@ prepareKernel(const workloads::KernelInstance &kernel,
                                       unrollError.c_str()));
         return nullptr;
     }
+    // Checked before anything sizes a structure by the tile grid.
+    if (config.tiled()) {
+        std::string terr;
+        if (!config.topology().validate(&terr)) {
+            reportFailure(
+                error,
+                csprintf("kernel %s: invalid tiled topology: %s",
+                         kernel.name.c_str(), terr.c_str()));
+            return nullptr;
+        }
+    }
     if (config.cache) {
         if (auto hit = config.cache->lookupPrepared(kernel, config))
             return hit;
@@ -90,14 +101,6 @@ prepareKernel(const workloads::KernelInstance &kernel,
     prep->tiled = config.tiled();
     prep->topo = config.topology();
     if (prep->tiled) {
-        std::string terr;
-        if (!prep->topo.validate(&terr)) {
-            reportFailure(
-                error,
-                csprintf("kernel %s: invalid tiled topology: %s",
-                         kernel.name.c_str(), terr.c_str()));
-            return nullptr;
-        }
         if (!config.map) {
             reportFailure(
                 error,

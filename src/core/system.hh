@@ -208,7 +208,7 @@ struct RunConfig
      */
     sim::SimConfig sim;
 
-    bool tiled() const { return tilesX * tilesY > 1; }
+    bool tiled() const { return int64_t{tilesX} * tilesY > 1; }
 
     fabric::Topology
     topology() const

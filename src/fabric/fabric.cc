@@ -18,6 +18,8 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
 } // namespace
 
 bool
@@ -27,12 +29,17 @@ FabricConfig::validate(std::string *error) const
         return fail(error,
                     csprintf("fabric: grid %dx%d must be at least "
                              "1x1", width, height));
+    if (int64_t{width} * height > kIntMax)
+        return fail(error,
+                    csprintf("fabric: grid %dx%d has more than %lld "
+                             "PEs", width, height,
+                             static_cast<long long>(kIntMax)));
     if (peMix.size() != 5)
         return fail(error,
                     csprintf("fabric: peMix has %zu entries, "
                              "expected 5 (arith:mult:cf:mem:stream)",
                              peMix.size()));
-    int total = 0;
+    int64_t total = 0;
     for (int c : peMix) {
         if (c < 0)
             return fail(error, "fabric: peMix entries must be "
@@ -41,9 +48,10 @@ FabricConfig::validate(std::string *error) const
     }
     if (total != numPes())
         return fail(error,
-                    csprintf("fabric: peMix sums to %d but the "
+                    csprintf("fabric: peMix sums to %lld but the "
                              "%dx%d grid has %d positions",
-                             total, width, height, numPes()));
+                             static_cast<long long>(total), width,
+                             height, numPes()));
     if (routerCfCapacity < 0)
         return fail(error, "fabric: routerCfCapacity must be >= 0");
     if (linkCapacity < 1)
@@ -67,9 +75,9 @@ scaleMixFor(int width, int height)
     std::vector<int> rem(5, 0);
     int placed = 0;
     for (size_t i = 0; i < 5; i++) {
-        int num = def.peMix[i] * n;
-        mix[i] = num / defPes;
-        rem[i] = num % defPes;
+        int64_t num = int64_t{def.peMix[i]} * n;
+        mix[i] = static_cast<int>(num / defPes);
+        rem[i] = static_cast<int>(num % defPes);
         placed += mix[i];
     }
     // Largest-remainder apportionment; ties favor the lower class
@@ -110,7 +118,31 @@ Topology::validate(std::string *error) const
         return fail(error, "fabric: interTileLatency must be >= 1");
     if (interTileCapacity < 1)
         return fail(error, "fabric: interTileCapacity must be >= 1");
-    return tile.validate(error);
+    if (!tile.validate(error))
+        return false;
+    // Every whole-fabric size is an int (globalConfig, the tiled
+    // mapper's PE numbering): check each product in 64 bits.
+    const int64_t tiles = int64_t{tilesX} * tilesY;
+    const int64_t w = int64_t{tile.width} * tilesX;
+    const int64_t h = int64_t{tile.height} * tilesY;
+    if (tiles > kIntMax)
+        return fail(error,
+                    csprintf("fabric: tiles %dx%d make more than %lld "
+                             "tiles", tilesX, tilesY,
+                             static_cast<long long>(kIntMax)));
+    if (w > kIntMax || h > kIntMax || w * h > kIntMax)
+        return fail(error,
+                    csprintf("fabric: tiles %dx%d of a %dx%d grid "
+                             "make more than %lld PEs",
+                             tilesX, tilesY, tile.width, tile.height,
+                             static_cast<long long>(kIntMax)));
+    if (tile.memBanks * tiles > kIntMax)
+        return fail(error,
+                    csprintf("fabric: tiles %dx%d of %d memBanks make "
+                             "more than %lld banks",
+                             tilesX, tilesY, tile.memBanks,
+                             static_cast<long long>(kIntMax)));
+    return true;
 }
 
 namespace {
@@ -212,7 +244,10 @@ parseFabricSpec(const std::string &spec, Topology &out,
                                  key.c_str()));
         }
     }
-    if (!mixGiven)
+    // A grid too large for an int keeps the default mix; validate()
+    // names it.
+    if (!mixGiven &&
+        int64_t{topo.tile.width} * topo.tile.height <= kIntMax)
         topo.tile.peMix = scaleMixFor(topo.tile.width,
                                       topo.tile.height);
     if (!topo.validate(error))

@@ -67,10 +67,10 @@ struct FabricConfig
 
     int numPes() const { return width * height; }
 
-    /** Structural validation: positive dimensions/capacities and a
-     *  peMix of exactly 5 entries summing to width*height. Returns
-     *  false and fills @p error with a structured message on the
-     *  first violation. */
+    /** Structural validation: positive dimensions/capacities, a
+     *  PE count that fits an int, and a peMix of exactly 5 entries
+     *  summing to width*height. Returns false and fills @p error
+     *  with a structured message on the first violation. */
     bool validate(std::string *error = nullptr) const;
 
     bool operator==(const FabricConfig &other) const = default;
@@ -111,7 +111,9 @@ struct Topology
      *  topology this is exactly the tile config. */
     FabricConfig globalConfig() const;
 
-    /** Tile and global validation in one pass. */
+    /** Tile and global validation in one pass: the tile count,
+     *  the whole grid's sides and PE count, and its bank count must
+     *  each fit an int. */
     bool validate(std::string *error = nullptr) const;
 
     bool operator==(const Topology &other) const = default;

@@ -84,7 +84,6 @@ FastEngine::FastEngine(const Program &program)
     shareUsedAt.resize(prog.cfg.shareGroups.size());
     shareLast.resize(prog.cfg.shareGroups.size());
     lastVerdict.resize(N);
-    predB.resize(N);
     freshB.resize(N);
     wokenB.resize(N);
     firedB.resize(N);
@@ -142,7 +141,6 @@ FastEngine::resetRun()
     std::fill(shareUsedAt.begin(), shareUsedAt.end(), -1);
     std::fill(shareLast.begin(), shareLast.end(), dfg::NoNode);
     std::fill(lastVerdict.begin(), lastVerdict.end(), VIdle);
-    std::fill(predB.begin(), predB.end(), 0);
     std::fill(dormantClass.begin(), dormantClass.end(),
               static_cast<uint8_t>(DormNone));
     dormantInput = dormantSpace = 0;
@@ -292,7 +290,7 @@ FastEngine::consumeIn(NodeId id, int in)
         tokensInFlight--;
         stats.bufferReads++;
         // The producer port delivering into this fifo has space now.
-        wakeSpace(prog.portProd[pi]);
+        wake(prog.portProd[pi]);
     } else {
         // Advance this endpoint's cursor; the head retires once
         // every endpoint has read it.
@@ -319,7 +317,7 @@ FastEngine::consumeIn(NodeId id, int in)
                 refreshEdge(k);
                 wake(prog.edgeNode[static_cast<size_t>(k)]);
             }
-            wakeSpace(prog.portProd[pi]);
+            wake(prog.portProd[pi]);
         } else {
             refreshEdge(e);
         }
@@ -544,7 +542,6 @@ FastEngine::wake(NodeId id)
         return;
     }
     freshB[i] = 0; // structural change: the cached verdict is stale
-    predB[i] = 0;
     int gl = prog.gateLoop[i];
     if (gl >= 0)
         groupDirtyUntil[static_cast<size_t>(gl)] = cycle + 1;
@@ -568,10 +565,6 @@ FastEngine::wakeDeliver(NodeId id)
         wake(id); // NoC latches consume same-cycle
         return;
     }
-    // The landed token changes the next-cycle verdict even though
-    // the current one is untouched: drop any census prediction
-    // before the retained-already early exit.
-    predB[i] = 0;
     if (wokenB[i])
         return; // already retained + group marked this cycle
     wokenB[i] = 1;
@@ -590,33 +583,17 @@ FastEngine::wakeDeliver(NodeId id)
     setBit(liveBits, id);
 }
 
-void
-FastEngine::wakeSpace(NodeId id)
-{
-    const size_t i = static_cast<size_t>(id);
-    if (!prog.nocNode[i] && freshB[i]) {
-        uint8_t v = lastVerdict[i];
-        if (v == VInput || v == VIdle) {
-            wakeDeliver(id);
-            return;
-        }
-    }
-    wake(id);
-}
-
 // ---------------------------------------------------------------------
 // Verdicts and firing (the oracle's canFire/commitFire over SoA state)
 // ---------------------------------------------------------------------
 
 uint8_t
-FastEngine::scanCanFire(NodeId id, bool &memReady, Word &addr,
-                        int64_t horizon) const
+FastEngine::scanCanFire(NodeId id, bool &memReady, Word &addr) const
 {
     const size_t i = static_cast<size_t>(id);
     const int base = prog.insBase[i];
     auto need = [&](int in) {
-        return insAvailFrom[static_cast<size_t>(base + in)] <=
-               horizon;
+        return insAvailFrom[static_cast<size_t>(base + in)] <= cycle;
     };
     auto wired = [&](int in) {
         return prog.insBase[i + 1] - base > in &&
@@ -781,7 +758,7 @@ FastEngine::canFire(NodeId id) const
 {
     bool memReady = false;
     Word addr = 0;
-    uint8_t why = scanCanFire(id, memReady, addr, cycle);
+    uint8_t why = scanCanFire(id, memReady, addr);
     if (!memReady)
         return why;
     return bankClaimedAt[static_cast<size_t>(
@@ -1295,31 +1272,21 @@ FastEngine::scanRound(bool firstRound)
             const size_t i = static_cast<size_t>(id);
             if (firedB[i])
                 continue;
-            // The census may have precomputed this cycle's verdict
-            // (no event touched the node since — wakes clear it).
-            const bool predicted = predB[i];
-            predB[i] = 0;
             const int sg = prog.shareGroupOf[i];
             if (sg >= 0 && !shareAdmits(id, sg))
                 continue;
-            uint8_t why;
-            if (predicted) {
-                why = lastVerdict[i];
-            } else {
-                bool memReady = false;
-                Word addr = 0;
-                why = scanCanFire(id, memReady, addr, cycle);
-                if (memReady) {
-                    size_t bank = static_cast<uint32_t>(addr) %
-                                  static_cast<uint32_t>(
-                                      prog.cfg.memBanks);
-                    if (bankClaimedAt[bank] == cycle)
-                        why = VBank;
-                    else
-                        bankClaimedAt[bank] = cycle;
-                }
-                lastVerdict[i] = why;
+            bool memReady = false;
+            Word addr = 0;
+            uint8_t why = scanCanFire(id, memReady, addr);
+            if (memReady) {
+                size_t bank = static_cast<uint32_t>(addr) %
+                              static_cast<uint32_t>(prog.cfg.memBanks);
+                if (bankClaimedAt[bank] == cycle)
+                    why = VBank;
+                else
+                    bankClaimedAt[bank] = cycle;
             }
+            lastVerdict[i] = why;
             freshB[i] = 1;
             if (why != VNo)
                 continue;
@@ -1427,40 +1394,13 @@ FastEngine::census()
                         }
                         retain = false;
                     } else {
-                        // Woken but still input-blocked. Every avail
-                        // stamp is at most cycle+1, so re-evaluating
-                        // one cycle ahead yields exactly the verdict
-                        // next cycle's scan would produce absent
-                        // further wakes. Still Input means the node
-                        // cannot act next cycle: dorm it now (the
-                        // oracle bills the same stall either way).
-                        bool memNext = false;
-                        Word addrNext = 0;
-                        uint8_t next = scanCanFire(id, memNext,
-                                                   addrNext, cycle + 1);
-                        if (!memNext && next == VInput) {
-                            // Clear the woken flag so a late wake
-                            // (the final NoC settle runs after the
-                            // census) takes the full path and
-                            // revives the node.
-                            wokenB[i] = 0;
-                            if (insTokens[i] > 0) {
-                                dormantClass[i] = DormInput;
-                                dormantInput++;
-                            }
-                            retain = false;
-                        } else {
-                            if (insTokens[i] > 0)
-                                noInput++;
-                            retain = true;
-                            if (!memNext) {
-                                // Hand the next-cycle verdict to
-                                // round 1 (memory candidates still
-                                // need live arbitration).
-                                lastVerdict[i] = next;
-                                predB[i] = 1;
-                            }
-                        }
+                        // Woken but still input-blocked: a landed
+                        // token may still be aging past the born
+                        // stamp. Keep it for next cycle's scan,
+                        // which dorms it if it is still blocked.
+                        if (insTokens[i] > 0)
+                            noInput++;
+                        retain = true;
                     }
                 } else if (why == VSpace) {
                     // A Space verdict cannot self-enable: inputs

@@ -100,21 +100,13 @@ class FastEngine
      * and takes the full wake.
      */
     void wakeDeliver(dfg::NodeId id);
-    /**
-     * Space wake for a producer whose consumer freed a slot. A
-     * producer whose fresh verdict is Input or Idle cannot be
-     * enabled by space (Input ranks before Space), so it takes the
-     * delivery wake.
-     */
-    void wakeSpace(dfg::NodeId id);
 
     // --- verdicts and firing ----------------------------------------
-    /** Verdict with input availability tested at @p horizon (cycle,
-     *  or cycle+1 for the census' prediction). Memory nodes that
+    /** Current verdict short of the bank check. Memory nodes that
      *  pass every other check set @p memReady and @p addr; the
      *  caller arbitrates the bank. */
-    uint8_t scanCanFire(dfg::NodeId id, bool &memReady, Word &addr,
-                        int64_t horizon) const;
+    uint8_t scanCanFire(dfg::NodeId id, bool &memReady,
+                        Word &addr) const;
     /** Full current verdict including the bank check. */
     uint8_t canFire(dfg::NodeId id) const;
     /** Share-group arbitration for candidate @p id (billing
@@ -129,6 +121,9 @@ class FastEngine
     void decideDispatchGroups(bool firstRound);
     void scanRound(bool firstRound);
     void runFixpoint();
+    /** Bill this cycle's stalls and prune the live set: a stalled
+     *  node no wake touched dorms, a woken one stays for the next
+     *  cycle's scan. */
     void census();
     void observedCensus();
     void nocSettle(bool pruneLive);
@@ -181,9 +176,8 @@ class FastEngine
 
     // Verdict cache. lastVerdict is the node's most recent verdict;
     // freshB says it was computed this cycle with no structural wake
-    // since. predB says the census predicted it for the next cycle
-    // (any wake drops the prediction).
-    std::vector<uint8_t> lastVerdict, predB;
+    // since.
+    std::vector<uint8_t> lastVerdict;
     // Per-cycle flags, memset-cleared at cycle start.
     std::vector<uint8_t> freshB, wokenB, firedB, nocFiredB;
     std::vector<uint8_t> dormantClass;

@@ -48,13 +48,9 @@ struct Token
  * imbalanced split-join penalty of source buffering (Fig. 12a) —
  * while small phase offsets between endpoints are absorbed.
  *
- * Storage is a fixed-capacity ring buffer sized once from the
- * configured depth, inline for the paper's depths (4–16) with a
- * one-time heap fallback beyond that. This is the simulator's
- * hottest data structure — one instance per buffered port, pushed
- * and popped every fire — and the previous std::deque paid a block
- * allocation per FIFO up front plus allocator traffic whenever a
- * push crossed a block boundary (see BM_TokenFifo).
+ * Storage is one ring buffer sized by setDepth(). Only the DenseScan
+ * oracle (sim/execution.cc) buffers tokens here; the fast engine
+ * keeps its own structure-of-arrays slabs (sim/engine.hh).
  */
 class TokenFifo
 {
@@ -67,25 +63,9 @@ class TokenFifo
     {
         ps_assert(count == 0, "resizing a non-empty token fifo");
         depth = d;
-        if (depth > kInlineCap) {
-            overflow.assign(static_cast<size_t>(depth), Token{});
-        } else {
-            // Shrinking back across the boundary must release the
-            // heap buffer: at() dispatches on overflow.empty(), so a
-            // stale vector would silently keep every access on the
-            // heap path (and pin the old allocation) forever.
-            overflow.clear();
-            overflow.shrink_to_fit();
-        }
+        ring.assign(static_cast<size_t>(std::max(depth, 1)), Token{});
         head_ = 0;
     }
-
-    /** True while tokens live in the inline ring (depth <=
-     *  kInlineDepth); tests pin the boundary with this. */
-    bool usesInlineStorage() const { return overflow.empty(); }
-
-    /** Largest depth served by the inline ring. */
-    static constexpr int kInlineDepth = 16;
 
     /** Configure multicast endpoints (source-buffer mode). */
     void
@@ -184,19 +164,13 @@ class TokenFifo
     /** @} */
 
   private:
-    /** Depths the paper evaluates (4/8/16) stay allocation-free. */
-    static constexpr int kInlineCap = kInlineDepth;
-
     const Token &
     at(int i) const
     {
-        int idx = head_ + i;
-        int cap = std::max(depth, 1);
-        if (idx >= cap)
-            idx -= cap;
-        const Token *buf = overflow.empty() ? inlineBuf
-                                            : overflow.data();
-        return buf[idx];
+        size_t idx = static_cast<size_t>(head_ + i);
+        if (idx >= ring.size())
+            idx -= ring.size();
+        return ring[idx];
     }
 
     Token &
@@ -210,12 +184,11 @@ class TokenFifo
     {
         head_++;
         count--;
-        if (head_ >= std::max(depth, 1))
+        if (static_cast<size_t>(head_) >= ring.size())
             head_ = 0;
     }
 
-    Token inlineBuf[kInlineCap];
-    std::vector<Token> overflow; ///< storage when depth > inline cap
+    std::vector<Token> ring; ///< max(depth, 1) slots
     int depth = 0;
     int head_ = 0;  ///< ring index of the oldest entry
     int count = 0;  ///< live entries

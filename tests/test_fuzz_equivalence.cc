@@ -288,7 +288,8 @@ TEST_P(Fuzz, SpatialUnrollMatchesGolden)
 {
     // The Sec. 6 unrolling transform must preserve semantics on the
     // same random programs (foreach bodies in the generator are
-    // independent by construction).
+    // independent by construction), and both engines must agree on
+    // the unrolled graphs' nested dispatch.
     setQuiet(true);
     uint64_t seed = static_cast<uint64_t>(GetParam());
     ProgramGen gen(seed * 131 + 7);
@@ -309,8 +310,8 @@ TEST_P(Fuzz, SpatialUnrollMatchesGolden)
         auto cfg = res.simConfig;
         cfg.maxCycles = 3'000'000;
         scalar::MemImage mem = init;
-        auto sim = simulateTwice(res.graph, cfg, mem, seed,
-                                 "unroll " + std::to_string(unroll));
+        auto sim = simulateBoth(res.graph, cfg, mem, seed,
+                                "unroll " + std::to_string(unroll));
         ASSERT_FALSE(sim.deadlocked)
             << "seed " << seed << " unroll " << unroll << "\n"
             << sim.diagnostic;

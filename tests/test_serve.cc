@@ -428,6 +428,29 @@ TEST(Serve, UnrollOutsideThePowersOfTwoThatFitIsAnError)
     }
 }
 
+TEST(Serve, TileGridsThatOverflowIntAreErrors)
+{
+    // 2147483647^2 tiles once wrapped to one tile and answered ok;
+    // 8192^2 tiles fit an int but their PEs do not. A good request
+    // follows each on the same server.
+    ServeServer server(withJobs(2));
+    for (const char *tiles :
+         {"2147483647x2147483647", "65536x65536", "8192x8192"}) {
+        std::string req = scaleRequest("t", 3);
+        req.insert(req.size() - 1,
+                   std::string(",\"tiles\":\"") + tiles + "\"");
+        JsonValue v =
+            parseResponse(ServeServer::render(server.submit(req)));
+        EXPECT_EQ(field(v, "status"), "error") << tiles;
+        EXPECT_NE(field(v, "error").find("tiles"), std::string::npos)
+            << field(v, "error");
+
+        v = parseResponse(
+            ServeServer::render(server.submit(scaleRequest("ok", 3))));
+        EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
+    }
+}
+
 TEST(Serve, ResponseMemoEvictsOldestFirst)
 {
     ServeServer server(withJobs(2));

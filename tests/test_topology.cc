@@ -66,6 +66,43 @@ TEST(TopologyValidate, RejectsBadTileConfig)
     EXPECT_NE(err.find("peMix"), std::string::npos) << err;
 }
 
+TEST(TopologyValidate, RejectsSizesThatOverflowInt)
+{
+    // Each product once wrapped in int: 65536^2 to 0 PEs, a
+    // 2147483647^2 tile grid to 1 tile.
+    auto rejects = [](const Topology &topo, const char *field) {
+        std::string err;
+        EXPECT_FALSE(topo.validate(&err)) << field;
+        EXPECT_NE(err.find(field), std::string::npos) << err;
+    };
+    Topology topo;
+    topo.tile.width = topo.tile.height = 65536;
+    rejects(topo, "grid");
+    topo = Topology{};
+    topo.tilesX = topo.tilesY = 2147483647;
+    rejects(topo, "tiles");
+    topo.tilesX = topo.tilesY = 65536;
+    rejects(topo, "tiles");
+    // 67M tiles fit an int; their 4.3G PEs do not.
+    topo.tilesX = topo.tilesY = 8192;
+    rejects(topo, "PEs");
+    // 1x1 tiles: 2.1G PEs fit an int, 16 banks each do not.
+    topo = Topology{};
+    topo.tile.width = topo.tile.height = 1;
+    topo.tile.peMix = fabric::scaleMixFor(1, 1);
+    topo.tilesX = topo.tilesY = 46340;
+    rejects(topo, "memBanks");
+    topo.tilesX = topo.tilesY = 2;
+    std::string err;
+    EXPECT_TRUE(topo.validate(&err)) << err;
+
+    EXPECT_FALSE(fabric::parseFabricSpec("65536x65536", topo, &err));
+    EXPECT_NE(err.find("grid 65536x65536"), std::string::npos) << err;
+    EXPECT_FALSE(fabric::parseFabricSpec("8x8,tiles=65536x65536", topo,
+                                         &err));
+    EXPECT_NE(err.find("tiles"), std::string::npos) << err;
+}
+
 TEST(TopologyGlobalConfig, ScalesWithTileCount)
 {
     Topology topo;

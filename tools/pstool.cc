@@ -589,6 +589,18 @@ cmdBenchSimSuite(const Options &opts, const ParseResult &)
             {"spmv_u8", workloads::makeSpmv(64, 0.90, 2), 8});
         cases.push_back(
             {"dither_u8", workloads::makeDither(16, 16, 3), 8});
+        // The nested-dispatch graphs, where dormancy and the
+        // SyncPlane decision do most of their work.
+        cases.push_back(
+            {"spmspmd_u8", workloads::makeSpMSpMd(16, 0.8, 4), 8});
+        workloads::DnnConfig dc;
+        dc.dims = {128, 64, 32, 16, 10};
+        auto dnn = workloads::buildDnn(dc);
+        cases.push_back(
+            {"dnn_layer0_u8",
+             workloads::makeSpMSpVdFrom(dnn.weights[0], dnn.input,
+                                        "dnn_layer0"),
+             8});
     } else {
         cases.push_back(
             {"spmv_u8", workloads::makeSpmv(512, 0.90, 2), 8});
