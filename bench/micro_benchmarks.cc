@@ -14,6 +14,7 @@
 #include "compiler/compile.hh"
 #include "core/system.hh"
 #include "mapper/mapper.hh"
+#include "sim/dense_scan.hh"
 #include "sim/simulator.hh"
 #include "sim/token.hh"
 #include "trace/observer.hh"
@@ -93,15 +94,19 @@ BM_SimulateScheduler(benchmark::State &state)
     compiler::CompileOptions opts;
     opts.variant = ArchVariant::Pipestitch;
     auto res = compiler::compileProgram(k.prog, k.liveIns, opts);
-    auto cfg = res.simConfig;
-    cfg.scheduler = state.range(0) == 0
-                        ? sim::SimConfig::Scheduler::DenseScan
-                        : sim::SimConfig::Scheduler::ReadyList;
+    // Arg(0) runs the DenseScan reference, Arg(1) the fast engine;
+    // each iteration builds its Program, as sim::simulate does.
+    const bool dense = state.range(0) == 0;
+    std::shared_ptr<const dfg::Graph> hold(
+        std::shared_ptr<const dfg::Graph>(), &res.graph);
     int64_t cycles = 0;
     for (auto _ : state) {
         auto mem = k.memory;
         mem.resize(static_cast<size_t>(k.prog.memWords));
-        auto r = sim::simulate(res.graph, mem, cfg);
+        auto program =
+            std::make_shared<const sim::Program>(hold, res.simConfig);
+        auto r = dense ? sim::DenseScan(program).run(mem)
+                       : sim::ExecutionState(program).run(mem);
         cycles += r.stats.cycles;
         benchmark::DoNotOptimize(r.stats.cycles);
     }
@@ -114,7 +119,7 @@ BENCHMARK(BM_SimulateScheduler)->Arg(0)->Arg(1);
  * Observer overhead: Arg(0) simulates with no observer (the default
  * fast path — a null-pointer test per hook site), Arg(1) attaches a
  * do-nothing observer (which also forces the reference stall census
- * so event streams stay scheduler-independent). Arg(0) must stay
+ * so event streams match the DenseScan reference's). Arg(0) must stay
  * within noise of BM_SimulateScheduler/1; the Arg(1) cost is the
  * price of tracing, not of the hooks.
  */
@@ -129,7 +134,6 @@ BM_SimulateObserver(benchmark::State &state)
     opts.variant = ArchVariant::Pipestitch;
     auto res = compiler::compileProgram(k.prog, k.liveIns, opts);
     auto cfg = res.simConfig;
-    cfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
     NullObserver nullObs;
     cfg.observer = state.range(0) == 0 ? nullptr : &nullObs;
     int64_t cycles = 0;

@@ -148,8 +148,6 @@ prepareKernel(const workloads::KernelInstance &kernel,
         mapper::MapperOptions mopts;
         mopts.rngSeed = config.mapperSeed;
         mopts.portfolioSeeds = config.mapperSeeds;
-        mopts.jobs = config.mapperJobs;
-        mopts.boundPruneCycles = config.boundPruneCycles;
         mopts.shareGroups = shareGroups;
         if (prep->tiled) {
             // Tiled placements bypass the mapping memo, whose key

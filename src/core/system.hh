@@ -15,7 +15,7 @@
  *   // run.sim.stats.cycles, run.energy.totalPj(), run.memory...
  * @endcode
  *
- * Simulator knobs (buffer depth, scheduler, thread-order checking,
+ * Simulator knobs (buffer depth, thread-order checking,
  * watchdog, observability hooks) live in the embedded
  * `RunConfig::sim` — a `sim::SimConfig`, the single source of
  * truth; there are no duplicated fields at the RunConfig level. To
@@ -171,17 +171,14 @@ struct RunConfig
      *  part of cache keys). */
     int mapperSeeds = 4;
 
-    /** Worker threads for the tiled mapper's per-tile placements
-     *  (MapperOptions::jobs; single-grid mapping ignores it). The
-     *  placement is bit-identical for any value, so this never
-     *  enters cache keys. */
+    /** Read by nothing in src/: prepareKernel maps with
+     *  MapperOptions::jobs' default. Kept so the frozen perfbench
+     *  replay, which copies it into MapperOptions, compiles. */
     int mapperJobs = 1;
 
-    /** Certified throughput floor handed to the mapper (see
-     *  MapperOptions::boundPruneCycles); result-bearing, part of
-     *  cache keys. No caller in src/ sets it; it stays, with its
-     *  cache-key fields, only because the frozen perfbench replay
-     *  copies it into MapperOptions. 0 (off) by default. */
+    /** Read by nothing in src/ (see MapperOptions::boundPruneCycles).
+     *  Kept so the frozen perfbench replay, which copies it into
+     *  MapperOptions, compiles. */
     int64_t boundPruneCycles = 0;
 
     /**
@@ -200,7 +197,7 @@ struct RunConfig
 
     /**
      * Simulator configuration — the single source of truth for
-     * `bufferDepth`, `checkThreadOrder`, `scheduler`, `maxCycles`,
+     * `bufferDepth`, `checkThreadOrder`, `maxCycles`,
      * `trace`, and `observer`. runOnFabric overwrites the derived
      * fields: `buffering`/`memBypass` follow the compiled variant,
      * `memBanks` follows `fabric.memBanks`, and `shareGroups` comes

@@ -42,8 +42,7 @@ FigureSet::runConfig(ArchVariant variant, int bufferDepth) const
     cfg.sim.bufferDepth = bufferDepth;
     if (owner.options().memoize)
         cfg.cache = &const_cast<runner::Runner &>(owner).cache();
-    if (owner.options().quietRuns)
-        cfg.quiet = true;
+    cfg.quiet = true;
     return cfg;
 }
 

@@ -28,6 +28,9 @@ namespace {
  *  hopeless members are abandoned. */
 constexpr int kChunkIters = 512;
 
+/** Anneal start temperature (a targeted repair restarts at half). */
+constexpr double kStartTemperature = 4.0;
+
 /**
  * Division-free uniform pick in [0, bound): one wide multiply on a
  * 64-bit draw. The bias is O(bound/2^64) — irrelevant for move
@@ -106,12 +109,7 @@ class MapperRun
           numLinks(routecost::linkCount(fab.config())),
           linkCap(fab.config().linkCapacity),
           cfCap(fab.config().routerCfCapacity),
-          // A certified throughput floor collapses the portfolio:
-          // when the bound says placement cannot buy cycles, one
-          // seed's descent is enough to find a legal mapping.
-          seeds(opts.boundPruneCycles > 0
-                    ? 1
-                    : std::max(1, opts.portfolioSeeds)),
+          seeds(std::max(1, opts.portfolioSeeds)),
           // Per-member schedule (the full budget when there is no
           // portfolio), long enough that the holder cools slowly
           // toward a single long anneal's quality; members the
@@ -414,7 +412,7 @@ MapperRun::initCandidate(Candidate &c) const
     c.scratch.ensure(numLinks);
     c.treeStamp.assign(trees.size(), 0);
     c.treeEpoch = 0;
-    c.temp = opts.startTemperature;
+    c.temp = kStartTemperature;
     c.cooling =
         (perSeedIters > 0 && c.temp > 0.01)
             ? std::pow(0.01 / c.temp, 1.0 / perSeedIters)
@@ -685,7 +683,7 @@ MapperRun::fullCost(const Candidate &c) const
             ? c.overflow
             : recomputeOverflow(c, c.snapLoad, c.snapScratch);
     return static_cast<double>(c.wl) +
-           opts.congestionWeight * static_cast<double>(overflow);
+           kCongestionWeight * static_cast<double>(overflow);
 }
 
 void
@@ -783,7 +781,7 @@ MapperRun::priceMove(Candidate &c, NodeId a, NodeId b, int fromPos,
         }
     }
     return static_cast<double>(wlDelta) +
-           opts.congestionWeight * static_cast<double>(dOf);
+           kCongestionWeight * static_cast<double>(dOf);
 }
 
 void
@@ -945,10 +943,8 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
                 c.abandoned = true;
                 continue;
             }
-            if (r == phase2Round && !c.congestionOn &&
-                opts.congestionWeight > 0) {
+            if (r == phase2Round && !c.congestionOn)
                 enableCongestion(c, /*force=*/false);
-            }
             runChunk(c,
                      std::min(kChunkIters, perSeedIters - c.itersDone));
             // Snapshot every live member at every barrier, so the
@@ -958,8 +954,7 @@ MapperRun::portfolio(std::vector<int> &winnerPos, int &winnerSeed,
             // route trace is paid only when wl alone beats this
             // member's best, with identical outcomes either way.
             double cost = static_cast<double>(c.wl);
-            if (c.congestionOn ||
-                (cost < c.bestCost && opts.congestionWeight > 0))
+            if (c.congestionOn || cost < c.bestCost)
                 cost = fullCost(c);
             if (cost < c.bestCost) {
                 c.bestCost = cost;
@@ -1175,8 +1170,7 @@ MapperRun::polish(std::vector<int> &pos) const
         double kickCost = c.congestionOn
                               ? fullCost(c)
                               : static_cast<double>(c.wl);
-        if (!c.congestionOn && kickCost < best &&
-            opts.congestionWeight > 0)
+        if (!c.congestionOn && kickCost < best)
             kickCost = fullCost(c);
         if (kickCost < best) {
             best = kickCost;
@@ -1301,7 +1295,7 @@ MapperRun::repairCongestion(std::vector<int> &pos,
                     (0xc0dec0dec0de0000ull +
                      static_cast<uint64_t>(attempt)));
         perturbCulprits(c, implicated);
-        c.temp = opts.startTemperature / 2;
+        c.temp = kStartTemperature / 2;
         c.cooling = std::pow(0.01 / c.temp, 1.0 / repairIters);
         c.itersDone = 0;
         for (int done = 0; done < repairIters;
@@ -1406,7 +1400,7 @@ MapperRun::finishMapping(Mapping &m,
         m.congestionOverflow += std::max(0, l - linkCap);
     }
     m.cost = static_cast<double>(totalHops) +
-             opts.congestionWeight *
+             kCongestionWeight *
                  static_cast<double>(m.congestionOverflow);
 }
 

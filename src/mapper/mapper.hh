@@ -32,6 +32,9 @@
 
 namespace pipestitch::mapper {
 
+/** Weight of the link-overload term in the anneal objective. */
+constexpr double kCongestionWeight = 8.0;
+
 struct MapperOptions
 {
     /** Base RNG seed; every stochastic choice derives from it. */
@@ -39,8 +42,6 @@ struct MapperOptions
 
     /** Total anneal budget, split evenly across the portfolio. */
     int annealIterations = 20000;
-
-    double startTemperature = 4.0;
 
     /** Number of independently-seeded anneal restarts. */
     int portfolioSeeds = 4;
@@ -50,9 +51,6 @@ struct MapperOptions
      *  not affect the result, only wall-clock; never part of cache
      *  keys. */
     int jobs = 1;
-
-    /** Weight of the link-overload term in the anneal objective. */
-    double congestionWeight = 8.0;
 
     /** Fraction of each anneal's schedule (the cooling tail) that
      *  includes the congestion term; the hotter head optimizes pure
@@ -71,15 +69,8 @@ struct MapperOptions
      *  member is the placement representative). */
     std::vector<std::vector<dfg::NodeId>> shareGroups;
 
-    /**
-     * Certified throughput floor in cycles (analysis::computeBound),
-     * or 0 when unknown. When set, the mapper knows the graph cannot
-     * retire faster than this floor no matter where nodes land, so
-     * the portfolio trims to a single seed. No caller in src/ sets
-     * it; it stays only because the frozen perfbench replay copies
-     * RunConfig::boundPruneCycles here. Default off — standalone
-     * mapping quality and the CI mapper cost baseline are unchanged.
-     */
+    /** Read by nothing in src/. Kept so the frozen perfbench replay,
+     *  which copies RunConfig::boundPruneCycles here, compiles. */
     int64_t boundPruneCycles = 0;
 };
 
@@ -106,7 +97,7 @@ struct Mapping
     int maxLinkLoad = 0;
 
     /** Anneal objective of the emitted placement:
-     *  wirelength + congestionWeight * total link overload. */
+     *  wirelength + kCongestionWeight * total link overload. */
     double cost = 0;
 
     /** Total routed wires above link capacity (0 on success). */

@@ -490,7 +490,7 @@ mapGraphTiled(const Graph &graph, const Topology &topo,
                 boundaryMax = std::max(boundaryMax, load[l]);
         }
         m.cost = static_cast<double>(totalHops) +
-                 options.congestionWeight *
+                 kCongestionWeight *
                      static_cast<double>(m.congestionOverflow);
         if (m.congestionOverflow > 0) {
             lastError = csprintf(

@@ -76,15 +76,13 @@ MemoCache::mappingKey(const dfg::Graph &graph,
     // Everything that shapes the result. `jobs` and
     // `verifyIncremental` are deliberately absent: the portfolio
     // winner is bit-identical for any thread count, and the
-    // verification mode only adds assertions.
+    // verification mode only adds assertions. `boundPruneCycles` is
+    // read by nothing.
     h.u64(opts.rngSeed)
         .i32(opts.annealIterations)
-        .f64(opts.startTemperature)
         .i32(opts.portfolioSeeds)
-        .f64(opts.congestionWeight)
         .f64(opts.congestionPhase)
         .i32(opts.maxTargetedRestarts);
-    h.u64(static_cast<uint64_t>(opts.boundPruneCycles));
     h.u64(opts.shareGroups.size());
     for (const auto &group : opts.shareGroups)
         h.vec(group);
@@ -111,19 +109,14 @@ MemoCache::runKey(uint64_t kernelKey, const RunConfig &cfg)
         .b(cfg.map)
         .b(cfg.verifyAgainstGolden)
         .u64(cfg.mapperSeed)
-        .i32(cfg.mapperSeeds)
-        .i64(cfg.boundPruneCycles);
+        .i32(cfg.mapperSeeds);
     hashFabric(h, cfg.fabric);
     hashTiling(h, cfg);
     // SimConfig: only the user-settable fields. The derived ones
     // (buffering, memBypass, memBanks, shareGroups) are functions of
     // the inputs above, and quiet/trace/observer do not affect the
-    // result. The scheduler stays in the key: the engines are
-    // bit-identical, but a caller asking for the DenseScan oracle
-    // must get an oracle run.
-    h.i32(static_cast<int32_t>(cfg.sim.scheduler))
-        .i32(cfg.sim.bufferDepth)
-        .i32(cfg.sim.memLatency)
+    // result.
+    h.i32(cfg.sim.bufferDepth)
         .i64(cfg.sim.maxCycles)
         .b(cfg.sim.checkThreadOrder)
         .b(cfg.sim.greedyDispatch);
@@ -148,14 +141,11 @@ MemoCache::preparedKey(const workloads::KernelInstance &k,
         .b(cfg.map)
         .b(cfg.analyze)
         .u64(cfg.mapperSeed)
-        .i32(cfg.mapperSeeds)
-        .i64(cfg.boundPruneCycles);
+        .i32(cfg.mapperSeeds);
     hashFabric(h, cfg.fabric);
     hashTiling(h, cfg);
     // Same SimConfig subset as runKey.
-    h.i32(static_cast<int32_t>(cfg.sim.scheduler))
-        .i32(cfg.sim.bufferDepth)
-        .i32(cfg.sim.memLatency)
+    h.i32(cfg.sim.bufferDepth)
         .i64(cfg.sim.maxCycles)
         .b(cfg.sim.checkThreadOrder)
         .b(cfg.sim.greedyDispatch);

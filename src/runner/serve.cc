@@ -9,6 +9,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "base/hash.hh"
 #include "base/logging.hh"
@@ -56,6 +57,13 @@ statusPayload(const char *status, const std::string &error)
     return r.toJson();
 }
 
+/** Every field a request may carry; parseRequest reads each. */
+constexpr std::string_view kRequestFields[] = {
+    "id",         "sir",   "variant", "depth",   "unroll",
+    "tm",         "map",   "verify",  "max_cycles",
+    "trace_file", "tiles", "batch",   "liveins", "init",
+};
+
 /** Read @p v into @p out if it is an integer that fits T, else name
  *  @p field in @p error: a cast would run on a value never sent. */
 template <typename T>
@@ -101,6 +109,15 @@ parseRequest(const std::string &line, const RunConfig &base,
     }
     if (const auto *id = v.find("id"))
         out.id = id->asString();
+    // A field serve does not read would run on the default in its
+    // place (a typo such as "unrol"), so it is an error.
+    for (const auto &[name, value] : v.members) {
+        if (std::ranges::find(kRequestFields, name) ==
+            std::end(kRequestFields)) {
+            error = "unknown field \"" + name + "\"";
+            return false;
+        }
+    }
 
     const auto *sirText = v.find("sir");
     if (!sirText ||
@@ -148,18 +165,6 @@ parseRequest(const std::string &line, const RunConfig &base,
     }
     if (const auto *tf = v.find("trace_file"))
         out.traceFile = tf->asString();
-    if (const auto *s = v.find("scheduler")) {
-        const std::string name = s->asString();
-        if (name == "dense") {
-            cfg.sim.scheduler = sim::SimConfig::Scheduler::DenseScan;
-        } else if (name == "ready") {
-            cfg.sim.scheduler = sim::SimConfig::Scheduler::ReadyList;
-        } else {
-            error = "unknown scheduler '" + name +
-                    "' (expected dense or ready)";
-            return false;
-        }
-    }
     if (const auto *t = v.find("tiles")) {
         // "TXxTY" overriding the server-default tile arrangement.
         if (!fabric::parseDims(t->asString(), "\"tiles\"", cfg.tilesX,

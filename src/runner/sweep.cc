@@ -15,8 +15,9 @@ Runner::enqueue(KernelPtr kernel, const RunConfig &config)
     RunConfig cfg = config;
     if (opts.memoize)
         cfg.cache = &memo;
-    if (opts.quietRuns)
-        cfg.quiet = true;
+    // Pooled runs are always quiet, so parallel output stays
+    // readable; direct runOnFabric calls are unaffected.
+    cfg.quiet = true;
 
     // Observed or traced runs exist for their side effects — never
     // collapse them onto another job's execution or simulation.

@@ -75,10 +75,6 @@ struct RunnerOptions
     /** Master switch for stage memoization, run dedup and
      *  simulation sharing. */
     bool memoize = true;
-
-    /** Silence warn()/inform() inside pooled runs (keeps parallel
-     *  output readable; direct runOnFabric calls are unaffected). */
-    bool quietRuns = true;
 };
 
 class Runner

@@ -9,9 +9,9 @@
  * from a sim::Program and never change between runs. Evaluating a
  * term against a run's SimStats plugs in the run's fire counts and
  * yields a certified cycle lower bound: `simulated cycles` can never
- * be smaller than `certifiedCycles` for the same run, for any
- * scheduler (the fast engine is bit-identical to the DenseScan
- * oracle, so one evaluation covers both).
+ * be smaller than `certifiedCycles` for the same run (the fast
+ * engine is bit-identical to the DenseScan reference, so one
+ * evaluation covers both).
  *
  * Soundness is per-term (each term states a resource or dependence
  * limit the timing model provably respects); the report's certified

@@ -23,7 +23,7 @@ constexpr uint8_t GcCont = 1;
 constexpr uint8_t GcSpawn = 2;
 
 // Gate FSM numbering (diagnose() prints the raw value, as the
-// oracle prints ExecutionState::NodeRt::Fsm).
+// oracle prints DenseScan::NodeRt::Fsm).
 constexpr uint8_t FsmInit = 0;
 constexpr uint8_t FsmRun = 1;
 constexpr uint8_t FsmWaitVal = 2;
@@ -987,7 +987,7 @@ FastEngine::commitFire(NodeId id)
             pendVal[slot] =
                 inBounds ? (*mem)[static_cast<size_t>(addr)] : 0;
             pendTag[slot] = tag;
-            pendReady[slot] = cycle + prog.cfg.memLatency;
+            pendReady[slot] = cycle + prog.loadLatency;
             pendCnt++;
         }
         int p = prog.portBase[i] + pidx::LoadDataOut;

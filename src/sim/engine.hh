@@ -1,10 +1,10 @@
 /**
  * @file
- * sim::FastEngine — the Scheduler::ReadyList backend.
+ * sim::FastEngine — the simulator every sim::ExecutionState runs.
  *
  * A single-threaded, structure-of-arrays implementation of the
- * cycle loop, bit-identical to the DenseScan oracle in
- * sim/execution.cc (tests/test_golden_stats.cc and
+ * cycle loop, bit-identical to the DenseScan reference in
+ * sim/dense_scan.cc (tests/test_golden_stats.cc and
  * tests/test_fuzz_equivalence.cc pin the contract). It models every
  * configuration the oracle does: destination and source buffering,
  * share groups, inter-tile channels, greedy dispatch, and observed

@@ -69,11 +69,6 @@ class MemSystem
 
     bool idle() const { return pending.empty(); }
 
-    int64_t pendingCount() const
-    {
-        return static_cast<int64_t>(pending.size());
-    }
-
   private:
     MemImage &mem;
     int numBanks;

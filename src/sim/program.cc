@@ -34,10 +34,8 @@ machineDigest(const Graph &g, const SimConfig &cfg)
     Hasher h;
     h.u64(dfg::graphFingerprint(g))
         .i32(static_cast<int32_t>(cfg.buffering))
-        .i32(static_cast<int32_t>(cfg.scheduler))
         .i32(cfg.bufferDepth)
         .i32(cfg.memBanks)
-        .i32(cfg.memLatency)
         .b(cfg.memBypass)
         .i64(cfg.maxCycles)
         .b(cfg.checkThreadOrder)
@@ -62,7 +60,7 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
     ps_assert(g.isFinalized(), "graph must be finalized");
     ps_assert(cfg.bufferDepth >= 1, "buffer depth must be >= 1");
 
-    // Per-run observability belongs to ExecutionState::run(); strip
+    // Per-run observability belongs to RunOptions; strip
     // it so Programs are deeply immutable and freely shareable.
     cfg.observer = nullptr;
     cfg.trace = false;
@@ -111,7 +109,7 @@ Program::Program(std::shared_ptr<const dfg::Graph> graph,
         }
     }
 
-    // Buffer layout plan (ExecutionState materializes the FIFOs).
+    // Buffer layout plan (DenseScan materializes the FIFOs).
     for (NodeId id = 0; id < n; id++) {
         const Node &node = g.at(id);
         NodePlan &p = plan[static_cast<size_t>(id)];

@@ -15,11 +15,12 @@
  *
  *  - a Program's tables are immutable after construction — every
  *    one is written exactly once, in the constructor;
- *  - any number of `ExecutionState`s (execution.hh) may share one
- *    Program concurrently from different threads;
+ *  - any number of `ExecutionState`s (execution.hh) and
+ *    `DenseScan`s (dense_scan.hh) may share one Program
+ *    concurrently from different threads;
  *  - all mutable run state (token buffers, gate FSMs, memory image,
- *    stats, scheduler worklists, observer) lives in a run's
- *    ExecutionState or in the fast engine it borrows;
+ *    stats, worklists, observer) lives in the fast engine a run
+ *    borrows, or in a DenseScan;
  *  - the Program owns its idle fast engines (sim/engine.hh): a run
  *    borrows one, building it only when none is idle, and hands it
  *    back when it ends. So an engine lives exactly as long as its
@@ -66,7 +67,7 @@ class Program
      * caller guarantees the lifetime, as `simulate()` does).
      *
      * The per-run fields of @p config (`observer`, `trace`) are
-     * stripped — they belong to ExecutionState::run() — so Programs
+     * stripped — they belong to each run (RunOptions) — so Programs
      * built from configs differing only in observability compare
      * and behave identically.
      */
@@ -84,9 +85,9 @@ class Program
     /**
      * Content digest of the simulated machine: the graph's
      * dfg::graphFingerprint plus every result-bearing SimConfig
-     * field (buffering, bufferDepth, memBanks, memLatency,
-     * memBypass, maxCycles, checkThreadOrder, greedyDispatch,
-     * scheduler, shareGroups, edgeLatencies). Observability
+     * field (buffering, bufferDepth, memBanks, memBypass,
+     * maxCycles, checkThreadOrder, greedyDispatch, shareGroups,
+     * edgeLatencies). Observability
      * (`observer`, `trace`) is not part of it. Two Programs with
      * equal digests run any initial memory image to the same
      * SimResult and final image, which is what lets runner::Runner
@@ -132,6 +133,11 @@ class Program
     std::vector<dfg::NodeId> allSeqNodes; ///< PE nodes, ascending id
 
     int triggersTotal = 0;
+
+    /** sim::kMemLatency. The fast engine reads it from here: as an
+     *  immediate, GCC 12 compiles the flattened commitFire 3 KB
+     *  larger and paper-sweep runs slower (docs/simulator.md). */
+    int loadLatency = kMemLatency;
 
     // Per-node attributes, structure-of-arrays (fast engine).
     std::vector<uint8_t> kindOf;        ///< dfg::NodeKind

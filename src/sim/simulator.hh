@@ -42,6 +42,10 @@ class SimObserver;
 
 namespace pipestitch::sim {
 
+/** Cycles from load issue to data availability at the memory PE:
+ *  one fixed latency for every machine both simulators model. */
+constexpr int kMemLatency = 2;
+
 /** Microarchitecture configuration for one simulation. */
 struct SimConfig
 {
@@ -52,37 +56,10 @@ struct SimConfig
 
     Buffering buffering = Buffering::Destination;
 
-    enum class Scheduler {
-        /**
-         * Re-evaluate every node in every fixpoint round — the
-         * plain O(nodes × rounds) reference oracle
-         * (sim/execution.cc). Kept for golden-stats verification and
-         * as the bench baseline.
-         */
-        DenseScan,
-        /**
-         * The fast engine (sim/engine.hh): structure-of-arrays token
-         * state and one worklist bitmap, so only nodes woken by
-         * token delivery, buffer-space frees, memory completions or
-         * dispatch-group decisions are re-evaluated, and stalled
-         * nodes no event touched are billed without re-evaluation.
-         * Runs every configuration, observed runs included, and is
-         * cycle-exact with DenseScan (enforced by
-         * tests/test_golden_stats.cc and
-         * tests/test_fuzz_equivalence.cc).
-         */
-        ReadyList,
-    };
-
-    Scheduler scheduler = Scheduler::ReadyList;
-
     /** Token-buffer depth (the paper uses 4; Fig. 20 sweeps 4/8/16). */
     int bufferDepth = 4;
 
     int memBanks = 16;
-
-    /** Cycles from load issue to data availability at the memory PE. */
-    int memLatency = 2;
 
     /** Bypass memory/CF output buffers when downstream is free. */
     bool memBypass = true;
@@ -112,8 +89,8 @@ struct SimConfig
      * outlive the simulation. Null (the default) costs nothing on
      * the hot paths beyond a pointer test. While an observer is
      * attached the fast engine runs a full per-node stall census,
-     * as DenseScan does, so both schedulers report identical event
-     * streams.
+     * as the DenseScan reference does, so both report identical
+     * event streams.
      */
     trace::SimObserver *observer = nullptr;
 
@@ -149,7 +126,7 @@ struct SimConfig
  * An out-of-bounds memory access: a Load or Store whose word address
  * (base offset applied) lies outside the memory image. The access
  * itself does nothing (a load reads 0, a store writes nothing) and
- * the run stops at the end of that cycle, under either scheduler.
+ * the run stops at the end of that cycle, in either simulator.
  */
 struct MemFault
 {
@@ -189,7 +166,7 @@ struct SimResult
     std::string diagnostic;
 };
 
-/** The diagnostic both schedulers report for @p fault, an access
+/** The diagnostic both simulators report for @p fault, an access
  *  outside an image of @p memWords words. */
 std::string describeFault(const dfg::Graph &graph,
                           const MemFault &fault, size_t memWords);

@@ -65,9 +65,9 @@ struct SimStats
 };
 
 /**
- * Field-by-field equality over every counter. The parallel-scheduler
- * contract (docs/simulator.md) is bit-identity with the ReadyList
- * oracle, so "equal" means every field, not just cycles.
+ * Field-by-field equality over every counter. The fast engine's
+ * contract (docs/simulator.md) is bit-identity with the DenseScan
+ * reference, so "equal" means every field, not just cycles.
  */
 bool statsEqual(const SimStats &a, const SimStats &b);
 

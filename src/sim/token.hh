@@ -49,7 +49,7 @@ struct Token
  * while small phase offsets between endpoints are absorbed.
  *
  * Storage is one ring buffer sized by setDepth(). Only the DenseScan
- * oracle (sim/execution.cc) buffers tokens here; the fast engine
+ * reference (sim/dense_scan.cc) buffers tokens here; the fast engine
  * keeps its own structure-of-arrays slabs (sim/engine.hh).
  */
 class TokenFifo

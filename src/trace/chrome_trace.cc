@@ -8,7 +8,7 @@ namespace pipestitch::trace {
 
 void
 ChromeTraceSink::onSimBegin(const dfg::Graph &g,
-                            const sim::SimConfig &cfg)
+                            const sim::SimConfig &)
 {
     program = g.name;
     nodes.clear();
@@ -19,7 +19,6 @@ ChromeTraceSink::onSimBegin(const dfg::Graph &g,
                          node.kind == dfg::NodeKind::Load,
                          node.cfInNoc});
     }
-    memLatency = cfg.memLatency;
     fires.clear();
     instants.clear();
     finalCycles = 0;
@@ -110,7 +109,7 @@ ChromeTraceSink::write(std::ostream &out) const
         w.key("tid").value(f.node);
         w.key("ts").value(f.cycle);
         // Loads occupy their track until the data returns.
-        w.key("dur").value(isLoad ? memLatency : 1);
+        w.key("dur").value(isLoad ? sim::kMemLatency : 1);
         w.endObject();
     }
 

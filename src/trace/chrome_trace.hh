@@ -86,7 +86,6 @@ class ChromeTraceSink final : public SimObserver
 
     std::string program;
     std::vector<NodeLabel> nodes;
-    int memLatency = 1;
     int64_t finalCycles = 0;
     std::vector<Fire> fires;
     std::vector<Instant> instants;

@@ -80,7 +80,7 @@ class SimObserver
     }
 
     /** Memory PE @p node accessed @p addr (bank @p bank). Loads
-     *  complete `SimConfig::memLatency` cycles later. */
+     *  complete `sim::kMemLatency` cycles later. */
     virtual void
     onMemAccess(int64_t cycle, dfg::NodeId node, bool isLoad,
                 sim::Word addr, int bank)
@@ -106,8 +106,9 @@ class SimObserver
     }
 
     /** The SyncPlane evaluated at least one dispatch group this
-     *  cycle (at most one callback per cycle). The round within the
-     *  cycle at which this fires is scheduler-dependent; treat it as
+     *  cycle (at most one callback per cycle). The fixpoint round
+     *  within the cycle at which this fires differs between the fast
+     *  engine and the DenseScan reference; treat it as
      *  cycle-granular, not stream-ordered. */
     virtual void
     onSyncPlane(int64_t cycle)

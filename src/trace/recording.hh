@@ -2,13 +2,13 @@
  * @file
  * RecordingObserver — captures the full event stream in memory for
  * replay-style assertions (used by tests/test_trace.cc to prove the
- * dense-scan and ready-list schedulers are observationally
+ * fast engine and the DenseScan reference are observationally
  * identical, and that event counts reconcile with SimStats).
  *
  * SyncPlane callbacks are kept in a separate per-cycle list: their
  * position *within* a cycle's stream depends on which fixpoint
- * round first evaluated a group, which is scheduler-specific; the
- * set of cycles is not.
+ * round first evaluated a group, which differs between the two
+ * simulators; the set of cycles does not.
  */
 
 #ifndef PIPESTITCH_TRACE_RECORDING_HH

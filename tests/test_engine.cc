@@ -29,6 +29,8 @@
 #include "sir/parser.hh"
 #include "workloads/kernels.hh"
 
+#include "simulators.hh"
+
 using namespace pipestitch;
 using sim::SimConfig;
 
@@ -76,15 +78,15 @@ expectSameRun(const sim::SimResult &oracle, const sim::SimResult &fast,
 void
 expectEnginesAgree(const dfg::Graph &graph,
                    const workloads::KernelInstance &kernel,
-                   SimConfig cfg, const std::string &tag)
+                   const SimConfig &cfg, const std::string &tag)
 {
     scalar::MemImage denseMem = kernel.memory;
     denseMem.resize(static_cast<size_t>(kernel.prog.memWords));
     scalar::MemImage fastMem = denseMem;
-    cfg.scheduler = SimConfig::Scheduler::DenseScan;
-    auto dense = sim::simulate(graph, denseMem, cfg);
-    cfg.scheduler = SimConfig::Scheduler::ReadyList;
-    auto fast = sim::simulate(graph, fastMem, cfg);
+    auto dense = simtest::simulateOn(simtest::Engine::Dense, graph,
+                                     denseMem, cfg);
+    auto fast = simtest::simulateOn(simtest::Engine::Fast, graph,
+                                    fastMem, cfg);
     expectSameRun(dense, fast, denseMem, fastMem, tag);
 }
 
@@ -127,16 +129,18 @@ TEST(FastEngine, TiledChannelsMatchDenseScan)
     cfg.tilesX = 2;
     cfg.tilesY = 2;
 
+    // Prepare once; the reference runs the prepared Program on the
+    // image executeOnFabric starts from.
     std::string err;
-    cfg.sim.scheduler = SimConfig::Scheduler::DenseScan;
-    FabricRun dense = runOnFabric(kernel, cfg, &err);
+    PreparedPtr prepared = prepareKernel(kernel, cfg, &err);
+    ASSERT_TRUE(prepared) << err;
+    FabricRun fast = executeOnFabric(*prepared, kernel, cfg, &err);
     ASSERT_TRUE(err.empty()) << err;
-    ASSERT_GT(dense.sim.stats.interTileTokens, 0);
+    ASSERT_GT(fast.sim.stats.interTileTokens, 0);
 
-    cfg.sim.scheduler = SimConfig::Scheduler::ReadyList;
-    FabricRun fast = runOnFabric(kernel, cfg, &err);
-    ASSERT_TRUE(err.empty()) << err;
-    expectSameRun(dense.sim, fast.sim, dense.memory, fast.memory,
+    scalar::MemImage denseMem;
+    auto dense = simtest::runDenseOnPrepared(*prepared, kernel, denseMem);
+    expectSameRun(dense, fast.sim, denseMem, fast.memory,
                   "spmv_tiled");
 }
 

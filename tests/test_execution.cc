@@ -2,12 +2,13 @@
  * @file
  * The Program/ExecutionState contract (docs/simulator.md): one
  * compiled+built sim::Program is immutable and may be executed by
- * any number of ExecutionStates concurrently, each against its own
- * memory image, with results bit-identical to the legacy serial
- * simulate() calls. Run under TSan in CI: any write through the
- * shared Program is a data race by construction. A Program's digest
- * names the simulated machine, so it must change with the graph and
- * every result-bearing SimConfig field, and with nothing else.
+ * any number of ExecutionStates — or DenseScans — concurrently, each
+ * against its own memory image, with results bit-identical to serial
+ * runs on a Program of their own. Run under TSan in CI: any write
+ * through the shared Program is a data race by construction. A
+ * Program's digest names the simulated machine, so it must change
+ * with the graph and every result-bearing SimConfig field, and with
+ * nothing else.
  *
  * A Program also owns its idle fast engines: every run borrows one
  * and hands it back. A borrowed engine must carry nothing of its
@@ -30,6 +31,8 @@
 #include "sim/simulator.hh"
 #include "trace/chrome_trace.hh"
 #include "workloads/kernels.hh"
+
+#include "simulators.hh"
 
 using namespace pipestitch;
 using Word = sir::Word;
@@ -103,8 +106,7 @@ struct Built
 };
 
 Built
-build(const workloads::KernelInstance &kernel,
-      sim::SimConfig::Scheduler sched)
+build(const workloads::KernelInstance &kernel)
 {
     Built b;
     compiler::CompileOptions opts;
@@ -113,7 +115,6 @@ build(const workloads::KernelInstance &kernel,
         compiler::compileProgram(kernel.prog, kernel.liveIns,
                                  opts));
     b.cfg = b.compiled->simConfig;
-    b.cfg.scheduler = sched;
     b.cfg.maxCycles = 500000;
     auto graph = std::shared_ptr<const dfg::Graph>(
         b.compiled, &b.compiled->graph);
@@ -126,22 +127,21 @@ build(const workloads::KernelInstance &kernel,
 TEST(ConcurrentExecution, SharedProgramMatchesSerialSimulate)
 {
     auto kernel = workloads::makeSpmv(8, 0.5, 7);
-    for (auto sched : {sim::SimConfig::Scheduler::DenseScan,
-                       sim::SimConfig::Scheduler::ReadyList}) {
-        Built b = build(kernel, sched);
-
-        // Golden: the legacy entry point, serially, per image.
+    Built b = build(kernel);
+    for (auto engine : simtest::kEngines) {
+        // Golden: a Program of its own per run, serially, per image.
         std::vector<sim::SimResult> want(kRuns);
         std::vector<scalar::MemImage> wantMem(kRuns);
         for (int i = 0; i < kRuns; i++) {
             wantMem[static_cast<size_t>(i)] =
                 imageForRun(kernel, i);
-            want[static_cast<size_t>(i)] = sim::simulate(
-                b.compiled->graph,
+            want[static_cast<size_t>(i)] = simtest::simulateOn(
+                engine, b.compiled->graph,
                 wantMem[static_cast<size_t>(i)], b.cfg);
         }
 
-        // One Program, kRuns concurrent ExecutionStates.
+        // One Program, kRuns concurrent ExecutionStates (or
+        // DenseScans).
         std::vector<sim::SimResult> got(kRuns);
         std::vector<scalar::MemImage> gotMem(kRuns);
         std::vector<std::thread> threads;
@@ -149,9 +149,8 @@ TEST(ConcurrentExecution, SharedProgramMatchesSerialSimulate)
             threads.emplace_back([&, i] {
                 gotMem[static_cast<size_t>(i)] =
                     imageForRun(kernel, i);
-                sim::ExecutionState es(b.program);
-                got[static_cast<size_t>(i)] =
-                    es.run(gotMem[static_cast<size_t>(i)]);
+                got[static_cast<size_t>(i)] = simtest::runOn(
+                    engine, b.program, gotMem[static_cast<size_t>(i)]);
             });
         }
         for (auto &t : threads)
@@ -163,11 +162,8 @@ TEST(ConcurrentExecution, SharedProgramMatchesSerialSimulate)
                 got[static_cast<size_t>(i)],
                 wantMem[static_cast<size_t>(i)],
                 gotMem[static_cast<size_t>(i)],
-                "run " + std::to_string(i) +
-                    (sched ==
-                             sim::SimConfig::Scheduler::ReadyList
-                         ? " ready"
-                         : " reference"));
+                "run " + std::to_string(i) + " " +
+                    simtest::engineName(engine));
         }
         // The perturbed inputs really exercised different runs.
         EXPECT_NE(gotMem[0], gotMem[1]);
@@ -177,7 +173,7 @@ TEST(ConcurrentExecution, SharedProgramMatchesSerialSimulate)
 TEST(ConcurrentExecution, ExecutionStateIsReusable)
 {
     auto kernel = workloads::makeSpmv(8, 0.5, 11);
-    Built b = build(kernel, sim::SimConfig::Scheduler::ReadyList);
+    Built b = build(kernel);
 
     sim::ExecutionState es(b.program);
     scalar::MemImage mem1 = imageForRun(kernel, 0);
@@ -272,7 +268,6 @@ TEST(ConcurrentExecution, ProgramDigestCoversResultBearingConfig)
              }},
             {"bufferDepth", [](SimConfig &c) { c.bufferDepth = 8; }},
             {"memBanks", [](SimConfig &c) { c.memBanks = 8; }},
-            {"memLatency", [](SimConfig &c) { c.memLatency = 3; }},
             {"memBypass",
              [](SimConfig &c) { c.memBypass = !c.memBypass; }},
             {"maxCycles", [](SimConfig &c) { c.maxCycles = 12345; }},
@@ -283,10 +278,6 @@ TEST(ConcurrentExecution, ProgramDigestCoversResultBearingConfig)
             {"greedyDispatch",
              [](SimConfig &c) {
                  c.greedyDispatch = !c.greedyDispatch;
-             }},
-            {"scheduler",
-             [](SimConfig &c) {
-                 c.scheduler = SimConfig::Scheduler::DenseScan;
              }},
             {"shareGroups",
              [&](SimConfig &c) { c.shareGroups = {peNodes}; }},
@@ -405,12 +396,11 @@ tearingGraph()
 }
 
 std::vector<DirtyCase>
-dirtyCases(sim::SimConfig::Scheduler sched,
-           trace::ChromeTraceSink &chrome)
+dirtyCases(trace::ChromeTraceSink &chrome)
 {
     std::vector<DirtyCase> cases;
     auto spmv = workloads::makeSpmv(8, 0.5, 17);
-    auto spmvProgram = build(spmv, sched).program;
+    auto spmvProgram = build(spmv).program;
     const scalar::MemImage clean = imageForRun(spmv, 1);
 
     DirtyCase watchdog{"watchdog", spmvProgram, imageForRun(spmv, 0),
@@ -441,7 +431,6 @@ dirtyCases(sim::SimConfig::Scheduler sched,
     cases.push_back(observed);
 
     sim::SimConfig handCfg;
-    handCfg.scheduler = sched;
     handCfg.maxCycles = 100000;
     cases.push_back({"thread-order",
                      std::make_shared<const sim::Program>(
@@ -466,45 +455,47 @@ dirtyCases(sim::SimConfig::Scheduler sched,
     return cases;
 }
 
+/**
+ * Each dirty case on one @p Sim (sim::ExecutionState or the
+ * sim::DenseScan reference), then a clean run on the same @p Sim:
+ * it must match the clean run of a fresh one on a Program of its
+ * own. @p idleAfter is the Program's idle engine count afterwards.
+ */
+template <typename Sim>
+void
+expectRunAfterAbnormalEndIsClean(const char *engine, size_t idleAfter)
+{
+    trace::ChromeTraceSink chrome;
+    for (DirtyCase &c : dirtyCases(chrome)) {
+        const std::string tag = std::string(c.name) + " " + engine;
+        Sim state(c.program);
+        sim::SimResult dirty = state.run(c.dirtyMem, c.dirtyOpts);
+        ASSERT_TRUE(c.endedAsIntended(dirty))
+            << tag << ": " << dirty.diagnostic;
+
+        scalar::MemImage gotMem = c.nextMem;
+        sim::SimResult got = state.run(gotMem);
+
+        // The same machine on a Program of its own: a fresh engine.
+        Sim fresh(std::make_shared<const sim::Program>(
+            c.program->graphPtr(), c.program->config()));
+        scalar::MemImage wantMem = c.nextMem;
+        sim::SimResult want = fresh.run(wantMem);
+        EXPECT_TRUE(sim::statsEqual(want.stats, got.stats)) << tag;
+        expectSameResult(want, got, wantMem, gotMem, tag);
+
+        // Both runs went through one engine, handed back each time
+        // (DenseScan borrows none).
+        EXPECT_EQ(c.program->idleEngines(), idleAfter) << tag;
+    }
+}
+
 } // namespace
 
 TEST(EngineReuse, RunAfterAnAbnormalEndMatchesAFreshEngine)
 {
-    for (auto sched : {sim::SimConfig::Scheduler::DenseScan,
-                       sim::SimConfig::Scheduler::ReadyList}) {
-        trace::ChromeTraceSink chrome;
-        for (DirtyCase &c : dirtyCases(sched, chrome)) {
-            const std::string tag =
-                std::string(c.name) +
-                (sched == sim::SimConfig::Scheduler::ReadyList
-                     ? " ready"
-                     : " reference");
-            sim::ExecutionState es(c.program);
-            sim::SimResult dirty = es.run(c.dirtyMem, c.dirtyOpts);
-            ASSERT_TRUE(c.endedAsIntended(dirty))
-                << tag << ": " << dirty.diagnostic;
-
-            scalar::MemImage gotMem = c.nextMem;
-            sim::SimResult got = es.run(gotMem);
-
-            // The same machine on a Program of its own: a fresh
-            // engine.
-            sim::ExecutionState fresh(std::make_shared<const sim::Program>(
-                c.program->graphPtr(), c.program->config()));
-            scalar::MemImage wantMem = c.nextMem;
-            sim::SimResult want = fresh.run(wantMem);
-            EXPECT_TRUE(sim::statsEqual(want.stats, got.stats)) << tag;
-            expectSameResult(want, got, wantMem, gotMem, tag);
-
-            // Both runs went through one engine, handed back each
-            // time (the oracle borrows none).
-            EXPECT_EQ(c.program->idleEngines(),
-                      sched == sim::SimConfig::Scheduler::ReadyList
-                          ? 1u
-                          : 0u)
-                << tag;
-        }
-    }
+    expectRunAfterAbnormalEndIsClean<sim::DenseScan>("dense", 0);
+    expectRunAfterAbnormalEndIsClean<sim::ExecutionState>("fast", 1);
 }
 
 TEST(EngineReuse, ConcurrentRunsOfOneProgramMatchSequentialRuns)
@@ -516,7 +507,7 @@ TEST(EngineReuse, ConcurrentRunsOfOneProgramMatchSequentialRuns)
 
     // Sequential reference on a Program of its own: one engine,
     // reused by every run.
-    Built ref = build(kernel, sim::SimConfig::Scheduler::ReadyList);
+    Built ref = build(kernel);
     std::vector<sim::SimResult> want(kTotal);
     std::vector<scalar::MemImage> wantMem(kTotal);
     for (int i = 0; i < kTotal; i++) {
@@ -530,7 +521,7 @@ TEST(EngineReuse, ConcurrentRunsOfOneProgramMatchSequentialRuns)
     // kThreads threads on one Program at once, each alternating
     // between a long-lived ExecutionState and one-run ones, so
     // engines pass between threads through the idle list.
-    Built b = build(kernel, sim::SimConfig::Scheduler::ReadyList);
+    Built b = build(kernel);
     std::vector<sim::SimResult> got(kTotal);
     std::vector<scalar::MemImage> gotMem(kTotal);
     std::latch start(kThreads);

@@ -23,6 +23,7 @@
 #include "compiler/timemux.hh"
 #include "dfg/dot.hh"
 #include "scalar/interpreter.hh"
+#include "sim/dense_scan.hh"
 #include "sim/execution.hh"
 #include "sim/program.hh"
 #include "sim/simulator.hh"
@@ -79,11 +80,13 @@ expectBoundHolds(const dfg::Graph &graph, const sim::SimConfig &cfg,
 }
 
 /**
- * Simulate @p cfg twice through one ExecutionState, each time on a
- * copy of @p mem: the second run reuses the first run's state (and,
- * on the fast engine, its borrowed engine), so it must equal the
- * first. Leaves the second run's image in @p mem.
+ * Simulate @p cfg twice through one @p Sim (sim::DenseScan or
+ * sim::ExecutionState), each time on a copy of @p mem: the second
+ * run reuses the first run's state (and, on the fast engine, its
+ * borrowed engine), so it must equal the first. Leaves the second
+ * run's image in @p mem.
  */
+template <typename Sim>
 sim::SimResult
 simulateTwice(const dfg::Graph &graph, const sim::SimConfig &cfg,
               scalar::MemImage &mem, uint64_t seed,
@@ -91,8 +94,7 @@ simulateTwice(const dfg::Graph &graph, const sim::SimConfig &cfg,
 {
     std::shared_ptr<const dfg::Graph> hold(
         std::shared_ptr<const dfg::Graph>(), &graph);
-    sim::ExecutionState exec(
-        std::make_shared<const sim::Program>(hold, cfg));
+    Sim exec(std::make_shared<const sim::Program>(hold, cfg));
     scalar::MemImage firstMem = mem;
     sim::SimResult first = exec.run(firstMem);
     sim::SimResult again = exec.run(mem);
@@ -112,16 +114,15 @@ simulateTwice(const dfg::Graph &graph, const sim::SimConfig &cfg,
  * bit-identical, and leave the fast engine's memory image in @p mem.
  */
 sim::SimResult
-simulateBoth(const dfg::Graph &graph, sim::SimConfig cfg,
+simulateBoth(const dfg::Graph &graph, const sim::SimConfig &cfg,
              scalar::MemImage &mem, uint64_t seed,
              const std::string &tag)
 {
     scalar::MemImage denseMem = mem;
-    cfg.scheduler = sim::SimConfig::Scheduler::DenseScan;
-    sim::SimResult dense =
-        simulateTwice(graph, cfg, denseMem, seed, tag + " dense");
-    cfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
-    sim::SimResult fast = simulateTwice(graph, cfg, mem, seed, tag);
+    sim::SimResult dense = simulateTwice<sim::DenseScan>(
+        graph, cfg, denseMem, seed, tag + " dense");
+    sim::SimResult fast =
+        simulateTwice<sim::ExecutionState>(graph, cfg, mem, seed, tag);
     EXPECT_TRUE(sim::statsEqual(dense.stats, fast.stats))
         << "seed " << seed << " " << tag
         << ": fast engine stats diverge from DenseScan";

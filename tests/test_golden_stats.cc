@@ -1,17 +1,17 @@
 /**
  * @file
- * Golden-stats regression harness for the simulator schedulers.
+ * Golden-stats regression harness for the simulator.
  *
  * Every shipped .sir kernel and every workload kernel, compiled for
  * Pipestitch, runs under {destination, source} buffering ×
  * {SyncPlane, greedy} dispatch (plus a time-multiplexed
  * configuration); compiled for the CF-in-NoC variants PipeCFiN and
  * RipTide, it runs under that variant's own microarchitecture, which
- * pins the router control-flow settle. Each case runs twice: once with
- * the dense full-scan reference scheduler and once with the
- * event-driven ready list. The two runs must produce bit-identical
- * SimStats, termination status, and memory images — the ready list
- * is an optimization, never a semantic change.
+ * pins the router control-flow settle. Each case runs twice: once on
+ * the DenseScan reference and once on the fast engine. The two runs
+ * must produce bit-identical SimStats, termination status, and
+ * memory images — the fast engine is an optimization, never a
+ * semantic change.
  *
  * On top of the pairwise check, a fingerprint of each run is
  * compared against tests/golden_stats.txt so that *any* accidental
@@ -37,6 +37,7 @@
 
 #include "fuzz_program.hh"
 #include "shipped_kernels.hh"
+#include "simulators.hh"
 
 using namespace pipestitch;
 using compiler::ArchVariant;
@@ -189,7 +190,7 @@ nocWakeKernels()
 sim::SimResult
 runCase(const workloads::KernelInstance &kernel, ArchVariant variant,
         SimConfig::Buffering buffering, bool greedy, bool timeMux,
-        SimConfig::Scheduler sched, scalar::MemImage &memOut)
+        simtest::Engine engine, scalar::MemImage &memOut)
 {
     compiler::CompileOptions opts;
     opts.variant = variant;
@@ -203,7 +204,6 @@ runCase(const workloads::KernelInstance &kernel, ArchVariant variant,
         << kernel.name << " compiles to the other buffering";
     cfg.buffering = buffering;
     cfg.greedyDispatch = greedy;
-    cfg.scheduler = sched;
     cfg.maxCycles = 500000;
     if (timeMux) {
         auto groups = compiler::planTimeMultiplexing(
@@ -215,7 +215,7 @@ runCase(const workloads::KernelInstance &kernel, ArchVariant variant,
     }
     memOut = kernel.memory;
     memOut.resize(static_cast<size_t>(kernel.prog.memWords));
-    return sim::simulate(res.graph, memOut, cfg);
+    return simtest::simulateOn(engine, res.graph, memOut, cfg);
 }
 
 class GoldenHarness
@@ -246,10 +246,10 @@ class GoldenHarness
         scalar::MemImage denseMem, readyMem;
         auto dense =
             runCase(kernel, variant, buffering, greedy, timeMux,
-                    SimConfig::Scheduler::DenseScan, denseMem);
+                    simtest::Engine::Dense, denseMem);
         auto ready =
             runCase(kernel, variant, buffering, greedy, timeMux,
-                    SimConfig::Scheduler::ReadyList, readyMem);
+                    simtest::Engine::Fast, readyMem);
         expectSameStats(dense, ready, denseMem, readyMem, tag);
 
         std::ostringstream line;

@@ -206,24 +206,6 @@ TEST(Mapper, AnnealImprovesWirelength)
     }
 }
 
-TEST(Mapper, BoundPruneTrimsPortfolioToOneSeed)
-{
-    setQuiet(true);
-    Fabric fab;
-    auto k = workloads::makeSpmv(16, 0.8, 1);
-    auto g = compiledGraph(k, ArchVariant::Pipestitch);
-    mapper::MapperOptions opts;
-    opts.portfolioSeeds = 4;
-    opts.boundPruneCycles = 100;
-    auto m = mapper::mapGraph(g, fab, opts);
-    ASSERT_TRUE(m.success);
-    // With a certified throughput floor in hand, placement polish
-    // cannot buy cycles: the portfolio collapses to one member
-    // (the greedy incumbent or seed 0).
-    EXPECT_LE(m.winningSeed, 0);
-    EXPECT_EQ(m.seedsEarlyExited, 0);
-}
-
 TEST(Mapper, HopCountsFeedEnergy)
 {
     setQuiet(true);

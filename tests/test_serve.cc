@@ -748,58 +748,51 @@ TEST(Serve, TraceFileRequestWritesChromeTrace)
     fs::remove_all(dir);
 }
 
-TEST(Serve, SchedulerFieldSelectsDenseOrReady)
+TEST(Serve, RejectsFieldsItDoesNotRead)
 {
     ServeServer server(withJobs(1));
+    JsonValue plain = parseResponse(
+        ServeServer::render(server.submit(scaleRequest("p", 3))));
+    ASSERT_EQ(field(plain, "status"), "ok") << field(plain, "error");
 
-    // scheduler:"dense" runs the oracle and must agree bit-for-bit
-    // with a ready-scheduler run of the same kernel (cycles + mem
-    // hash).
-    std::string dense = scaleRequest("d", 3);
-    dense.insert(dense.size() - 1, ",\"scheduler\":\"dense\"");
-    JsonValue vd =
-        parseResponse(ServeServer::render(server.submit(dense)));
-    EXPECT_EQ(field(vd, "status"), "ok") << field(vd, "error");
+    // A field serve does not read would run on the default in its
+    // place: the removed simulator selection and a typo alike are
+    // errors naming the field, and the server answers the next
+    // request as usual.
+    for (auto [name, value] : {std::pair{"scheduler", "\"dense\""},
+                               std::pair{"unrol", "4"},
+                               std::pair{"max_cycle", "10"}}) {
+        std::string bad = scaleRequest("u", 3);
+        bad.insert(bad.size() - 1,
+                   std::string(",\"") + name + "\":" + value);
+        JsonValue vu =
+            parseResponse(ServeServer::render(server.submit(bad)));
+        EXPECT_EQ(field(vu, "status"), "error") << name;
+        EXPECT_EQ(field(vu, "id"), "u") << name;
+        EXPECT_EQ(field(vu, "error"),
+                  std::string("unknown field \"") + name + "\"");
 
-    std::string rdy = scaleRequest("r", 3);
-    rdy.insert(rdy.size() - 1, ",\"scheduler\":\"ready\"");
-    JsonValue vr =
-        parseResponse(ServeServer::render(server.submit(rdy)));
-    EXPECT_EQ(field(vr, "status"), "ok");
-    EXPECT_EQ(vd.find("cycles")->asInt(),
-              vr.find("cycles")->asInt());
-    EXPECT_EQ(field(vd, "mem_hash"), field(vr, "mem_hash"));
+        JsonValue next = parseResponse(
+            ServeServer::render(server.submit(scaleRequest("n", 3))));
+        EXPECT_EQ(field(next, "status"), "ok") << name;
+        EXPECT_EQ(next.find("cycles")->asInt(),
+                  plain.find("cycles")->asInt());
+    }
 
-    // Traced runs execute on the ready engine like any other run.
+    // A traced run answers the same cycles as an untraced one.
     namespace fs = std::filesystem;
-    fs::path dir =
-        fs::temp_directory_path() / "ps_serve_sched_trace_test";
+    fs::path dir = fs::temp_directory_path() / "ps_serve_fields_test";
     fs::create_directories(dir);
-    fs::path trace = dir / "ready.trace.json";
+    fs::path trace = dir / "run.trace.json";
     std::string traced = scaleRequest("t", 3);
     traced.insert(traced.size() - 1,
-                  ",\"scheduler\":\"ready\",\"trace_file\":\"" +
-                      trace.string() + "\"");
+                  ",\"trace_file\":\"" + trace.string() + "\"");
     JsonValue vt =
         parseResponse(ServeServer::render(server.submit(traced)));
     EXPECT_EQ(field(vt, "status"), "ok") << field(vt, "error");
-    EXPECT_EQ(vt.find("cycles")->asInt(),
-              vr.find("cycles")->asInt());
+    EXPECT_EQ(vt.find("cycles")->asInt(), plain.find("cycles")->asInt());
     EXPECT_TRUE(fs::exists(trace));
     fs::remove_all(dir);
-
-    // Unknown scheduler names — the removed "parallel" among them —
-    // bounce with the offending name.
-    for (const char *name : {"magic", "parallel"}) {
-        std::string unk = scaleRequest("u", 3);
-        unk.insert(unk.size() - 1,
-                   std::string(",\"scheduler\":\"") + name + "\"");
-        JsonValue vu =
-            parseResponse(ServeServer::render(server.submit(unk)));
-        EXPECT_EQ(field(vu, "status"), "error");
-        EXPECT_NE(field(vu, "error").find(name), std::string::npos)
-            << field(vu, "error");
-    }
 }
 
 TEST(Serve, LoopPumpsRequestsInSubmissionOrder)

@@ -13,6 +13,8 @@
 #include "sim/token.hh"
 #include "workloads/kernels.hh"
 
+#include "simulators.hh"
+
 using namespace pipestitch;
 using namespace pipestitch::sim;
 
@@ -182,8 +184,8 @@ TEST(MemSystem, OutOfBoundsFaultsTheRun)
     EXPECT_EQ(sys.issueLoad(0, -1, NoTag, 0).data.value, 0);
 
     // ...and a kernel that indexes past its arrays ends its run with
-    // a fault result, the same under both schedulers, instead of
-    // aborting the process.
+    // a fault result, the same on the fast engine and the DenseScan
+    // reference, instead of aborting the process.
     setQuiet(true);
     auto kernel = workloads::makeSpmv(8, 0.5, 3);
     Word xBase = -1;
@@ -194,32 +196,32 @@ TEST(MemSystem, OutOfBoundsFaultsTheRun)
             xBase = static_cast<Word>(arr.base);
     }
     ASSERT_GE(xBase, 0);
-    std::vector<FabricRun> runs;
-    for (auto sched : {SimConfig::Scheduler::DenseScan,
-                       SimConfig::Scheduler::ReadyList}) {
-        RunConfig cfg;
-        cfg.quiet = true;
-        cfg.sim.scheduler = sched;
-        std::string err;
-        FabricRun run = runOnFabric(kernel, cfg, &err);
-        EXPECT_NE(err.find("memory fault"), std::string::npos) << err;
-        EXPECT_TRUE(run.sim.deadlocked);
-        EXPECT_FALSE(run.sim.watchdogExpired);
-        ASSERT_TRUE(run.sim.fault.any());
-        EXPECT_EQ(run.sim.fault.addr, xBase + (1 << 20));
-        EXPECT_EQ(run.compiled().graph.at(run.sim.fault.node).kind,
-                  dfg::NodeKind::Load);
-        EXPECT_EQ(run.sim.stats.cycles, run.sim.fault.cycle + 1)
-            << "the run stops at the end of the faulting cycle";
-        EXPECT_EQ(run.sim.diagnostic,
-                  describeFault(run.compiled().graph, run.sim.fault,
-                                run.memory.size()));
-        runs.push_back(std::move(run));
-    }
-    EXPECT_EQ(runs[0].sim.fault, runs[1].sim.fault);
-    EXPECT_EQ(runs[0].sim.diagnostic, runs[1].sim.diagnostic);
-    EXPECT_TRUE(statsEqual(runs[0].sim.stats, runs[1].sim.stats));
-    EXPECT_EQ(runs[0].memory, runs[1].memory);
+    RunConfig cfg;
+    cfg.quiet = true;
+    std::string err;
+    PreparedPtr prepared = prepareKernel(kernel, cfg, &err);
+    ASSERT_TRUE(prepared) << err;
+    FabricRun run = executeOnFabric(*prepared, kernel, cfg, &err);
+    EXPECT_NE(err.find("memory fault"), std::string::npos) << err;
+    EXPECT_TRUE(run.sim.deadlocked);
+    EXPECT_FALSE(run.sim.watchdogExpired);
+    ASSERT_TRUE(run.sim.fault.any());
+    EXPECT_EQ(run.sim.fault.addr, xBase + (1 << 20));
+    EXPECT_EQ(run.compiled().graph.at(run.sim.fault.node).kind,
+              dfg::NodeKind::Load);
+    EXPECT_EQ(run.sim.stats.cycles, run.sim.fault.cycle + 1)
+        << "the run stops at the end of the faulting cycle";
+    EXPECT_EQ(run.sim.diagnostic,
+              describeFault(run.compiled().graph, run.sim.fault,
+                            run.memory.size()));
+
+    MemImage denseMem;
+    SimResult dense =
+        simtest::runDenseOnPrepared(*prepared, kernel, denseMem);
+    EXPECT_EQ(dense.fault, run.sim.fault);
+    EXPECT_EQ(dense.diagnostic, run.sim.diagnostic);
+    EXPECT_TRUE(statsEqual(dense.stats, run.sim.stats));
+    EXPECT_EQ(denseMem, run.memory);
 }
 
 TEST(Report, OperatorTableAndHeatMap)

@@ -28,6 +28,8 @@
 #include "sir/parser.hh"
 #include "workloads/kernels.hh"
 
+#include "simulators.hh"
+
 using namespace pipestitch;
 
 namespace {
@@ -207,21 +209,23 @@ TEST(TiledRun, QuadTileRunMatchesGoldenWithInterTileTraffic)
     cfg.tilesY = 2;
 
     std::string err;
-    cfg.sim.scheduler = sim::SimConfig::Scheduler::DenseScan;
-    FabricRun dense = runOnFabric(kernel, cfg, &err);
+    PreparedPtr prepared = prepareKernel(kernel, cfg, &err);
+    ASSERT_TRUE(prepared) << err;
+    FabricRun ready = executeOnFabric(*prepared, kernel, cfg, &err);
     EXPECT_TRUE(err.empty()) << err;
-    EXPECT_FALSE(dense.sim.deadlocked) << dense.sim.diagnostic;
-    EXPECT_GT(dense.sim.stats.interTileTokens, 0);
+    EXPECT_FALSE(ready.sim.deadlocked) << ready.sim.diagnostic;
+    EXPECT_GT(ready.sim.stats.interTileTokens, 0);
 
-    // The ready-list scheduler must agree cycle-for-cycle with the
-    // dense reference even with latency-N channels in play.
-    cfg.sim.scheduler = sim::SimConfig::Scheduler::ReadyList;
-    FabricRun ready = runOnFabric(kernel, cfg, &err);
-    EXPECT_TRUE(err.empty()) << err;
-    EXPECT_EQ(dense.cycles(), ready.cycles());
-    EXPECT_EQ(dense.sim.stats.interTileTokens,
+    // The fast engine must agree cycle-for-cycle with the DenseScan
+    // reference on the prepared Program even with latency-N
+    // channels in play.
+    scalar::MemImage denseMem;
+    sim::SimResult dense =
+        simtest::runDenseOnPrepared(*prepared, kernel, denseMem);
+    EXPECT_EQ(dense.stats.cycles, ready.cycles());
+    EXPECT_EQ(dense.stats.interTileTokens,
               ready.sim.stats.interTileTokens);
-    EXPECT_EQ(dense.memory, ready.memory);
+    EXPECT_EQ(denseMem, ready.memory);
 
     // Crossing a tile boundary costs interTileLatency cycles, so
     // the tiled run can never beat the same kernel on one big grid
@@ -232,10 +236,9 @@ TEST(TiledRun, QuadTileRunMatchesGoldenWithInterTileTraffic)
     flat.fabric.width = 8;
     flat.fabric.height = 8;
     flat.fabric.peMix = fabric::scaleMixFor(8, 8);
-    flat.sim.scheduler = sim::SimConfig::Scheduler::DenseScan;
     FabricRun single = runOnFabric(kernel, flat, &err);
     EXPECT_TRUE(err.empty()) << err;
-    EXPECT_GE(dense.cycles(), single.cycles());
+    EXPECT_GE(ready.cycles(), single.cycles());
 }
 
 TEST(TiledRun, StructuredErrorsInsteadOfFatal)

@@ -3,17 +3,17 @@
  * Observability-layer tests (src/trace/).
  *
  * The load-bearing claims, each enforced here:
- *   - the dense-scan and ready-list schedulers emit *identical*
+ *   - the fast engine and the DenseScan reference emit *identical*
  *     event streams through SimObserver (order included), so a
- *     trace is scheduler-independent;
+ *     trace is the same whichever simulator wrote it;
  *   - event counts reconcile exactly with SimStats;
  *   - attaching an observer never perturbs the simulation itself;
  *   - the Chrome-trace sink writes syntactically valid JSON whose
  *     span/instant counts reconcile with SimStats;
  *   - the stall-timeline sink's totals and per-interval buckets
  *     reconcile with SimStats;
- *   - the stderr text trace (RunOptions::trace) is the same under
- *     both schedulers and lists every counted fire and stall.
+ *   - the stderr text trace (RunOptions::trace) is the same on
+ *     both simulators and lists every counted fire and stall.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +33,7 @@
 #include "workloads/kernels.hh"
 
 #include "shipped_kernels.hh"
+#include "simulators.hh"
 
 using namespace pipestitch;
 using compiler::ArchVariant;
@@ -55,7 +56,7 @@ spmvKernel()
 /** Simulate @p kernel with @p observer attached (may be null). */
 sim::SimResult
 runWith(const workloads::KernelInstance &kernel,
-        SimConfig::Scheduler sched, trace::SimObserver *observer,
+        simtest::Engine engine, trace::SimObserver *observer,
         scalar::MemImage &memOut,
         ArchVariant variant = ArchVariant::Pipestitch)
 {
@@ -64,12 +65,11 @@ runWith(const workloads::KernelInstance &kernel,
     auto res = compiler::compileProgram(kernel.prog, kernel.liveIns,
                                         opts);
     auto cfg = res.simConfig;
-    cfg.scheduler = sched;
     cfg.maxCycles = 500000;
     cfg.observer = observer;
     memOut = kernel.memory;
     memOut.resize(static_cast<size_t>(kernel.prog.memWords));
-    return sim::simulate(res.graph, memOut, cfg);
+    return simtest::simulateOn(engine, res.graph, memOut, cfg);
 }
 
 void
@@ -272,10 +272,10 @@ TEST(TraceParity, SchedulersEmitIdenticalEventStreams)
             RecordingObserver dense, ready;
             scalar::MemImage denseMem, readyMem;
             auto denseRes = runWith(kernel,
-                                    SimConfig::Scheduler::DenseScan,
+                                    simtest::Engine::Dense,
                                     &dense, denseMem, variant);
             auto readyRes = runWith(kernel,
-                                    SimConfig::Scheduler::ReadyList,
+                                    simtest::Engine::Fast,
                                     &ready, readyMem, variant);
             expectSameKeyStats(denseRes.stats, readyRes.stats,
                                kernel.name);
@@ -310,7 +310,7 @@ TEST(TraceParity, EventCountsReconcileWithStats)
     for (const auto &kernel : corpus()) {
         RecordingObserver rec;
         scalar::MemImage mem;
-        auto res = runWith(kernel, SimConfig::Scheduler::ReadyList,
+        auto res = runWith(kernel, simtest::Engine::Fast,
                            &rec, mem);
         ASSERT_FALSE(res.deadlocked) << kernel.name;
         const auto &s = res.stats;
@@ -334,13 +334,12 @@ TEST(TraceParity, EventCountsReconcileWithStats)
 
 TEST(TraceParity, ObserverDoesNotPerturbSimulation)
 {
-    for (auto sched : {SimConfig::Scheduler::DenseScan,
-                       SimConfig::Scheduler::ReadyList}) {
+    for (auto engine : simtest::kEngines) {
         auto kernel = spmvKernel();
         scalar::MemImage bareMem, obsMem;
-        auto bare = runWith(kernel, sched, nullptr, bareMem);
+        auto bare = runWith(kernel, engine, nullptr, bareMem);
         RecordingObserver rec;
-        auto observed = runWith(kernel, sched, &rec, obsMem);
+        auto observed = runWith(kernel, engine, &rec, obsMem);
         expectSameKeyStats(bare.stats, observed.stats, "perturb");
         EXPECT_EQ(bareMem, obsMem);
         EXPECT_GT(rec.events.size(), 0u);
@@ -352,7 +351,7 @@ TEST(TraceSinks, ChromeTraceJsonParsesAndReconciles)
     auto kernel = spmvKernel();
     trace::ChromeTraceSink sink;
     scalar::MemImage mem;
-    auto res = runWith(kernel, SimConfig::Scheduler::ReadyList,
+    auto res = runWith(kernel, simtest::Engine::Fast,
                        &sink, mem);
     ASSERT_FALSE(res.deadlocked);
 
@@ -379,7 +378,7 @@ TEST(TraceSinks, StallTimelineReconciles)
     auto kernel = spmvKernel();
     trace::StallTimelineSink sink(8); // small interval: many buckets
     scalar::MemImage mem;
-    auto res = runWith(kernel, SimConfig::Scheduler::ReadyList,
+    auto res = runWith(kernel, simtest::Engine::Fast,
                        &sink, mem);
     ASSERT_FALSE(res.deadlocked);
 
@@ -424,15 +423,14 @@ TEST(TraceSinks, SinkOutputsMatchAcrossEngines)
         for (const auto &kernel : corpus()) {
             std::string chromeJson[2], stallJson[2];
             int k = 0;
-            for (auto sched : {SimConfig::Scheduler::DenseScan,
-                               SimConfig::Scheduler::ReadyList}) {
+            for (auto engine : simtest::kEngines) {
                 trace::ChromeTraceSink chrome;
                 trace::StallTimelineSink stalls(8);
                 trace::ObserverList list;
                 list.add(&chrome);
                 list.add(&stalls);
                 scalar::MemImage mem;
-                runWith(kernel, sched, &list, mem, variant);
+                runWith(kernel, engine, &list, mem, variant);
                 std::ostringstream c, t;
                 chrome.write(c);
                 stalls.writeJson(t);
@@ -457,7 +455,7 @@ TEST(TraceSinks, ObserverListFansOutToAllSinks)
     EXPECT_FALSE(list.empty());
 
     scalar::MemImage mem;
-    runWith(kernel, SimConfig::Scheduler::ReadyList, &list, mem);
+    runWith(kernel, simtest::Engine::Fast, &list, mem);
     ASSERT_GT(a.events.size(), 0u);
     EXPECT_EQ(a.events, b.events);
     EXPECT_EQ(a.syncPlaneCycles, b.syncPlaneCycles);
@@ -513,13 +511,11 @@ TEST(TraceSinks, TextTraceMatchesAcrossEnginesAndCountsEveryFire)
         std::string text[2];
         sim::SimResult result[2];
         int k = 0;
-        for (auto sched : {SimConfig::Scheduler::DenseScan,
-                           SimConfig::Scheduler::ReadyList}) {
-            cfg.scheduler = sched;
+        for (auto engine : simtest::kEngines) {
             scalar::MemImage mem = c.kernel.memory;
             mem.resize(static_cast<size_t>(c.kernel.prog.memWords));
             testing::internal::CaptureStderr();
-            result[k] = sim::simulate(res.graph, mem, cfg);
+            result[k] = simtest::simulateOn(engine, res.graph, mem, cfg);
             text[k] = testing::internal::GetCapturedStderr();
             k++;
         }

@@ -40,6 +40,7 @@
 #include "workloads/dnn.hh"
 #include "workloads/kernels.hh"
 #include "runner/sweep.hh"
+#include "sim/dense_scan.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "sir/parser.hh"
@@ -419,9 +420,11 @@ cmdRun(const Options &opts, const ParseResult &parsed)
 }
 
 /**
- * One timed engine sample: a warmup run, then best-of-@p reps on a
- * fresh memory image each time. bench-sim and its --suite mode share
- * this harness so their numbers are comparable by construction.
+ * One timed sample of simulator @p Sim (sim::ExecutionState or the
+ * sim::DenseScan reference): a warmup run, then best-of-@p reps,
+ * each building its Program and running it on a fresh memory image.
+ * bench-sim and its --suite mode share this harness so their numbers
+ * are comparable by construction.
  */
 struct SimTiming
 {
@@ -430,17 +433,22 @@ struct SimTiming
     scalar::MemImage memory;
 };
 
+template <typename Sim>
 SimTiming
 timeSim(const dfg::Graph &graph,
         const workloads::KernelInstance &kernel,
         const sim::SimConfig &cfg, int reps)
 {
+    // The graph outlives every Program built here.
+    std::shared_ptr<const dfg::Graph> hold(
+        std::shared_ptr<const dfg::Graph>(), &graph);
     SimTiming t;
     for (int rep = 0; rep < reps + 1; rep++) {
         auto mem = kernel.memory;
         mem.resize(static_cast<size_t>(kernel.prog.memWords));
         auto t0 = std::chrono::steady_clock::now();
-        auto r = sim::simulate(graph, mem, cfg);
+        Sim sim(std::make_shared<const sim::Program>(hold, cfg));
+        auto r = sim.run(mem);
         auto t1 = std::chrono::steady_clock::now();
         double ms =
             std::chrono::duration<double, std::milli>(t1 - t0)
@@ -464,13 +472,11 @@ struct EnginePair
 EnginePair
 timeEngines(const dfg::Graph &graph,
             const workloads::KernelInstance &kernel,
-            sim::SimConfig cfg, int reps)
+            const sim::SimConfig &cfg, int reps)
 {
     EnginePair p;
-    cfg.scheduler = sim::SimConfig::Scheduler::DenseScan;
-    p.dense = timeSim(graph, kernel, cfg, reps);
-    cfg.scheduler = sim::SimConfig::Scheduler::ReadyList;
-    p.fast = timeSim(graph, kernel, cfg, reps);
+    p.dense = timeSim<sim::DenseScan>(graph, kernel, cfg, reps);
+    p.fast = timeSim<sim::ExecutionState>(graph, kernel, cfg, reps);
     // The engine contract: every stats field, the termination
     // status, the diagnostic and the memory image match the oracle.
     const sim::SimResult &a = p.dense.result;
