@@ -27,21 +27,6 @@ reportFailure(std::string *error, std::string msg)
 
 } // namespace
 
-compiler::CompileResult
-compileKernel(const workloads::KernelInstance &kernel,
-              const compiler::CompileOptions &opts,
-              PipelineCache *cache)
-{
-    compiler::CompileResult compiled;
-    if (cache && cache->lookupCompile(kernel, opts, compiled))
-        return compiled;
-    compiled =
-        compiler::compileProgram(kernel.prog, kernel.liveIns, opts);
-    if (cache)
-        cache->storeCompile(kernel, opts, compiled);
-    return compiled;
-}
-
 PreparedPtr
 prepareKernel(const workloads::KernelInstance &kernel,
               const RunConfig &config, std::string *error)
@@ -80,7 +65,7 @@ prepareKernel(const workloads::KernelInstance &kernel,
     copts.bufferDepth = config.sim.bufferDepth;
     copts.unrollFactor = config.unrollFactor;
     prep->compiled = std::make_shared<const compiler::CompileResult>(
-        compileKernel(kernel, copts, config.cache));
+        compiler::compileProgram(kernel.prog, kernel.liveIns, copts));
     const dfg::Graph &graph = prep->compiled->graph;
 
     if (config.analyze) {

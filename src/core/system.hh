@@ -52,31 +52,38 @@ struct PreparedKernel;
 struct RunConfig;
 
 /**
- * Hook for memoizing the expensive pipeline stages. runOnFabric
- * consults it (when set on the RunConfig) before compiling or
- * mapping, and offers the freshly computed result back after a miss.
- * Implementations own keying and storage — the canonical one is
- * runner::MemoCache, which content-addresses kernels and graphs and
- * keeps everything in memory. Implementations must be thread-safe:
- * sweeps call runOnFabric from many threads against one shared
- * cache.
+ * Hook for memoizing the expensive pipeline stages. prepareKernel
+ * consults it (when set on the RunConfig) before mapping, and offers
+ * the freshly computed result back after a miss. Implementations own
+ * keying and storage — the canonical one is runner::MemoCache, which
+ * content-addresses kernels and graphs and keeps everything in
+ * memory. Implementations must be thread-safe: sweeps call
+ * runOnFabric from many threads against one shared cache.
  *
- * Both stages are deterministic functions of the arguments the
- * hooks receive, so serving a hit is behavior-preserving by
- * construction.
+ * Every stage is a deterministic function of the arguments the hooks
+ * receive, so serving a hit is behavior-preserving by construction.
  */
 class PipelineCache
 {
   public:
     virtual ~PipelineCache() = default;
 
-    /** @return true and fill @p out on a hit. */
-    virtual bool lookupCompile(const workloads::KernelInstance &kernel,
-                               const compiler::CompileOptions &opts,
-                               compiler::CompileResult &out) = 0;
-    virtual void storeCompile(const workloads::KernelInstance &kernel,
-                              const compiler::CompileOptions &opts,
-                              const compiler::CompileResult &result) = 0;
+    /** @{ Inert: nothing in src/ calls these, and they never hit.
+     *  Compiles are not memoized (docs/benches.md, "What each cache
+     *  and worker pool buys"); the hooks stay so the frozen
+     *  perfbench replay, which still calls them, compiles. */
+    virtual bool lookupCompile(const workloads::KernelInstance &,
+                               const compiler::CompileOptions &,
+                               compiler::CompileResult &)
+    {
+        return false;
+    }
+    virtual void storeCompile(const workloads::KernelInstance &,
+                              const compiler::CompileOptions &,
+                              const compiler::CompileResult &)
+    {
+    }
+    /** @} */
 
     /** @return true and fill @p out on a hit. */
     virtual bool lookupMapping(const dfg::Graph &graph,
@@ -171,9 +178,9 @@ struct RunConfig
      *  part of cache keys). */
     int mapperSeeds = 4;
 
-    /** Read by nothing in src/: prepareKernel maps with
-     *  MapperOptions::jobs' default. Kept so the frozen perfbench
-     *  replay, which copies it into MapperOptions, compiles. */
+    /** Read by nothing in src/ (see MapperOptions::jobs). Kept so
+     *  the frozen perfbench replay, which copies it into
+     *  MapperOptions, compiles. */
     int mapperJobs = 1;
 
     /** Read by nothing in src/ (see MapperOptions::boundPruneCycles).
@@ -310,15 +317,6 @@ struct FabricRun
 
     int64_t cycles() const { return sim.stats.cycles; }
 };
-
-/**
- * The compile stage of prepareKernel: @p kernel compiled under
- * @p opts, looked up in and stored back to @p cache when non-null.
- */
-compiler::CompileResult
-compileKernel(const workloads::KernelInstance &kernel,
-              const compiler::CompileOptions &opts,
-              PipelineCache *cache);
 
 /**
  * Run the prepare pipeline (or fetch the whole artifact from

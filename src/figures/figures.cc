@@ -62,11 +62,10 @@ FigureSet::compile(const runner::KernelPtr &kernel,
 {
     compiler::CompileOptions copts;
     copts.variant = variant;
-    PipelineCache *cache =
-        owner.options().memoize ? &owner.cache() : nullptr;
     return owner
-        .submit([kernel, copts, cache] {
-            return compileKernel(*kernel, copts, cache);
+        .submit([kernel, copts] {
+            return compiler::compileProgram(kernel->prog,
+                                            kernel->liveIns, copts);
         })
         .share();
 }

@@ -74,7 +74,7 @@ class FigureSet
     run(const runner::KernelPtr &kernel,
         compiler::ArchVariant variant, int bufferDepth = 4);
 
-    /** Compile-only, on the pool, through the memo cache. */
+    /** Compile-only, on the pool (compiles are not memoized). */
     std::shared_future<compiler::CompileResult>
     compile(const runner::KernelPtr &kernel,
             compiler::ArchVariant variant);

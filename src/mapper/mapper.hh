@@ -46,10 +46,10 @@ struct MapperOptions
     /** Number of independently-seeded anneal restarts. */
     int portfolioSeeds = 4;
 
-    /** Worker threads for mapGraphTiled's per-tile placements
-     *  (mapGraph itself always runs on the calling thread). Does
-     *  not affect the result, only wall-clock; never part of cache
-     *  keys. */
+    /** Read by nothing in src/: mapGraph and mapGraphTiled both run
+     *  on the calling thread (threads made tiled maps slower;
+     *  docs/mapper.md). Kept so the frozen perfbench replay, which
+     *  sets it, compiles. Never part of cache keys. */
     int jobs = 1;
 
     /** Fraction of each anneal's schedule (the cooling tail) that

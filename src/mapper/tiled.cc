@@ -1,13 +1,11 @@
 #include "mapper/tiled.hh"
 
 #include <algorithm>
-#include <future>
 #include <map>
 #include <numeric>
 
 #include "base/logging.hh"
 #include "mapper/routecost.hh"
-#include "runner/pool.hh"
 
 namespace pipestitch::mapper {
 
@@ -387,20 +385,8 @@ mapGraphTiled(const Graph &graph, const Topology &topo,
         };
 
         std::vector<Mapping> tileMaps(static_cast<size_t>(T));
-        if (options.jobs != 1 && T > 1) {
-            runner::ThreadPool pool(options.jobs);
-            std::vector<std::future<Mapping>> futs;
-            futs.reserve(static_cast<size_t>(T));
-            for (int t = 0; t < T; t++)
-                futs.push_back(
-                    pool.submit([&, t] { return mapTile(t); }));
-            for (int t = 0; t < T; t++)
-                tileMaps[static_cast<size_t>(t)] =
-                    futs[static_cast<size_t>(t)].get();
-        } else {
-            for (int t = 0; t < T; t++)
-                tileMaps[static_cast<size_t>(t)] = mapTile(t);
-        }
+        for (int t = 0; t < T; t++)
+            tileMaps[static_cast<size_t>(t)] = mapTile(t);
 
         bool placed = true;
         for (int t = 0; t < T; t++) {

@@ -8,8 +8,9 @@
  * groups are atomic) followed by cut-reducing refinement passes,
  * under per-tile PE-class and router-CF capacity; (2) place each
  * tile's induced subgraph with the existing portfolio anneal
- * (mapper::mapGraph), tiles running in parallel on
- * runner::ThreadPool. The merged global mapping is then re-routed
+ * (mapper::mapGraph), one tile after another on the calling thread
+ * (a thread per tile measured slower: docs/mapper.md). The merged
+ * global mapping is then re-routed
  * on the flattened grid, pricing tile-boundary links against
  * Topology::interTileCapacity (the same classifier PS-P06 lints
  * with) and interior links against the tile's linkCapacity.
@@ -60,7 +61,7 @@ struct TiledMapping
 /**
  * Map @p graph onto the tiled fabric described by @p topo.
  * @p options drives the per-tile anneals (rngSeed is re-derived per
- * tile; jobs parallelizes across tiles).
+ * tile).
  */
 TiledMapping mapGraphTiled(const dfg::Graph &graph,
                            const fabric::Topology &topo,

@@ -52,20 +52,6 @@ MemoCache::kernelKey(const workloads::KernelInstance &k)
 }
 
 uint64_t
-MemoCache::compileKey(const workloads::KernelInstance &k,
-                      const compiler::CompileOptions &opts)
-{
-    Hasher h;
-    h.u64(programKey(k))
-        .i32(static_cast<int32_t>(opts.variant))
-        .i32(static_cast<int32_t>(opts.threading))
-        .b(opts.useStreams)
-        .i32(opts.bufferDepth)
-        .i32(opts.unrollFactor);
-    return h.digest();
-}
-
-uint64_t
 MemoCache::mappingKey(const dfg::Graph &graph,
                       const fabric::FabricConfig &fabric,
                       const mapper::MapperOptions &opts)
@@ -178,33 +164,6 @@ MemoCache::storePrepared(
 }
 
 bool
-MemoCache::lookupCompile(const workloads::KernelInstance &kernel,
-                         const compiler::CompileOptions &opts,
-                         compiler::CompileResult &out)
-{
-    uint64_t key = compileKey(kernel, opts);
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = compiles.find(key);
-    if (it == compiles.end()) {
-        nCompileComputes.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    nCompileHits.fetch_add(1, std::memory_order_relaxed);
-    out = it->second;
-    return true;
-}
-
-void
-MemoCache::storeCompile(const workloads::KernelInstance &kernel,
-                        const compiler::CompileOptions &opts,
-                        const compiler::CompileResult &result)
-{
-    uint64_t key = compileKey(kernel, opts);
-    std::lock_guard<std::mutex> lock(mu);
-    compiles.emplace(key, result);
-}
-
-bool
 MemoCache::lookupMapping(const dfg::Graph &graph,
                          const fabric::FabricConfig &fabric,
                          const mapper::MapperOptions &opts,
@@ -237,9 +196,6 @@ MemoStats
 MemoCache::stats() const
 {
     MemoStats s;
-    s.compileHits = nCompileHits.load(std::memory_order_relaxed);
-    s.compileComputes =
-        nCompileComputes.load(std::memory_order_relaxed);
     s.mapHits = nMapHits.load(std::memory_order_relaxed);
     s.mapComputes = nMapComputes.load(std::memory_order_relaxed);
     s.preparedHits = nPreparedHits.load(std::memory_order_relaxed);

@@ -10,17 +10,18 @@
  * its fields. Identical inputs therefore hit regardless of which
  * sweep, figure, or process asked first.
  *
- * The cache holds three layers of the prepare pipeline, all
+ * The cache holds two layers of the prepare pipeline, both
  * in-memory and scoped to one process:
- *  - compile results (compiling is cheap relative to mapping but
- *    far from free at paper scale);
  *  - mapper placements, so every figure and sweep point that maps
  *    one graph onto one fabric runs the anneal once;
  *  - whole PreparedKernels (built sim::Program included), shared by
  *    reference.
- * There is no on-disk layer: the mapper is well under 1 % of a
- * figures sweep, and a warm disk cache measured no faster than a
- * cold one (docs/benches.md).
+ * Compile results are not memoized: a compile costs about 0.1 ms,
+ * and the memo that held them hit nothing on the paper sweep or
+ * serve traffic and saved about 2 ms of a figures sweep. Nor is
+ * there an on-disk layer: the mapper is well under 1 % of a figures
+ * sweep, and a warm disk cache measured no faster than a cold one
+ * (docs/benches.md, "What each cache and worker pool buys").
  * Execution is shared by runner::Runner (see sweep.hh), not here,
  * because it depends on the kernel's memory image:
  *  - one simulation per distinct machine, keyed on
@@ -48,8 +49,11 @@ namespace pipestitch::runner {
 /** Snapshot of cache activity since construction. */
 struct MemoStats
 {
+    /** @{ Always 0 (nothing memoizes compiles); kept because the
+     *  frozen perfbench/ reads them. */
     int64_t compileHits = 0;
     int64_t compileComputes = 0;
+    /** @} */
     int64_t mapHits = 0;     ///< mapping hits
     int64_t mapDiskHits = 0; ///< always 0 (no on-disk layer)
     int64_t mapComputes = 0; ///< mapper actually invoked
@@ -60,13 +64,6 @@ struct MemoStats
 class MemoCache final : public PipelineCache
 {
   public:
-    bool lookupCompile(const workloads::KernelInstance &kernel,
-                       const compiler::CompileOptions &opts,
-                       compiler::CompileResult &out) override;
-    void storeCompile(const workloads::KernelInstance &kernel,
-                      const compiler::CompileOptions &opts,
-                      const compiler::CompileResult &result) override;
-
     bool lookupMapping(const dfg::Graph &graph,
                        const fabric::FabricConfig &fabric,
                        const mapper::MapperOptions &opts,
@@ -91,8 +88,6 @@ class MemoCache final : public PipelineCache
     /** @{ Content keys (exposed for the run-level dedup and tests). */
     static uint64_t programKey(const workloads::KernelInstance &k);
     static uint64_t kernelKey(const workloads::KernelInstance &k);
-    static uint64_t compileKey(const workloads::KernelInstance &k,
-                               const compiler::CompileOptions &opts);
     static uint64_t mappingKey(const dfg::Graph &graph,
                                const fabric::FabricConfig &fabric,
                                const mapper::MapperOptions &opts);
@@ -108,14 +103,11 @@ class MemoCache final : public PipelineCache
 
   private:
     mutable std::mutex mu;
-    std::unordered_map<uint64_t, compiler::CompileResult> compiles;
     std::unordered_map<uint64_t, mapper::Mapping> mappings;
     std::unordered_map<uint64_t,
                        std::shared_ptr<const PreparedKernel>>
         prepareds;
 
-    mutable std::atomic<int64_t> nCompileHits{0};
-    mutable std::atomic<int64_t> nCompileComputes{0};
     mutable std::atomic<int64_t> nMapHits{0};
     mutable std::atomic<int64_t> nMapComputes{0};
     mutable std::atomic<int64_t> nPreparedHits{0};

@@ -162,6 +162,12 @@ parseRequest(const std::string &line, const RunConfig &base,
     if (const auto *c = v.find("max_cycles")) {
         if (!readInteger(*c, "max_cycles", cfg.sim.maxCycles, error))
             return false;
+        // A watchdog that expires before the first cycle would
+        // prepare the kernel only to answer "watchdog".
+        if (cfg.sim.maxCycles < 1) {
+            error = "\"max_cycles\" must be >= 1";
+            return false;
+        }
     }
     if (const auto *tf = v.find("trace_file"))
         out.traceFile = tf->asString();

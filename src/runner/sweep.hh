@@ -3,8 +3,9 @@
  * Concurrent execution of (kernel × variant × config) grids.
  *
  * Runner owns a ThreadPool and a MemoCache and executes runOnFabric
- * jobs on worker threads; every job shares the cache, so a compile
- * or mapping computed for one job is a hit for all later ones. Two
+ * jobs on worker threads; every job shares the cache, so a mapping
+ * or prepared kernel computed for one job is a hit for all later
+ * ones. Two
  * further layers of sharing sit on top, both governed by
  * RunnerOptions::memoize and both skipped for observed or traced
  * runs:

@@ -1,7 +1,8 @@
 # Run a command and pass only if it exits with status EXPECT (and,
-# when STDERR is given, its stderr matches that regular expression):
+# when STDERR or STDOUT is given, that stream matches the regular
+# expression):
 #
-#   cmake -DEXPECT=2 [-DSTDERR=regex] -P expect_exit.cmake <command> [args...]
+#   cmake -DEXPECT=2 [-DSTDERR=regex] [-DSTDOUT=regex] -P expect_exit.cmake <command> [args...]
 #
 # CTest's WILL_FAIL accepts any nonzero exit; this pins the exact
 # code, so a usage error (2) is told apart from a crash or a fatal().
@@ -16,7 +17,7 @@ foreach (i RANGE ${last})
     endif ()
 endforeach ()
 execute_process(COMMAND ${cmd} RESULT_VARIABLE status
-                ERROR_VARIABLE err)
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if (NOT "${status}" STREQUAL "${EXPECT}")
     message(FATAL_ERROR "expected exit status ${EXPECT}, got "
                         "'${status}': ${cmd}\n${err}")
@@ -24,4 +25,8 @@ endif ()
 if (DEFINED STDERR AND NOT "${err}" MATCHES "${STDERR}")
     message(FATAL_ERROR "stderr does not match '${STDERR}': ${cmd}\n"
                         "${err}")
+endif ()
+if (DEFINED STDOUT AND NOT "${out}" MATCHES "${STDOUT}")
+    message(FATAL_ERROR "stdout does not match '${STDOUT}': ${cmd}\n"
+                        "${out}")
 endif ()

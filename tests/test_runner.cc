@@ -170,10 +170,10 @@ TEST(MemoCache, KeysSeparateIngredients)
     // sparsity seed changes.
     EXPECT_NE(runner::MemoCache::kernelKey(k1),
               runner::MemoCache::kernelKey(k2));
-    compiler::CompileOptions a, b;
+    RunConfig a, b;
     b.variant = ArchVariant::RipTide;
-    EXPECT_NE(runner::MemoCache::compileKey(k1, a),
-              runner::MemoCache::compileKey(k1, b));
+    EXPECT_NE(runner::MemoCache::preparedKey(k1, a),
+              runner::MemoCache::preparedKey(k1, b));
 }
 
 namespace {

@@ -314,6 +314,30 @@ TEST(Serve, DepthBelowOneIsAnErrorNotAnAbort)
     EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
 }
 
+TEST(Serve, MaxCyclesBelowOneIsAnErrorNotAWatchdog)
+{
+    // A watchdog that expires before the first cycle is a request
+    // error, as "batch":0 is, not a prepared run that times out.
+    ServeServer server(withJobs(1));
+    for (const char *cycles : {"0", "-5"}) {
+        std::string req = scaleRequest("m", 3);
+        req.insert(req.size() - 1,
+                   std::string(",\"max_cycles\":") + cycles);
+        JsonValue v =
+            parseResponse(ServeServer::render(server.submit(req)));
+        EXPECT_EQ(field(v, "id"), "m");
+        EXPECT_EQ(field(v, "status"), "error") << cycles;
+        EXPECT_EQ(field(v, "error"), "\"max_cycles\" must be >= 1")
+            << cycles;
+    }
+    EXPECT_EQ(server.stats().badRequests, 2);
+
+    std::string req = scaleRequest("one", 3);
+    req.insert(req.size() - 1, ",\"max_cycles\":1");
+    JsonValue v = parseResponse(ServeServer::render(server.submit(req)));
+    EXPECT_EQ(field(v, "status"), "watchdog") << field(v, "error");
+}
+
 TEST(Serve, NumbersThatAreNotIntegersOfTheirFieldAreErrors)
 {
     ServeServer server(withJobs(1));

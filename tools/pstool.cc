@@ -81,7 +81,7 @@ struct Options
     std::string stallsOut;
     int interval = 256;
     int seeds = 4;
-    int jobs = -1; ///< -1: 1 for map, every hardware thread otherwise
+    int jobs = 0; ///< 0: every hardware thread
     int64_t seed = 1;
     int iterations = 20000;
     bool smoke = false;
@@ -992,9 +992,8 @@ cmdBound(const Options &opts, const ParseResult &parsed)
 
 /**
  * `pstool map` — the portfolio mapper as a standalone gate. Compiles
- * the kernel, maps it with the requested portfolio width (and, on a
- * tiled fabric, tile thread count), and reports placement quality
- * plus wall-clock. The emitted
+ * the kernel, maps it with the requested portfolio width, and
+ * reports placement quality plus wall-clock. The emitted
  * mapping is re-checked with the placement lint (PS-P rules) before
  * the command reports success, so a clean exit certifies both "it
  * maps" and "the placement is legal". On failure the structured
@@ -1017,15 +1016,21 @@ cmdMap(const Options &opts, const ParseResult &parsed)
 
     compiler::ShareGroups shareGroups;
     if (opts.timeMultiplex) {
-        shareGroups =
-            compiler::planTimeMultiplexing(res.graph, fab.config());
+        auto planned =
+            compiler::tryPlanTimeMultiplexing(res.graph, fab.config());
+        if (!planned) {
+            return reportError(
+                opts, kernel.name,
+                csprintf("kernel %s: %s", kernel.name.c_str(),
+                         compiler::timeMultiplexFailure(res.graph)
+                             .c_str()));
+        }
+        shareGroups = std::move(*planned);
     }
 
-    const int jobs = opts.jobs < 0 ? 1 : opts.jobs;
     mapper::MapperOptions mopts;
     mopts.rngSeed = static_cast<uint64_t>(opts.seed);
     mopts.portfolioSeeds = opts.seeds;
-    mopts.jobs = jobs;
     mopts.annealIterations = opts.iterations;
     mopts.shareGroups = shareGroups;
 
@@ -1069,7 +1074,6 @@ cmdMap(const Options &opts, const ParseResult &parsed)
             .add("variant", compiler::archVariantName(opts.variant))
             .add("operators", res.graph.size())
             .add("seeds", opts.seeds)
-            .add("jobs", jobs)
             .add("success", mapping.success)
             .add("lint_clean", lintClean)
             .add("cost", mapping.cost)
@@ -1097,7 +1101,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
         std::printf("%s\n", r.toJson().c_str());
     } else if (mapping.success) {
         std::printf(
-            "%s on %s: %d operator(s), %d seed(s) x %d job(s)\n"
+            "%s on %s: %d operator(s), %d seed(s)\n"
             "  cost %.1f (wirelength %lld, overflow %lld), max "
             "link load %d/%d\n"
             "  avg hops %.3f, winning seed %d, %d early exit(s), "
@@ -1105,7 +1109,7 @@ cmdMap(const Options &opts, const ParseResult &parsed)
             "  placement lint: %s\n",
             kernel.name.c_str(),
             compiler::archVariantName(opts.variant),
-            res.graph.size(), opts.seeds, jobs, mapping.cost,
+            res.graph.size(), opts.seeds, mapping.cost,
             static_cast<long long>(mapping.totalWireLength),
             static_cast<long long>(mapping.congestionOverflow),
             mapping.maxLinkLoad, fab.config().linkCapacity,
@@ -1208,8 +1212,6 @@ cmdFigures(const Options &opts, const ParseResult &)
             .add("jobs", runner.pool().threadCount())
             .add("smoke", fopts.smoke)
             .add("wall_ms", wallMs)
-            .add("compile_hits", stats.compileHits)
-            .add("compile_computes", stats.compileComputes)
             .add("map_hits", stats.mapHits)
             .add("map_computes", stats.mapComputes)
             .add("prepared_hits", stats.preparedHits)
@@ -1221,12 +1223,9 @@ cmdFigures(const Options &opts, const ParseResult &)
         std::fprintf(
             stderr,
             "\nrendered %d figure(s) in %.1f s with %d job(s); "
-            "compile %lld hit/%lld computed, mapping %lld hit/"
-            "%lld computed, %lld duplicate runs shared, %lld "
-            "simulations shared\n",
+            "mapping %lld hit/%lld computed, %lld duplicate runs "
+            "shared, %lld simulations shared\n",
             rendered, wallMs / 1e3, runner.pool().threadCount(),
-            static_cast<long long>(stats.compileHits),
-            static_cast<long long>(stats.compileComputes),
             static_cast<long long>(stats.mapHits),
             static_cast<long long>(stats.mapComputes),
             static_cast<long long>(runner.dedupHits()),
@@ -1407,7 +1406,7 @@ const Command kCommands[] = {
      "the certified throughput bound against the simulated run, its "
      "terms and fix hint; nonzero exit if the simulation beats it",
      cmdBound},
-    {"map", true, PREPARE_FLAGS "seeds jobs seed iters",
+    {"map", true, PREPARE_FLAGS "seeds seed iters",
      "run the portfolio mapper alone; report placement quality and "
      "wall-clock, nonzero exit on failure or dirty placement lint",
      cmdMap},
