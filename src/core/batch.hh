@@ -1,31 +1,33 @@
 /**
  * @file
  * Batched data-parallel execution: one prepared mapping, many data
- * shards, streamed through the replicated tiles of a
- * fabric::Topology. Every tile holds the same per-tile placement
- * (prepared once from the first shard), so a shard can run on any
- * tile. Each shard is one executeOnFabric of that shared artifact
- * (the prepare-once / execute-N machinery from core/system.hh), so
- * it gets the deadlock and bound cross-checks and golden
- * verification of a single run. Shards sit in one shared queue and
- * min(tiles, shards, hardware threads) host workers each claim the
- * next shard the moment they go idle.
+ * shards, dealt across the replicated tiles of a fabric::Topology.
+ * Every tile holds the same per-tile placement, so a shard can run
+ * on any tile, and a shard's cycles do not depend on which tile it
+ * lands on. A batch is therefore two separate things:
+ *
+ *  - its shards' cycles, each one executeOnFabric of the shared
+ *    single-tile artifact (the prepare-once / execute-N machinery
+ *    from core/system.hh), so each shard gets the deadlock and bound
+ *    cross-checks and golden verification of a single run; and
+ *  - scheduleBatch, a pure function of those cycles and the tile
+ *    arrangement.
  *
  * The throughput model is deliberately simple: a tile runs its
  * shards back-to-back, and a shard on a remote tile (any tile but
  * the scalar core's tile 0) pays one inter-tile round trip
  * (2 × interTileLatency) to inject arguments and drain results.
- * Because per-shard cycles are arrangement-invariant, the model
- * replays the stealing schedule deterministically: longest
- * remaining shard first, each onto the tile that finishes it
- * earliest. `totalCycles` (the sum over shards) is the single-tile
- * serial baseline and `makespanCycles` (the latest tile finish) the
- * batched finish time, so modeledSpeedup = total / makespan.
+ * Shards are dealt longest first, each onto the tile that finishes
+ * it earliest. `totalCycles` (the sum over shards) is the
+ * single-tile serial baseline and `makespanCycles` (the latest tile
+ * finish) the batched finish time, so modeledSpeedup = total /
+ * makespan.
  */
 
 #ifndef PIPESTITCH_CORE_BATCH_HH
 #define PIPESTITCH_CORE_BATCH_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,58 +35,66 @@
 
 namespace pipestitch {
 
-/** The result of one batched run. */
-struct BatchRun
+/** The most shards one batch takes (`pstool bench-tiles --shards`,
+ *  serve's "batch"). */
+inline constexpr int kMaxBatchShards = 1024;
+
+/** Where a batch's shards run on a tile arrangement, and how long
+ *  the batch takes there. */
+struct BatchSchedule
 {
-    bool success = false;
-    std::string error;
-
-    /** The shared artifact every shard executed (null when prepare
-     *  itself failed). */
-    PreparedPtr prepared;
-
-    int tiles = 1;  ///< topology tile count
-    int shards = 0; ///< shard count actually executed
-
-    /** Per-shard fabric cycles, in input order (excludes the
-     *  inter-tile injection overhead — that is a property of the
-     *  tile a shard landed on, reported via makespanCycles). */
-    std::vector<int64_t> shardCycles;
-    /** Tile the throughput model schedules each shard onto
-     *  (longest-first onto the earliest-finishing tile — the
-     *  deterministic replay of the stealing executor). */
+    /** Tile each shard is dealt onto, in input order. */
     std::vector<int> shardTile;
 
-    /** Σ shardCycles: the one-tile serial baseline. */
+    /** Σ shard cycles: the one-tile serial baseline. */
     int64_t totalCycles = 0;
     /** max over tiles of (Σ its shards' cycles + injection
      *  overhead): the batched finish time. */
     int64_t makespanCycles = 0;
     /** totalCycles / makespanCycles (≥ 1 when batching helps). */
     double modeledSpeedup = 1.0;
-
-    double seconds = 0;     ///< makespan at the tile clock
-    double wallSeconds = 0; ///< host time spent simulating
 };
 
 /**
- * Execute every kernel in @p shards against one shared prepared
- * mapping. All shards must be instances of the same kernel (same
- * program and live-ins — typically SpMV row blocks or DNN batch
- * slices from the same generator); the mapping is prepared from
- * shards[0] under @p config with tiling forced to a single tile
- * (each tile of the topology holds that same placement).
- *
- * Failure contract mirrors runOnFabric: with @p error null any
- * failure is fatal(); otherwise *error and BatchRun::error are set
- * and success stays false. A failing shard is reported as
- * "runBatch: shard I (NAME): " followed by executeOnFabric's error;
- * when several fail, the lowest index is reported. Per-shard golden
- * verification follows config.verifyAgainstGolden.
+ * Deal shards of @p shardCycles cycles each onto @p tiles tiles
+ * (≥ 1): longest shard first, each onto the tile that finishes it
+ * earliest, with 2 × @p interTileLatency per shard on every tile but
+ * tile 0. Ties go to the lower tile, so the tiles in use are always
+ * a prefix.
  */
-BatchRun runBatch(const std::vector<workloads::KernelInstance> &shards,
-                  const RunConfig &config,
-                  std::string *error = nullptr);
+BatchSchedule scheduleBatch(const std::vector<int64_t> &shardCycles,
+                            int tiles, int interTileLatency);
+
+/** The result of one batched run. */
+struct BatchRun
+{
+    /** The single-tile artifact every shard executed. */
+    PreparedPtr prepared;
+    /** Per-shard fabric cycles, in input order (excludes the
+     *  inter-tile injection overhead: that depends on the tile a
+     *  shard is dealt onto). */
+    std::vector<int64_t> shardCycles;
+    /** The shards dealt onto the tiles of runBatch's config. */
+    BatchSchedule schedule;
+};
+
+/**
+ * Execute @p kernel once per memory image in @p images, in order, on
+ * the calling thread. The mapping is prepared once under @p config
+ * with tiling forced to a single tile (each tile of the topology
+ * holds that same placement); each shard is @p kernel with its
+ * memory replaced by one image. Per-shard golden verification
+ * follows config.verifyAgainstGolden.
+ *
+ * @return nullopt with @p error set when the topology is invalid,
+ * @p images is empty, prepare fails or a shard fails; a failing
+ * shard is reported as "runBatch: shard I (NAME): " followed by
+ * executeOnFabric's error, and no later shard runs.
+ */
+std::optional<BatchRun> runBatch(
+    const workloads::KernelInstance &kernel,
+    const std::vector<scalar::MemImage> &images,
+    const RunConfig &config, std::string &error);
 
 } // namespace pipestitch
 

@@ -15,6 +15,7 @@
 #include "base/logging.hh"
 #include "core/batch.hh"
 #include "core/system.hh"
+#include "energy/model.hh"
 #include "runner/sweep.hh"
 #include "sim/report.hh"
 #include "sir/parser.hh"
@@ -180,10 +181,18 @@ parseRequest(const std::string &line, const RunConfig &base,
     if (const auto *b = v.find("batch")) {
         if (!readInteger(*b, "batch", out.batch, error))
             return false;
-        if (out.batch < 1) {
-            error = "\"batch\" must be >= 1";
+        // Bounded as `pstool bench-tiles --shards` is: the schedule
+        // holds one entry per shard.
+        if (out.batch < 1 || out.batch > kMaxBatchShards) {
+            error = csprintf("\"batch\" must be in [1, %d]",
+                             kMaxBatchShards);
             return false;
         }
+    }
+    // A batch answers a schedule, not one run a trace could show.
+    if (out.batch > 1 && !out.traceFile.empty()) {
+        error = "\"trace_file\" cannot be combined with \"batch\" > 1";
+        return false;
     }
 
     // Every value is checked before the kernel binder sees it; the
@@ -251,33 +260,29 @@ parseRequest(const std::string &line, const RunConfig &base,
     return true;
 }
 
-/** The batched path: @p req.batch shards of the request's kernel
- *  dealt across the topology's tiles (core/batch.hh). */
+/** The ok response of a batched request: @p req.batch copies of
+ *  one shard of @p shardCycles cycles dealt across the request's
+ *  tiles (core/batch.hh). */
 std::string
-runServeBatch(const ParsedRequest &req)
+batchPayload(const ParsedRequest &req, int64_t shardCycles)
 {
-    std::vector<workloads::KernelInstance> shards;
-    shards.reserve(static_cast<size_t>(req.batch));
-    const workloads::KernelInstance &k = *req.kernel;
-    for (int i = 0; i < req.batch; i++) // Programs are move-only
-        shards.push_back({k.name, sir::cloneProgram(k.prog), k.liveIns,
-                          k.memory});
-    std::string err;
-    BatchRun batch = runBatch(shards, req.cfg, &err);
-    if (!batch.success)
-        return statusPayload("error", err);
-
+    const fabric::Topology topo = req.cfg.topology();
+    const BatchSchedule s = scheduleBatch(
+        std::vector<int64_t>(static_cast<size_t>(req.batch),
+                             shardCycles),
+        topo.numTiles(), topo.interTileLatency);
     sim::Report r;
     r.add("schema_version", sim::kJsonSchemaVersion)
         .add("status", "ok")
         .add("kernel", req.kernel->name)
         .add("variant", compiler::archVariantName(req.cfg.variant))
-        .add("tiles", batch.tiles)
-        .add("batch", batch.shards)
-        .add("total_cycles", batch.totalCycles)
-        .add("makespan_cycles", batch.makespanCycles)
-        .add("modeled_speedup", batch.modeledSpeedup)
-        .add("seconds", batch.seconds);
+        .add("tiles", topo.numTiles())
+        .add("batch", req.batch)
+        .add("total_cycles", s.totalCycles)
+        .add("makespan_cycles", s.makespanCycles)
+        .add("modeled_speedup", s.modeledSpeedup)
+        .add("seconds", energy::secondsFor(s.makespanCycles,
+                                           req.cfg.fabric.clockMHz));
     return r.toJson();
 }
 
@@ -291,16 +296,25 @@ runServeRequest(const ParsedRequest &req)
     // server exit.
     ScopedFatalTrap trap;
     try {
-        if (req.batch > 1)
-            return runServeBatch(req);
         std::string err;
-        PreparedPtr prepared =
-            prepareKernel(*req.kernel, req.cfg, &err);
+        RunConfig cfg = req.cfg;
+        if (req.batch > 1) {
+            // A batch runs its one shard once, on one tile: the
+            // request's tiles only schedule copies of its cycles.
+            if (!cfg.topology().validate(&err))
+                return statusPayload(
+                    "error", csprintf("kernel %s: invalid tiled "
+                                      "topology: %s",
+                                      req.kernel->name.c_str(),
+                                      err.c_str()));
+            cfg.tilesX = 1;
+            cfg.tilesY = 1;
+        }
+        PreparedPtr prepared = prepareKernel(*req.kernel, cfg, &err);
         if (!prepared)
             return statusPayload("error", err);
 
         trace::ChromeTraceSink chrome;
-        RunConfig cfg = req.cfg;
         if (!req.traceFile.empty())
             cfg.sim.observer = &chrome;
         FabricRun run =
@@ -316,6 +330,8 @@ runServeRequest(const ParsedRequest &req)
             : run.sim.deadlocked      ? "deadlock"
             : !err.empty()            ? "error"
                                       : "ok";
+        if (req.batch > 1 && std::string(status) == "ok")
+            return batchPayload(req, run.cycles());
 
         sim::Report r;
         r.add("schema_version", sim::kJsonSchemaVersion)

@@ -35,7 +35,7 @@ namespace pipestitch::sim {
  * backwards-incompatible field change and record the delta in
  * docs/json-schemas.md.
  */
-constexpr int kJsonSchemaVersion = 3;
+constexpr int kJsonSchemaVersion = 4;
 
 /** Ordered key/value result record with text and JSON renderings. */
 class Report

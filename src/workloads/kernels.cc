@@ -208,23 +208,23 @@ makeSpmv(int n, double sparsity, uint64_t seed)
     return inst;
 }
 
-std::vector<KernelInstance>
+ShardSet
 makeSpmvShards(int n, double sparsity, uint64_t seed, int count)
 {
-    std::vector<KernelInstance> shards;
-    shards.reserve(static_cast<size_t>(std::max(count, 0)));
+    // Same seed → same CSR structure and program; each shard then
+    // gets its own dense vector, so only memory differs.
+    ShardSet set{makeSpmv(n, sparsity, seed), {}};
+    set.images.reserve(static_cast<size_t>(std::max(count, 0)));
     for (int s = 0; s < count; s++) {
-        // Same seed → same CSR structure and program; each shard
-        // then gets its own dense vector, so only memory differs.
-        KernelInstance inst = makeSpmv(n, sparsity, seed);
+        scalar::MemImage image = set.kernel.memory;
         Rng rng(seed + 7919u * static_cast<uint64_t>(s + 1));
-        for (const auto &arr : inst.prog.arrays) {
+        for (const auto &arr : set.kernel.prog.arrays) {
             if (arr.name == "x")
-                blit(inst.memory, arr.base, randomDense(n, rng));
+                blit(image, arr.base, randomDense(n, rng));
         }
-        shards.push_back(std::move(inst));
+        set.images.push_back(std::move(image));
     }
-    return shards;
+    return set;
 }
 
 KernelInstance

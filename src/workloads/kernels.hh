@@ -100,15 +100,22 @@ KernelInstance makeSpMSpVdFrom(const Csr &matrix,
                                const SparseVec &vec,
                                const std::string &name);
 
+/** One kernel and the memory images of its data-parallel shards. */
+struct ShardSet
+{
+    KernelInstance kernel;
+    std::vector<scalar::MemImage> images;
+};
+
 /**
  * Data-parallel SpMV shards for batched tiled execution
- * (core/batch.hh): @p count instances sharing one program and one
- * CSR structure (from @p seed), each with its own dense input
- * vector. Because only memory contents differ, all shards execute
- * against a single prepared mapping — one per tile replica.
+ * (core/batch.hh): one program and CSR structure (from @p seed) and
+ * @p count memory images, each with its own dense input vector.
+ * Because only memory contents differ, all shards execute against a
+ * single prepared mapping — one per tile replica.
  */
-std::vector<KernelInstance> makeSpmvShards(int n, double sparsity,
-                                           uint64_t seed, int count);
+ShardSet makeSpmvShards(int n, double sparsity, uint64_t seed,
+                        int count);
 
 /** All six standalone kernels at the paper's Table 1 parameters. */
 std::vector<KernelInstance> paperKernels(uint64_t seed = 1);

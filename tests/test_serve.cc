@@ -475,6 +475,88 @@ TEST(Serve, TileGridsThatOverflowIntAreErrors)
     }
 }
 
+TEST(Serve, BatchAboveTheShardCapIsAnError)
+{
+    // 2147483647 shards once sized a schedule past the host's memory
+    // and killed the daemon with bad_alloc. A good request follows
+    // each on the same server.
+    ServeServer server(withJobs(1));
+    for (const char *batch : {"2147483647", "1025"}) {
+        std::string req = scaleRequest("c", 3);
+        req.insert(req.size() - 1, std::string(",\"batch\":") + batch);
+        JsonValue v =
+            parseResponse(ServeServer::render(server.submit(req)));
+        EXPECT_EQ(field(v, "status"), "error") << batch;
+        EXPECT_EQ(field(v, "error"), "\"batch\" must be in [1, 1024]")
+            << batch;
+
+        v = parseResponse(
+            ServeServer::render(server.submit(scaleRequest("ok", 3))));
+        EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
+    }
+    EXPECT_EQ(server.stats().badRequests, 2);
+
+    std::string req = scaleRequest("max", 3);
+    req.insert(req.size() - 1, ",\"tiles\":\"2x2\",\"batch\":1024");
+    JsonValue v = parseResponse(ServeServer::render(server.submit(req)));
+    EXPECT_EQ(field(v, "status"), "ok") << field(v, "error");
+    EXPECT_EQ(v.find("batch")->asInt(), 1024);
+    EXPECT_EQ(v.find("tiles")->asInt(), 4);
+}
+
+TEST(Serve, TraceFileWithABatchIsAnError)
+{
+    // A batch answers a schedule, not one run: a trace_file request
+    // once answered ok and wrote nothing.
+    namespace fs = std::filesystem;
+    fs::path trace = fs::temp_directory_path() / "ps_serve_batch.trace";
+    fs::remove(trace);
+    ServeServer server(withJobs(1));
+    std::string req = scaleRequest("t", 3);
+    req.insert(req.size() - 1, ",\"batch\":2,\"trace_file\":\"" +
+                                   trace.string() + "\"");
+    JsonValue v = parseResponse(ServeServer::render(server.submit(req)));
+    EXPECT_EQ(field(v, "status"), "error");
+    EXPECT_NE(field(v, "error").find("\"trace_file\""),
+              std::string::npos)
+        << field(v, "error");
+    EXPECT_FALSE(fs::exists(trace));
+}
+
+TEST(Serve, BatchFailuresAnswerTheSingleRunStatus)
+{
+    // A batch runs its one shard as a single request does, so its
+    // failures carry the same status (and fault fields).
+    ServeServer server(withJobs(1));
+    std::string fault = scaleRequest("f", 3);
+    fault.replace(fault.find("\"n\":4"), 5, "\"n\":100");
+    std::string watchdog = scaleRequest("w", 3);
+    watchdog.insert(watchdog.size() - 1, ",\"max_cycles\":3");
+    for (const auto &[base, want] :
+         {std::pair{fault, "fault"}, std::pair{watchdog, "watchdog"}}) {
+        JsonValue single =
+            parseResponse(ServeServer::render(server.submit(base)));
+        EXPECT_EQ(field(single, "status"), want);
+
+        std::string req = base;
+        req.insert(req.size() - 1, ",\"tiles\":\"2x2\",\"batch\":3");
+        std::string line = ServeServer::render(server.submit(req));
+        EXPECT_EQ(line, freshResponse(req));
+        JsonValue v = parseResponse(line);
+        EXPECT_EQ(field(v, "status"), want) << line;
+        EXPECT_EQ(v.find("tiles_x")->asInt(), 2) << line;
+        EXPECT_EQ(v.find("batch"), nullptr) << line;
+        if (std::string(want) == "fault") {
+            EXPECT_NE(field(v, "error").find("memory fault"),
+                      std::string::npos)
+                << line;
+            ASSERT_NE(v.find("fault_address"), nullptr) << line;
+            EXPECT_GE(v.find("fault_node")->asInt(-1), 0) << line;
+            EXPECT_GE(v.find("fault_cycle")->asInt(-1), 0) << line;
+        }
+    }
+}
+
 TEST(Serve, ResponseMemoEvictsOldestFirst)
 {
     ServeServer server(withJobs(2));

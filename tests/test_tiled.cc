@@ -14,8 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
-#include <thread>
 
 #include "analysis/placement.hh"
 #include "base/logging.hh"
@@ -250,102 +250,102 @@ TEST(TiledRun, StructuredErrorsInsteadOfFatal)
 TEST(BatchRun, QuadTileSpmvShardsReachTargetSpeedup)
 {
     setQuiet(true);
-    auto shards = workloads::makeSpmvShards(64, 0.2, 1, 8);
-    ASSERT_EQ(shards.size(), 8u);
+    auto set = workloads::makeSpmvShards(64, 0.2, 1, 8);
+    ASSERT_EQ(set.images.size(), 8u);
 
     RunConfig cfg;
     cfg.quiet = true;
     cfg.tilesX = 2;
     cfg.tilesY = 2;
     std::string err;
-    BatchRun batch = runBatch(shards, cfg, &err);
-    ASSERT_TRUE(batch.success) << err;
-    EXPECT_EQ(batch.tiles, 4);
-    EXPECT_EQ(batch.shards, 8);
-    ASSERT_EQ(batch.shardCycles.size(), 8u);
-    for (size_t i = 0; i < batch.shardCycles.size(); i++) {
-        EXPECT_GT(batch.shardCycles[i], 0) << i;
-        EXPECT_GE(batch.shardTile[i], 0) << i;
-        EXPECT_LT(batch.shardTile[i], batch.tiles) << i;
+    std::optional<BatchRun> batch =
+        runBatch(set.kernel, set.images, cfg, err);
+    ASSERT_TRUE(batch) << err;
+    const BatchSchedule &s = batch->schedule;
+    const int tiles = 4;
+    ASSERT_EQ(batch->shardCycles.size(), 8u);
+    ASSERT_EQ(s.shardTile.size(), 8u);
+    for (size_t i = 0; i < batch->shardCycles.size(); i++) {
+        EXPECT_GT(batch->shardCycles[i], 0) << i;
+        EXPECT_GE(s.shardTile[i], 0) << i;
+        EXPECT_LT(s.shardTile[i], tiles) << i;
     }
-    EXPECT_GT(batch.totalCycles, batch.makespanCycles);
+    EXPECT_GT(s.totalCycles, s.makespanCycles);
     // The acceptance bar: 2×2 batched throughput at least 1.8× the
     // single-tile serial baseline.
-    EXPECT_GE(batch.modeledSpeedup, 1.8);
+    EXPECT_GE(s.modeledSpeedup, 1.8);
 
     // The reported schedule must reproduce the reported makespan:
     // per-tile finish = its shards' cycles plus one injection round
     // trip per shard on every tile but 0.
-    std::vector<int64_t> finish(static_cast<size_t>(batch.tiles), 0);
-    for (size_t i = 0; i < batch.shardCycles.size(); i++) {
-        int t = batch.shardTile[i];
+    std::vector<int64_t> finish(tiles, 0);
+    for (size_t i = 0; i < batch->shardCycles.size(); i++) {
+        int t = s.shardTile[i];
         finish[static_cast<size_t>(t)] +=
-            batch.shardCycles[i] +
+            batch->shardCycles[i] +
             (t > 0 ? 2 * cfg.interTileLatency : 0);
     }
-    EXPECT_EQ(batch.makespanCycles,
+    EXPECT_EQ(s.makespanCycles,
               *std::max_element(finish.begin(), finish.end()));
 
     // Single tile is the serial baseline by definition.
     RunConfig one = cfg;
     one.tilesX = 1;
     one.tilesY = 1;
-    BatchRun serial = runBatch(shards, one, &err);
-    ASSERT_TRUE(serial.success) << err;
-    EXPECT_EQ(serial.makespanCycles, serial.totalCycles);
-    EXPECT_DOUBLE_EQ(serial.modeledSpeedup, 1.0);
-    EXPECT_EQ(serial.totalCycles, batch.totalCycles);
+    std::optional<BatchRun> serial =
+        runBatch(set.kernel, set.images, one, err);
+    ASSERT_TRUE(serial) << err;
+    EXPECT_EQ(serial->shardCycles, batch->shardCycles);
+    EXPECT_EQ(serial->schedule.makespanCycles,
+              serial->schedule.totalCycles);
+    EXPECT_DOUBLE_EQ(serial->schedule.modeledSpeedup, 1.0);
+    EXPECT_EQ(serial->schedule.totalCycles, s.totalCycles);
 }
 
 TEST(BatchRun, ShardCyclesMatchSingleExecutions)
 {
     setQuiet(true);
-    auto shards = workloads::makeSpmvShards(64, 0.2, 1, 8);
+    auto set = workloads::makeSpmvShards(64, 0.2, 1, 8);
     RunConfig cfg;
     cfg.quiet = true;
     cfg.tilesX = 2;
     cfg.tilesY = 2;
     std::string err;
-    BatchRun batch = runBatch(shards, cfg, &err);
-    ASSERT_TRUE(batch.success) << err;
+    std::optional<BatchRun> batch =
+        runBatch(set.kernel, set.images, cfg, err);
+    ASSERT_TRUE(batch) << err;
 
-    // One engine per worker at most, and never more workers than
-    // tiles, shards or hardware threads.
-    const size_t workers = std::min<size_t>(
-        {4, shards.size(),
-         std::max(1u, std::thread::hardware_concurrency())});
-    EXPECT_GE(batch.prepared->program->idleEngines(), 1u);
-    EXPECT_LE(batch.prepared->program->idleEngines(), workers);
+    // The shards run one after another, so they share one engine.
+    EXPECT_EQ(batch->prepared->program->idleEngines(), 1u);
 
     // Each shard is one execution of the shared single-tile
-    // artifact.
+    // artifact on its own memory image.
     RunConfig tileCfg = cfg;
     tileCfg.tilesX = 1;
     tileCfg.tilesY = 1;
-    for (size_t i = 0; i < shards.size(); i++) {
+    for (size_t i = 0; i < set.images.size(); i++) {
+        workloads::KernelInstance shard{
+            set.kernel.name, sir::cloneProgram(set.kernel.prog),
+            set.kernel.liveIns, set.images[i]};
         FabricRun run =
-            executeOnFabric(*batch.prepared, shards[i], tileCfg, &err);
+            executeOnFabric(*batch->prepared, shard, tileCfg, &err);
         ASSERT_TRUE(err.empty()) << err;
-        EXPECT_EQ(batch.shardCycles[i], run.cycles()) << i;
+        EXPECT_EQ(batch->shardCycles[i], run.cycles()) << i;
     }
 }
 
 TEST(BatchRun, ShardPastItsArraysFailsWithAMemoryFault)
 {
     setQuiet(true);
-    std::vector<workloads::KernelInstance> shards;
-    for (int i = 0; i < 3; i++) {
-        shards.push_back(makeTinyScale(4));
-        shards.back().liveIns = {100}; // n past the 8-word arrays
-    }
+    workloads::KernelInstance kernel = makeTinyScale(4);
+    kernel.liveIns = {100}; // n past the 8-word arrays
+    const std::vector<scalar::MemImage> images(3, kernel.memory);
     RunConfig cfg;
     cfg.quiet = true;
     cfg.tilesX = 2;
     std::string err;
-    BatchRun batch = runBatch(shards, cfg, &err);
-    EXPECT_FALSE(batch.success);
-    EXPECT_EQ(batch.error, err);
-    // Every shard faults; the lowest index is the one reported.
+    EXPECT_FALSE(runBatch(kernel, images, cfg, err));
+    // The first failing shard stops the batch and is reported.
     EXPECT_NE(err.find("shard 0 (tiny_scale)"), std::string::npos)
         << err;
     EXPECT_NE(err.find("memory fault"), std::string::npos) << err;
@@ -354,30 +354,42 @@ TEST(BatchRun, ShardPastItsArraysFailsWithAMemoryFault)
 TEST(BatchRun, RejectsEmptyAndIncompatibleShards)
 {
     setQuiet(true);
+    workloads::KernelInstance kernel = makeTinyScale(4);
     RunConfig cfg;
     cfg.quiet = true;
     std::string err;
-    BatchRun empty = runBatch({}, cfg, &err);
-    EXPECT_FALSE(empty.success);
-    EXPECT_FALSE(err.empty());
-
-    // Different programs can't share one prepared mapping.
-    std::vector<workloads::KernelInstance> mixed;
-    mixed.push_back(workloads::makeSpmv(16, 0.3, 7));
-    mixed.push_back(makeTinyScale(4));
-    err.clear();
-    BatchRun bad = runBatch(mixed, cfg, &err);
-    EXPECT_FALSE(bad.success);
-    EXPECT_FALSE(err.empty());
+    EXPECT_FALSE(runBatch(kernel, {}, cfg, err));
+    EXPECT_NE(err.find("no shards"), std::string::npos) << err;
 
     // A tile count past int is refused before anything runs.
     RunConfig huge = cfg;
     huge.tilesX = 65536;
     huge.tilesY = 65536;
     err.clear();
-    BatchRun overflow = runBatch(mixed, huge, &err);
-    EXPECT_FALSE(overflow.success);
-    EXPECT_NE(err.find("tile count"), std::string::npos) << err;
+    EXPECT_FALSE(runBatch(kernel, {kernel.memory}, huge, err));
+    EXPECT_NE(err.find("invalid topology"), std::string::npos) << err;
+    EXPECT_NE(err.find("65536x65536"), std::string::npos) << err;
+}
+
+TEST(BatchSchedule, DealsLongestFirstOntoTheEarliestFinish)
+{
+    // Latency 1: a shard on tile 1 pays 2 cycles. 30 → tile 0 (30
+    // beats 32); 20 → tile 1 (22 beats 50); 10 → tile 1 (34 beats
+    // 40).
+    BatchSchedule s = scheduleBatch({10, 30, 20}, 2, 1);
+    EXPECT_EQ(s.shardTile, (std::vector<int>{1, 0, 1}));
+    EXPECT_EQ(s.totalCycles, 60);
+    EXPECT_EQ(s.makespanCycles, 34);
+    EXPECT_DOUBLE_EQ(s.modeledSpeedup, 60.0 / 34.0);
+
+    // More tiles than shards: only a prefix of the tiles is used.
+    BatchSchedule wide = scheduleBatch({5, 5}, 8, 1);
+    EXPECT_EQ(wide.shardTile, (std::vector<int>{0, 1}));
+    EXPECT_EQ(wide.makespanCycles, 7);
+
+    BatchSchedule none = scheduleBatch({}, 4, 4);
+    EXPECT_EQ(none.makespanCycles, 0);
+    EXPECT_DOUBLE_EQ(none.modeledSpeedup, 1.0);
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <type_traits>
@@ -33,6 +34,7 @@
 #include "core/batch.hh"
 #include "core/system.hh"
 #include "dfg/dot.hh"
+#include "energy/model.hh"
 #include "figures/figures.hh"
 #include "mapper/tiled.hh"
 #include "runner/serve.hh"
@@ -188,7 +190,8 @@ const Flag kFlags[] = {
      "distinct generated requests", 1, 1000000},
     {"bench-out", "=F", &Options::benchOut,
      "bench record (BENCH_serve.json)"},
-    {"shards", "=N", &Options::shards, "SpMV shards", 1, 1024},
+    {"shards", "=N", &Options::shards, "SpMV shards", 1,
+     kMaxBatchShards},
     {"n", "=N", &Options::n, "SpMV matrix size", 1, 1024},
     {"sparsity", "=X", &Options::sparsity, "SpMV sparsity", 0, 1},
     {"reps", "=N", &Options::reps, "timed runs, best of", 1, 1000},
@@ -1237,23 +1240,31 @@ cmdFigures(const Options &opts, const ParseResult &)
 /**
  * `pstool bench-tiles` — the multi-tile scaling benchmark. Builds
  * @c --shards data-parallel SpMV shards (one CSR structure, fresh
- * dense vectors), then runs the batch through 1×1, 1×2, and 2×2
- * arrangements of the base tile via core runBatch: one mapping
- * prepared once, every tile executing its shard queue on its own
- * thread with a warmed ExecutionState. Emits the scaling curve as
+ * dense vectors) and runs each once on one tile via core runBatch:
+ * one mapping prepared once. A shard's cycles do not depend on the
+ * arrangement, so the same cycles are then scheduled onto 1×1, 1×2
+ * and 2×2 arrangements of the base tile. Emits the scaling curve as
  * JSON (schema_version, per-arrangement total/makespan cycles and
  * modeled speedup) to --out and stdout. `modeled_speedup` of an
- * arrangement is exactly its throughput gain over the single tile,
- * since per-shard cycles are arrangement-invariant.
+ * arrangement is exactly its throughput gain over the single tile.
  */
 int
 cmdBenchTiles(const Options &opts, const ParseResult &)
 {
     setQuiet(true);
-    auto shardSet =
+    const workloads::ShardSet shardSet =
         workloads::makeSpmvShards(opts.n, opts.sparsity,
                                   static_cast<uint64_t>(opts.seed),
                                   opts.shards);
+    RunConfig cfg = runConfig(opts); // bench-tiles reads only --fabric
+    cfg.quiet = true;
+    std::string err;
+    std::optional<BatchRun> batch =
+        runBatch(shardSet.kernel, shardSet.images, cfg, err);
+    if (!batch) {
+        std::fprintf(stderr, "bench-tiles: %s\n", err.c_str());
+        return 1;
+    }
 
     struct Arrangement
     {
@@ -1267,7 +1278,7 @@ cmdBenchTiles(const Options &opts, const ParseResult &)
     trace::JsonWriter w(out);
     w.beginObject();
     w.key("schema_version").value(sim::kJsonSchemaVersion);
-    w.key("kernel").value(shardSet.front().name);
+    w.key("kernel").value(shardSet.kernel.name);
     w.key("shards").value(opts.shards);
     w.key("tile_width").value(opts.topo.tile.width);
     w.key("tile_height").value(opts.topo.tile.height);
@@ -1275,33 +1286,25 @@ cmdBenchTiles(const Options &opts, const ParseResult &)
     w.key("configs");
     w.beginArray();
     for (const Arrangement &a : kArrangements) {
-        RunConfig cfg = runConfig(opts); // bench-tiles reads only --fabric
-        cfg.tilesX = a.tx;
-        cfg.tilesY = a.ty;
-        cfg.quiet = true;
-        std::string err;
-        BatchRun batch = runBatch(shardSet, cfg, &err);
-        if (!batch.success) {
-            std::fprintf(stderr, "bench-tiles %dx%d: %s\n", a.tx,
-                         a.ty, err.c_str());
-            return 1;
-        }
+        const int tiles = a.tx * a.ty;
+        BatchSchedule s = scheduleBatch(batch->shardCycles, tiles,
+                                        opts.topo.interTileLatency);
         w.beginObject();
         w.key("tiles_x").value(a.tx);
         w.key("tiles_y").value(a.ty);
-        w.key("tiles").value(batch.tiles);
-        w.key("total_cycles").value(batch.totalCycles);
-        w.key("makespan_cycles").value(batch.makespanCycles);
-        w.key("modeled_speedup").value(batch.modeledSpeedup);
-        w.key("seconds").value(batch.seconds);
-        w.key("wall_s").value(batch.wallSeconds);
+        w.key("tiles").value(tiles);
+        w.key("total_cycles").value(s.totalCycles);
+        w.key("makespan_cycles").value(s.makespanCycles);
+        w.key("modeled_speedup").value(s.modeledSpeedup);
+        w.key("seconds").value(
+            energy::secondsFor(s.makespanCycles, cfg.fabric.clockMHz));
         w.endObject();
         std::fprintf(stderr,
                      "bench-tiles %dx%d: %lld shard(s), makespan "
                      "%lld cycles, %.2fx\n",
                      a.tx, a.ty, static_cast<long long>(opts.shards),
-                     static_cast<long long>(batch.makespanCycles),
-                     batch.modeledSpeedup);
+                     static_cast<long long>(s.makespanCycles),
+                     s.modeledSpeedup);
     }
     w.endArray();
     w.endObject();
